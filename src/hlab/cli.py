@@ -2,8 +2,8 @@
 
 Output contract: results go to stdout only after the computation
 finishes (no partial output on error), rationals render as "num/den",
-floats with 15 significant digits, and identical RunConfigs produce
-byte-identical output regardless of worker count.  Exit codes: 0
+floats with 15 significant digits, and the same arguments produce
+byte-identical output at any --workers count.  Exit codes: 0
 success, 1 domain error, 2 usage error.
 """
 
@@ -39,11 +39,9 @@ class _UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run depends on; equal configs give equal output."""
+    """The parsed arguments plus the settings every subcommand shares."""
 
-    command: str
     fmt: str
-    seed: int | None
     workers: int
     cap_bits: int | None
     args: argparse.Namespace
@@ -355,8 +353,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--p", type=Fraction, required=True)
-    sp.add_argument("--exact", action="store_true",
-                    help="accepted for clarity; measure is always exact")
     _add_predicate_flags(sp)
     _add_common(sp)
 
@@ -452,9 +448,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    cfg = RunConfig(command=args.command, fmt=args.format,
-                    seed=getattr(args, "seed", None), workers=args.workers,
-                    cap_bits=args.cap, args=args)
+    cfg = RunConfig(fmt=args.format, workers=args.workers, cap_bits=args.cap,
+                    args=args)
     try:
         rows = _HANDLERS[args.command](cfg)
     except _UsageError as exc:

@@ -101,8 +101,8 @@ def _induced_mask(G: RUniformGraph, d: tuple, local) -> int:
     return mask
 
 
-def contains_induced(G: RUniformGraph, fam: ForbiddenFamily) -> bool:
-    """True iff some vertex subset of G induces a family member (F < G)."""
+def _induced_hits(G: RUniformGraph, fam: ForbiddenFamily):
+    """Vertex subsets D of G, by order then colex, with G[D] a member."""
     _check_uniformity(G, fam)
     for h in fam.orders():
         if h > G.n:
@@ -111,23 +111,55 @@ def contains_induced(G: RUniformGraph, fam: ForbiddenFamily) -> bool:
         local = subsets_colex(h, G.r)
         for d in combinations(range(G.n), h):
             if _induced_mask(G, d, local) in orbit:
-                return True
-    return False
+                yield d
+
+
+def contains_induced(G: RUniformGraph, fam: ForbiddenFamily) -> bool:
+    """True iff some vertex subset of G induces a family member (F < G)."""
+    return next(_induced_hits(G, fam), None) is not None
 
 
 def count_induced(G: RUniformGraph, fam: ForbiddenFamily) -> int:
     """Number of vertex subsets D with G[D] isomorphic to a member."""
-    _check_uniformity(G, fam)
-    total = 0
+    return sum(1 for _ in _induced_hits(G, fam))
+
+
+def _vertex_set(vset, n: int) -> tuple:
+    vset = tuple(sorted(vset))
+    if len(set(vset)) != len(vset) or (vset and (vset[0] < 0 or vset[-1] >= n)):
+        raise ParameterError(f"vertex set {vset} is not a subset of 0..{n - 1}")
+    return vset
+
+
+def _contains_columns(masks: np.ndarray, n: int, r: int, fam: ForbiddenFamily,
+                      vsets) -> np.ndarray:
+    """Row i: 'some member is induced inside vsets[i]', one entry per mask.
+
+    Each h-subset's induced mask is extracted once and its hits are ORed
+    into every vertex set containing the subset.
+    """
+    if fam.r != r:
+        raise ParameterError(f"uniformity mismatch: space r={r}, family r={fam.r}")
+    vsets = [_vertex_set(s, n) for s in vsets]
+    cols = np.zeros((len(vsets), masks.shape[0]), dtype=bool)
+    one = np.uint64(1)
     for h in fam.orders():
-        if h > G.n:
+        owners: dict = {}
+        for i, vset in enumerate(vsets):
+            for sub in combinations(vset, h):
+                owners.setdefault(sub, []).append(i)
+        if not owners:
             continue
-        orbit = family_orbit(fam, h)
-        local = subsets_colex(h, G.r)
-        for d in combinations(range(G.n), h):
-            if _induced_mask(G, d, local) in orbit:
-                total += 1
-    return total
+        lookup = family_orbit_lookup(fam, h)
+        table = induced_rank_table(n, h, r)
+        for sub, sets in owners.items():
+            im = np.zeros(masks.shape, dtype=np.uint64)
+            for j, pos in enumerate(table[rank_subset(sub, h)]):
+                im |= ((masks >> np.uint64(pos)) & one) << np.uint64(j)
+            hit = lookup[im]
+            for i in sets:
+                cols[i] |= hit
+    return cols
 
 
 def batch_contains(masks: np.ndarray, n: int, r: int, fam: ForbiddenFamily,
@@ -138,23 +170,5 @@ def batch_contains(masks: np.ndarray, n: int, r: int, fam: ForbiddenFamily,
     block-local containment of the partition lemma); None means all of
     range(n).
     """
-    if fam.r != r:
-        raise ParameterError(f"uniformity mismatch: space r={r}, family r={fam.r}")
-    scope = tuple(sorted(within)) if within is not None else tuple(range(n))
-    hit = np.zeros(masks.shape, dtype=bool)
-    for h in fam.orders():
-        if h > len(scope):
-            continue
-        lookup = family_orbit_lookup(fam, h)
-        table = induced_rank_table(n, h, r)
-        sub_index = {s: i for i, s in enumerate(subsets_colex(n, h))}
-        rows = [sub_index[tuple(scope[i] for i in c)]
-                for c in combinations(range(len(scope)), h)]
-        one = np.uint64(1)
-        for row in rows:
-            positions = table[row]
-            im = np.zeros(masks.shape, dtype=np.uint64)
-            for j, pos in enumerate(positions):
-                im |= ((masks >> np.uint64(pos)) & one) << np.uint64(j)
-            hit |= lookup[im]
-    return hit
+    scope = range(n) if within is None else within
+    return _contains_columns(masks, n, r, fam, [scope])[0]

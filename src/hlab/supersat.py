@@ -15,18 +15,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, floor
 
 import numpy as np
 
 from .errors import (ConstructionError, FeasibilityError, ParameterError,
                      ParseError)
-from .family import ForbiddenFamily, count_induced, family_orbit_lookup
-from .hypergraph import RUniformGraph, induced_rank_table, subsets_colex
-from .measure import (EdgePredicate, MeasureResult, check_exact_feasible,
-                      exact_measure, family_from_json_obj, family_to_json_obj,
-                      fraction_str, map_chunks, mask_chunks,
+from .family import ForbiddenFamily, _contains_columns, count_induced
+from .hypergraph import RUniformGraph, subsets_colex
+from .measure import (EdgePredicate, MeasureResult, _validate_p,
+                      check_exact_feasible, exact_measure,
+                      family_from_json_obj, family_to_json_obj, fraction_str,
+                      log2_fraction, map_chunks, mask_chunks,
                       predicate_from_json_obj, predicate_to_json_obj,
                       value_from_histogram, weight_powers)
 from .steiner import SteinerSystem, system_from_json_obj, system_to_json_obj
@@ -36,80 +36,82 @@ MAX_PARTITION_BLOCKS = 20
 
 @dataclass(frozen=True)
 class LemmaParameters:
-    """Knobs of the partition lemma; gamma defaults to nu/4.
-
-    lam is the demanded uncovered fraction of the underlying system;
-    epsilon and epsilon_prime are the slack constants of the
-    surrounding argument.  All are carried for reporting; only nu,
-    gamma, and m enter the computations here.
-    """
+    """Knobs of the partition lemma; gamma defaults to nu/4."""
 
     nu: Fraction
     gamma: Fraction | None = None
-    epsilon: Fraction | None = None
-    epsilon_prime: Fraction | None = None
-    lam: Fraction | None = None
     m: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "nu", Fraction(self.nu))
         gamma = self.nu / 4 if self.gamma is None else Fraction(self.gamma)
         object.__setattr__(self, "gamma", gamma)
-        for name in ("epsilon", "epsilon_prime", "lam"):
+        for name in ("nu", "gamma"):
             v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, Fraction(v))
-        for name in ("nu", "gamma", "epsilon", "epsilon_prime", "lam"):
-            v = getattr(self, name)
-            if v is not None and not 0 < v < 1:
+            if not 0 < v < 1:
                 raise ParameterError(f"{name} must lie in (0, 1), got {v}")
         if self.m is not None and self.m < 2:
             raise ParameterError(f"block order m must be >= 2, got {self.m}")
 
 
-def _check_block(block, n: int) -> tuple:
-    block = tuple(sorted(block))
-    if len(set(block)) != len(block) or (block and (block[0] < 0 or block[-1] >= n)):
-        raise ParameterError(f"block {block} is not a subset of 0..{n - 1}")
-    return block
-
-
 def block_theta(A: EdgePredicate, block, fam: ForbiddenFamily, n: int, p,
                 cap_bits: int | None = None, workers: int = 1) -> Fraction:
     """theta_i: measure of {G in A : some member induced inside block}."""
-    block = _check_block(block, n)
     pred = EdgePredicate.intersection(
         (A, EdgePredicate.contains(fam, within=block)))
     return exact_measure(n, fam.r, p, pred, cap_bits=cap_bits,
                          workers=workers).value
 
 
-def _containment_columns(masks: np.ndarray, n: int, fam: ForbiddenFamily,
-                         dsets) -> np.ndarray:
-    """Row i: boolean vector of 'some member induced inside dsets[i]'.
+def _theta_scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int,
+                p: Fraction, vsets, workers: int) -> tuple:
+    """One pass over the 2^nbits masks, shared by lemma_report and x_set.
 
-    Subset hits are computed once per h-subset and shared across all
-    dsets containing it, which is what makes whole-space X scans cheap.
+    Returns mu(A); theta_S = mu(A and some member induced inside S) for
+    each vertex set S; the measure of A weighted by the number of sets
+    S that contain a member, a second route to sum_S theta_S; and
+    (count, mask) for the satisfying mask with the most such sets
+    (smallest mask on ties), None when A is empty.
     """
-    cols = np.zeros((len(dsets), masks.shape[0]), dtype=bool)
-    one = np.uint64(1)
-    for h in fam.orders():
-        lookup = family_orbit_lookup(fam, h)
-        table = induced_rank_table(n, h, fam.r)
-        sub_index = {s: i for i, s in enumerate(subsets_colex(n, h))}
-        hits: dict = {}
-        for di, dset in enumerate(dsets):
-            if h > len(dset):
-                continue
-            for sub in combinations(dset, h):
-                row = sub_index[sub]
-                if row not in hits:
-                    im = np.zeros(masks.shape, dtype=np.uint64)
-                    for j, pos in enumerate(table[row]):
-                        im |= ((masks >> np.uint64(pos)) & one) << np.uint64(j)
-                    hits[row] = lookup[im]
-                cols[di] |= hits[row]
-    return cols
+    r = fam.r
+    width = nbits + 1
+
+    def one(chunk):
+        start, end = chunk
+        masks = np.arange(start, end, dtype=np.uint64)
+        masks = masks[A.batch(masks, n, r)]
+        pops = np.bitwise_count(masks).astype(np.intp)
+        cols = _contains_columns(masks, n, r, fam, vsets)
+        hists = np.zeros((len(vsets), width), dtype=np.int64)
+        for i, col in enumerate(cols):
+            hists[i] = np.bincount(pops[col], minlength=width)
+        mcount = cols.sum(axis=0, dtype=np.int64)
+        whist = np.zeros(width, dtype=np.int64)
+        np.add.at(whist, pops, mcount)
+        best = None
+        if mcount.size:
+            bi = int(np.argmax(mcount))  # first max: smallest mask wins ties
+            best = (int(mcount[bi]), int(masks[bi]))
+        return np.bincount(pops, minlength=width), hists, whist, best
+
+    a_hist = np.zeros(width, dtype=np.int64)
+    hists = np.zeros((len(vsets), width), dtype=np.int64)
+    whist = np.zeros(width, dtype=np.int64)
+    best = None
+    for part_a, part_h, part_w, part_best in map_chunks(one, mask_chunks(nbits),
+                                                        workers):
+        a_hist += part_a
+        hists += part_h
+        whist += part_w
+        if part_best is not None:
+            if best is None or part_best[0] > best[0] or (
+                    part_best[0] == best[0] and part_best[1] < best[1]):
+                best = part_best
+
+    def value(hist):
+        return value_from_histogram(hist.tolist(), p, nbits)
+
+    return value(a_hist), tuple(value(h) for h in hists), value(whist), best
 
 
 @dataclass(frozen=True)
@@ -139,8 +141,14 @@ class PartitionTable:
 def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
                     n: int, p, cap_bits: int | None = None,
                     workers: int = 1) -> PartitionTable:
-    """Exact mu(A_S) for every containment pattern S over the blocks."""
-    p = Fraction(p)
+    """Exact mu(A_S) for every containment pattern S over the blocks.
+
+    The same pass histograms, per block, the masks of A that satisfy
+    EdgePredicate.contains(fam, within=block): theta_i by the block
+    route, computed apart from the pattern columns so that the identity
+    sum_S |S| mu(A_S) = sum_i theta_i compares two computations.
+    """
+    p = _validate_p(p)
     if fam.r != sys.r:
         raise ParameterError(
             f"uniformity mismatch: family r={fam.r}, system r={sys.r}")
@@ -150,24 +158,33 @@ def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
     if d > MAX_PARTITION_BLOCKS:
         raise FeasibilityError(
             f"{d} blocks exceed the 2^{MAX_PARTITION_BLOCKS} cell cap")
-    nbits = check_exact_feasible(n, fam.r, cap_bits)
+    r = fam.r
+    nbits = check_exact_feasible(n, r, cap_bits)
     blocks = sys.blocks
+    in_block = [EdgePredicate.contains(fam, within=b) for b in blocks]
 
     def one(chunk):
         start, end = chunk
         masks = np.arange(start, end, dtype=np.uint64)
-        sat = A.batch(masks, n, fam.r)
-        cols = _containment_columns(masks, n, fam, blocks)
+        masks = masks[A.batch(masks, n, r)]
+        pops = np.bitwise_count(masks).astype(np.int64)
+        cols = _contains_columns(masks, n, r, fam, blocks)
         pattern = np.zeros(masks.shape, dtype=np.int64)
         for i in range(d):
             pattern |= cols[i].astype(np.int64) << i
-        key = pattern[sat] * (nbits + 1) + np.bitwise_count(masks[sat]).astype(np.int64)
-        return np.unique(key, return_counts=True)
+        key = pattern * (nbits + 1) + pops
+        hists = np.zeros((d, nbits + 1), dtype=np.int64)
+        for i, pred in enumerate(in_block):
+            hists[i] = np.bincount(pops[pred.batch(masks, n, r)],
+                                   minlength=nbits + 1)
+        return np.unique(key, return_counts=True), hists
 
     agg: dict = {}
-    for uniq, counts in map_chunks(one, mask_chunks(nbits), workers):
+    theta_hists = np.zeros((d, nbits + 1), dtype=np.int64)
+    for (uniq, counts), hists in map_chunks(one, mask_chunks(nbits), workers):
         for k, c in zip(uniq.tolist(), counts.tolist()):
             agg[k] = agg.get(k, 0) + c
+        theta_hists += hists
     pe, qe = weight_powers(p, nbits)
     cells: dict = {}
     for k in sorted(agg):
@@ -175,8 +192,8 @@ def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
         cells[s] = cells.get(s, Fraction(0)) + agg[k] * pe[e] * qe[nbits - e]
     total = sum(cells.values(), Fraction(0))
     weighted = sum((s.bit_count() * v for s, v in cells.items()), Fraction(0))
-    theta = tuple(block_theta(A, b, fam, n, p, cap_bits=cap_bits,
-                              workers=workers) for b in blocks)
+    theta = tuple(value_from_histogram(h.tolist(), p, nbits)
+                  for h in theta_hists)
     theta_sum = sum(theta, Fraction(0))
     if weighted != theta_sum:
         raise ConstructionError(
@@ -279,9 +296,10 @@ def lemma_report(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
         raise ParameterError(
             f"params.m={params.m} disagrees with system block order {sys.m}")
     n = sys.n
-    mu_A = exact_measure(n, fam.r, p, A, cap_bits=cap_bits, workers=workers)
-    theta = tuple(block_theta(A, b, fam, n, p, cap_bits=cap_bits,
-                              workers=workers) for b in sys.blocks)
+    p = _validate_p(p)
+    nbits = check_exact_feasible(n, fam.r, cap_bits)
+    mu, theta, _, _ = _theta_scan(A, fam, n, nbits, p, sys.blocks, workers)
+    mu_A = MeasureResult(value=mu, method="exact", log2_value=log2_fraction(mu))
     gamma = params.gamma
     threshold = gamma * mu_A.value
     index_set = tuple(i for i, th in enumerate(theta) if th >= threshold)
@@ -326,54 +344,22 @@ def x_set(A: EdgePredicate, fam: ForbiddenFamily, m: int, gamma, n: int, p,
     m-subsets and checks the averaging inequality
     sum_D theta_D >= gamma mu(A) |X| that drives the count floor.
     """
-    p = Fraction(p)
     gamma = Fraction(gamma)
     if not 0 < gamma <= 1:
         raise ParameterError(f"gamma must lie in (0, 1], got {gamma}")
     r = fam.r
     if not 1 <= m <= n:
         raise ParameterError(f"need 1 <= m <= n, got (m={m}, n={n})")
+    p = _validate_p(p)
     nbits = check_exact_feasible(n, r, cap_bits)
     dsets = subsets_colex(n, m)
     nd = len(dsets)
-
-    def one(chunk):
-        start, end = chunk
-        masks = np.arange(start, end, dtype=np.uint64)
-        sat = A.batch(masks, n, r)
-        cols = _containment_columns(masks, n, fam, dsets)
-        satpops = np.bitwise_count(masks[sat]).astype(np.int64)
-        hists = np.zeros((nd, nbits + 1), dtype=np.int64)
-        for di in range(nd):
-            hists[di] = np.bincount(satpops[cols[di][sat]], minlength=nbits + 1)
-        mcount = cols[:, sat].sum(axis=0, dtype=np.int64)
-        whist = np.zeros(nbits + 1, dtype=np.int64)
-        np.add.at(whist, satpops, mcount)
-        if mcount.size:
-            bi = int(np.argmax(mcount))  # first max: smallest mask wins ties
-            best = (int(mcount[bi]), int(masks[sat][bi]))
-        else:
-            best = None
-        return hists, whist, best
-
-    hists = np.zeros((nd, nbits + 1), dtype=np.int64)
-    whist = np.zeros(nbits + 1, dtype=np.int64)
-    best = None
-    for part_h, part_w, part_best in map_chunks(one, mask_chunks(nbits), workers):
-        hists += part_h
-        whist += part_w
-        if part_best is not None:
-            if best is None or part_best[0] > best[0] or (
-                    part_best[0] == best[0] and part_best[1] < best[1]):
-                best = part_best
-    theta = [value_from_histogram(hists[di].tolist(), p, nbits)
-             for di in range(nd)]
-    mu_A = exact_measure(n, r, p, A, cap_bits=cap_bits, workers=workers).value
+    mu_A, theta, lhs_mask_route, best = _theta_scan(A, fam, n, nbits, p, dsets,
+                                                    workers)
     threshold = gamma * mu_A
     x_members = tuple(dsets[di] for di in range(nd) if theta[di] >= threshold)
     x_size = len(x_members)
     lhs = sum(theta, Fraction(0))
-    lhs_mask_route = value_from_histogram(whist.tolist(), p, nbits)
     if lhs != lhs_mask_route:
         raise ConstructionError(
             f"averaging accumulators disagree: {lhs} != {lhs_mask_route}")
@@ -438,26 +424,17 @@ class Instance:
 
 def params_to_json_obj(params: LemmaParameters) -> dict:
     obj: dict = {"nu": fraction_str(params.nu), "gamma": fraction_str(params.gamma)}
-    for key, val in (("epsilon", params.epsilon),
-                     ("epsilon_prime", params.epsilon_prime),
-                     ("lambda", params.lam)):
-        if val is not None:
-            obj[key] = fraction_str(val)
     if params.m is not None:
         obj["m"] = params.m
     return obj
 
 
 def params_from_json_obj(obj) -> LemmaParameters:
-    def frac(key):
-        return Fraction(obj[key]) if key in obj else None
-
     try:
-        return LemmaParameters(nu=Fraction(obj["nu"]), gamma=frac("gamma"),
-                               epsilon=frac("epsilon"),
-                               epsilon_prime=frac("epsilon_prime"),
-                               lam=frac("lambda"),
-                               m=int(obj["m"]) if "m" in obj else None)
+        return LemmaParameters(
+            nu=Fraction(obj["nu"]),
+            gamma=Fraction(obj["gamma"]) if "gamma" in obj else None,
+            m=int(obj["m"]) if "m" in obj else None)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad parameter object: {exc}", 0) from None
 

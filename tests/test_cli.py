@@ -56,7 +56,7 @@ def run_json(capsys, argv):
 
 def test_measure_example(files, capsys):
     obj = run_json(capsys, ["measure", "--n", "3", "--r", "2", "--p", "1/2",
-                            "--forb", files["fam_k3"], "--exact"])
+                            "--forb", files["fam_k3"]])
     assert obj["value"] == "7/8"
     assert obj["method"] == "exact"
 
@@ -294,3 +294,14 @@ def test_console_script_entry_point(files):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["t"] == 2
+
+
+@pytest.mark.parametrize("n, within", [("3", "0,1,9"), ("4", "0,1,1,2")])
+def test_domain_error_bad_within(files, capsys, n, within):
+    code, out, err = run(capsys, ["measure", "--n", n, "--r", "2",
+                                  "--p", "1/2", "--contains", files["k3"],
+                                  "--within", within])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "vertex set" in err

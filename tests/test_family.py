@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hlab.errors import ConstructionError, ParameterError
-from hlab.family import (batch_contains, contains_induced, count_induced,
-                         family_orbit, family_orbit_lookup, normalize_family)
+from hlab.family import (_contains_columns, batch_contains, contains_induced,
+                         count_induced, family_orbit, family_orbit_lookup,
+                         normalize_family)
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              induced_subgraph, permute_graph, random_graph)
 from hlab.rng import Rng
@@ -182,6 +183,26 @@ def test_batch_within_is_induced_restriction(data):
     for mask, flag in zip(masks.tolist(), hit.tolist()):
         G = RUniformGraph(n=n, r=2, edge_mask=int(mask))
         assert flag == contains_induced(induced_subgraph(G, within), fam)
+
+
+@given(st.data())
+def test_contains_columns_shared_subsets(data):
+    fam = normalize_family([K3, C4])
+    n = data.draw(st.integers(4, 6))
+    vsets = data.draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=2, max_size=n).map(tuple),
+        min_size=1, max_size=6))
+    masks = np.array(
+        data.draw(st.lists(st.integers(0, (1 << comb(n, 2)) - 1),
+                           min_size=1, max_size=8)),
+        dtype=np.uint64)
+    cols = _contains_columns(masks, n, 2, fam, vsets)
+    assert cols.shape == (len(vsets), len(masks))
+    for k, mask in enumerate(masks.tolist()):
+        G = RUniformGraph(n=n, r=2, edge_mask=int(mask))
+        for i, vset in enumerate(vsets):
+            expect = naive_contains(induced_subgraph(G, vset), fam.members)
+            assert cols[i, k] == expect
 
 
 def test_batch_contains_r3():

@@ -77,6 +77,54 @@ def test_theta_at_most_mu(sys, A, p):
         assert 0 <= th <= mu
 
 
+@given(small_systems(), predicates6())
+def test_single_pass_matches_block_theta(sys, A):
+    mu = exact_measure(sys.n, 2, HALF, A).value
+    params = LemmaParameters(nu=Fraction(1, 4), m=sys.m)
+    report = lemma_report(A, sys, FAM_K3, params, HALF)
+    assert report.mu_A.value == mu
+    assert report.theta == tuple(block_theta(A, b, FAM_K3, sys.n, HALF)
+                                 for b in sys.blocks)
+    xrep = x_set(A, FAM_K3, sys.m, Fraction(1, 4), sys.n, HALF)
+    assert xrep.mu_A == mu
+    assert xrep.averaging_lhs == sum(
+        (block_theta(A, D, FAM_K3, sys.n, HALF)
+         for D in subsets_colex(sys.n, sys.m)), Fraction(0))
+    bad_p = Fraction(3, 2)
+    with pytest.raises(ParameterError):
+        partition_table(A, sys, FAM_K3, sys.n, bad_p)
+    with pytest.raises(ParameterError):
+        lemma_report(A, sys, FAM_K3, params, bad_p)
+    with pytest.raises(ParameterError):
+        x_set(A, FAM_K3, sys.m, Fraction(1, 4), sys.n, bad_p)
+
+
+def test_one_enumeration_pass_per_command(monkeypatch):
+    import hlab.measure
+    import hlab.supersat
+
+    spaces = []
+    original = hlab.measure.mask_chunks
+
+    def counted(nbits):
+        spaces.append(nbits)
+        return original(nbits)
+
+    monkeypatch.setattr(hlab.supersat, "mask_chunks", counted)
+    monkeypatch.setattr(hlab.measure, "mask_chunks", counted)
+    full, block = comb(6, 2), comb(3, 2)
+    A = EdgePredicate.min_edges(8)
+    partition_table(A, SYS6, FAM_K3, 6, HALF)
+    assert spaces == [full]
+    spaces.clear()
+    x_set(A, FAM_K3, 3, Fraction(1, 4), 6, HALF)
+    assert spaces == [full]
+    spaces.clear()
+    lemma_report(A, SYS6, FAM_K3, LemmaParameters(nu=Fraction(1, 4), m=3),
+                 HALF)
+    assert spaces == [full, block]
+
+
 @given(small_systems(), predicates6(), st.sampled_from([HALF, THIRD]))
 def test_partition_identity_and_total(sys, A, p):
     table = partition_table(A, sys, FAM_K3, sys.n, p)
@@ -365,12 +413,12 @@ def test_counting_floor_rejects_bad_order():
 
 
 def test_params_json_round_trip():
-    params = LemmaParameters(nu=Fraction(1, 4), epsilon=Fraction(1, 10),
-                             epsilon_prime=Fraction(1, 20),
-                             lam=Fraction(1, 3), m=3)
+    params = LemmaParameters(nu=Fraction(1, 4), gamma=Fraction(1, 8), m=3)
     obj = params_to_json_obj(params)
-    assert obj["lambda"] == "1/3"
+    assert obj == {"nu": "1/4", "gamma": "1/8", "m": 3}
     assert params_from_json_obj(obj) == params
+    old_keys = {**obj, "epsilon": "1/10", "lambda": "1/3"}
+    assert params_from_json_obj(old_keys) == params
     with pytest.raises(ParseError):
         params_from_json_obj({"gamma": "1/4"})
 
