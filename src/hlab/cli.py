@@ -27,14 +27,30 @@ from .extremal import (exstar, exstar_to_json_obj, tau, tau_to_json_obj,
 from .family import contains_induced, count_induced, normalize_family
 from .measure import (EdgePredicate, cn_sequence, exact_measure, fraction_str,
                       mc_measure, predicate_from_json_obj)
-from .steiner import (greedy_system, nibble_system, save_system,
-                      verify_system)
+from .steiner import (greedy_system, load_system_fields, nibble_system,
+                      save_system, verify_system)
 from .supersat import (counting_floor, lemma_report, load_instance,
                        partition_table, tail_mass, x_set)
 
 
 class _UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with its errors reported as one `usage error:` line."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {self.prog}: {message}\n")
+
+
+def _fraction(text: str) -> Fraction:
+    """argparse type for rational flags such as 1/3 or 0.25."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a rational number") from None
 
 
 @dataclass(frozen=True)
@@ -151,7 +167,7 @@ def _cmd_measure(cfg: RunConfig) -> list:
     pred = _predicate_from_args(a)
     res = exact_measure(a.n, a.r, a.p, pred, cap_bits=cfg.cap_bits,
                         workers=cfg.workers)
-    return [{"n": a.n, "r": a.r, "p": Fraction(a.p), "value": res.value,
+    return [{"n": a.n, "r": a.r, "p": a.p, "value": res.value,
              "log2_value": res.log2_value, "method": res.method}]
 
 
@@ -169,7 +185,7 @@ def _cmd_mc(cfg: RunConfig) -> list:
     pred = _predicate_from_args(a)
     res = mc_measure(a.n, a.r, a.p, pred, samples=a.samples, seed=a.seed,
                      ci_level=a.ci_level, workers=cfg.workers)
-    return [{"n": a.n, "r": a.r, "p": Fraction(a.p), "estimate": res.value,
+    return [{"n": a.n, "r": a.r, "p": a.p, "estimate": res.value,
              "hits": res.hits, "samples": res.samples, "seed": res.seed,
              "ci_level": res.ci_level, "ci_low": res.ci_low,
              "ci_high": res.ci_high, "method": res.method}]
@@ -184,6 +200,8 @@ def _build_system(a):
 
 def _cmd_steiner(cfg: RunConfig) -> list:
     a = cfg.args
+    if a.restarts < 1:
+        raise _UsageError(f"--restarts must be >= 1, got {a.restarts}")
     best = None
     for offset in range(a.restarts):
         seed = a.seed + offset
@@ -203,11 +221,7 @@ def _cmd_steiner(cfg: RunConfig) -> list:
 
 
 def _cmd_verify_steiner(cfg: RunConfig) -> list:
-    a = cfg.args
-    with open(a.system, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    rep = verify_system(int(obj["r"]), int(obj["m"]), int(obj["n"]),
-                        [tuple(b) for b in obj["blocks"]])
+    rep = verify_system(*load_system_fields(cfg.args.system))
     return [{"valid": rep.valid, "d": rep.d, "covered": rep.covered,
              "uncovered_fraction": rep.uncovered_fraction,
              "violations": [list(v) for v in rep.violations],
@@ -247,7 +261,7 @@ def _cmd_partition(cfg: RunConfig) -> list:
 
 def _cmd_tailmass(cfg: RunConfig) -> list:
     a = cfg.args
-    nu, mu = Fraction(a.nu), Fraction(a.mu)
+    nu, mu = a.nu, a.mu
     row = {"nu": nu, "d": a.d, "mu_mB": mu}
     if a.instance:
         inst = load_instance(a.instance)
@@ -268,7 +282,7 @@ def _cmd_tailmass(cfg: RunConfig) -> list:
 def _cmd_xset(cfg: RunConfig) -> list:
     a = cfg.args
     inst = load_instance(a.instance)
-    gamma = Fraction(a.gamma) if a.gamma else _require(inst, "params").gamma
+    gamma = a.gamma if a.gamma is not None else _require(inst, "params").gamma
     m = a.m if a.m is not None else _require(inst, "params").m
     if m is None:
         raise InputError("block order m missing from flags and instance")
@@ -290,7 +304,7 @@ def _cmd_xset(cfg: RunConfig) -> list:
 
 def _cmd_floor(cfg: RunConfig) -> list:
     a = cfg.args
-    res = counting_floor(a.n, a.m, a.t, Fraction(a.gamma), Fraction(a.eta))
+    res = counting_floor(a.n, a.m, a.t, a.gamma, a.eta)
     return [{"n": a.n, "m": a.m, "t": a.t, "ratio": res.ratio,
              "floor": res.floor, "ok": res.ok,
              "proviso_met": res.proviso_met}]
@@ -343,7 +357,7 @@ _HANDLERS = {
 
 
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="hlab",
         description="exact verification lab for measures, designs, and "
                     "supersaturation counting in random r-graphs")
@@ -352,20 +366,20 @@ def _parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("measure", help="exact class measure mu_n")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--p", type=Fraction, required=True)
+    sp.add_argument("--p", type=_fraction, required=True)
     _add_predicate_flags(sp)
     _add_common(sp)
 
     sp = subs.add_parser("cn", help="entropy constants over an n range")
     sp.add_argument("--family", required=True)
-    sp.add_argument("--p", type=Fraction, required=True)
+    sp.add_argument("--p", type=_fraction, required=True)
     sp.add_argument("--n-list", dest="n_list", required=True)
     _add_common(sp)
 
     sp = subs.add_parser("mc", help="Monte-Carlo measure with exact CI")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--p", type=Fraction, required=True)
+    sp.add_argument("--p", type=_fraction, required=True)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--ci-level", dest="ci_level", type=float, default=0.95)
@@ -378,7 +392,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--algo", choices=("greedy", "nibble"), default="greedy")
-    sp.add_argument("--bite", type=Fraction, default=Fraction(1, 10))
+    sp.add_argument("--bite", type=_fraction, default=Fraction(1, 10))
     sp.add_argument("--rounds", type=int, default=10)
     sp.add_argument("--restarts", type=int, default=1,
                     help="try seeds seed..seed+restarts-1, keep largest d")
@@ -395,9 +409,9 @@ def _parser() -> argparse.ArgumentParser:
         _add_common(sp)
 
     sp = subs.add_parser("tailmass", help="closed-form small-cell bound")
-    sp.add_argument("--nu", required=True)
+    sp.add_argument("--nu", type=_fraction, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--mu", required=True)
+    sp.add_argument("--mu", type=_fraction, required=True)
     sp.add_argument("--instance", default=None,
                     help="also check domination of the true small-cell mass")
     _add_common(sp)
@@ -405,15 +419,15 @@ def _parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("xset", help="dense m-subset scan and count floor")
     sp.add_argument("--instance", required=True)
     sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--gamma", default=None)
+    sp.add_argument("--gamma", type=_fraction, default=None)
     _add_common(sp)
 
     sp = subs.add_parser("floor", help="ratio versus (2m)^-t n^t floor")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--gamma", default="1")
-    sp.add_argument("--eta", default="1")
+    sp.add_argument("--gamma", type=_fraction, default=Fraction(1))
+    sp.add_argument("--eta", type=_fraction, default=Fraction(1))
     _add_common(sp)
 
     sp = subs.add_parser("tau", help="partition parameter of a graph")

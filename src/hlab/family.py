@@ -131,18 +131,105 @@ def _vertex_set(vset, n: int) -> tuple:
     return vset
 
 
+# The kernel walks the masks in blocks of 2^16 so that a row's temporaries
+# (512 KiB of uint64 at most) stay in a core's L2 cache; whole 2^20-mask
+# chunks ran 2-3x slower.
+_BLOCK_MASKS = 1 << 16
+# Masks are cut into fixed slices for the gather kernel; 2^11 entries keep
+# each per-row slice table small.
+_SLICE_BITS = 11
+# A table gather or lookup costs about four elementwise passes; the kernel
+# choice weighs passes by this.  Measured on 2^16-mask blocks, the masked
+# compare stops paying at 12-14 orbit members with 2 slices and at 14-16
+# with 5; this weight puts the switch at 9 and 21.
+_GATHER_PASS_COST = 4
+
+
+def _slice_count(n: int, r: int) -> int:
+    return -(-len(subsets_colex(n, r)) // _SLICE_BITS)
+
+
+def _mask_slices(masks: np.ndarray, n: int, r: int) -> list:
+    """The masks cut into uint16 slices of _SLICE_BITS bits, low slice first."""
+    low = np.uint16((1 << _SLICE_BITS) - 1)
+    return [(masks >> np.uint64(q * _SLICE_BITS)).astype(np.uint16) & low
+            for q in range(_slice_count(n, r))]
+
+
+# The row kernels rebuild their small per-row arrays on every call: cached
+# arrays first allocated in the middle of a scan kept the allocator from
+# trimming freed heap, which raised the peak RSS by about 5%.
+def _compare_kernel(n: int, h: int, r: int, orbit: frozenset, wanted: list):
+    """Row kernel for small orbits: one masked compare per orbit member.
+
+    Yields one hit column per h-subset rank in `wanted`.  A row's mask R is
+    the OR of its global bit positions and every member g is spread onto
+    those positions; G[D] is a member iff masks & R equals one of the
+    spread patterns, so no induced mask is built.
+    """
+    rows = induced_rank_table(n, h, r)[wanted]
+    pw = np.left_shift(np.uint64(1), rows.astype(np.uint64))
+    bits = np.array([[g >> j & 1 for j in range(rows.shape[1])]
+                     for g in sorted(orbit)], dtype=bool)
+    row_mask = np.bitwise_or.reduce(pw, axis=1)
+    spread = np.bitwise_or.reduce(
+        np.where(bits[None, :, :], pw[:, None, :], np.uint64(0)), axis=2)
+
+    def run(masks: np.ndarray):
+        for mask, patterns in zip(row_mask, spread):
+            sel = masks & mask
+            hit = sel == patterns[0]
+            for g in patterns[1:]:
+                hit |= sel == g
+            yield hit
+    return run
+
+
+def _gather_kernel(n: int, h: int, r: int, lookup: np.ndarray, wanted: list):
+    """Row kernel for large orbits: OR of per-slice table gathers, then lookup.
+
+    Yields one hit column per h-subset rank in `wanted`.  tables[i, q, v]
+    is the part of G[D_i]'s local mask carried by the value v of the q-th
+    slice of the global mask, D_i the i-th wanted subset; touched[i] lists
+    the slices row i reads.
+    """
+    rows = induced_rank_table(n, h, r)[wanted]
+    dtype = np.min_scalar_type((1 << rows.shape[1]) - 1)
+    tables = np.zeros((rows.shape[0], _slice_count(n, r), 1 << _SLICE_BITS),
+                      dtype=dtype)
+    values = np.arange(1 << _SLICE_BITS)
+    index = np.arange(rows.shape[0])
+    slice_of, offset = np.divmod(rows, _SLICE_BITS)
+    for j in range(rows.shape[1]):
+        bit = (values[None, :] >> offset[:, j, None]) & 1
+        tables[index, slice_of[:, j]] |= (bit << j).astype(dtype)
+    touched = [np.unique(q).tolist() for q in slice_of]
+
+    def run(masks: np.ndarray):
+        sliced = _mask_slices(masks, n, r)
+        for table, (first, *rest) in zip(tables, touched):
+            im = np.take(table[first], sliced[first])
+            for q in rest:
+                im |= np.take(table[q], sliced[q])
+            yield np.take(lookup, im)
+    return run
+
+
 def _contains_columns(masks: np.ndarray, n: int, r: int, fam: ForbiddenFamily,
                       vsets) -> np.ndarray:
     """Row i: 'some member is induced inside vsets[i]', one entry per mask.
 
-    Each h-subset's induced mask is extracted once and its hits are ORed
-    into every vertex set containing the subset.
+    Each h-subset's row is evaluated once and its hits are ORed into every
+    vertex set containing the subset.  Per order, the masked compare costs
+    1 + 2|orbit| elementwise passes per row and the sliced-table gather
+    2 * slices + 1 gather passes; the cheaper one runs.
     """
     if fam.r != r:
         raise ParameterError(f"uniformity mismatch: space r={r}, family r={fam.r}")
     vsets = [_vertex_set(s, n) for s in vsets]
     cols = np.zeros((len(vsets), masks.shape[0]), dtype=bool)
-    one = np.uint64(1)
+    nslices = _slice_count(n, r)
+    orders = []
     for h in fam.orders():
         owners: dict = {}
         for i, vset in enumerate(vsets):
@@ -150,15 +237,19 @@ def _contains_columns(masks: np.ndarray, n: int, r: int, fam: ForbiddenFamily,
                 owners.setdefault(sub, []).append(i)
         if not owners:
             continue
-        lookup = family_orbit_lookup(fam, h)
-        table = induced_rank_table(n, h, r)
-        for sub, sets in owners.items():
-            im = np.zeros(masks.shape, dtype=np.uint64)
-            for j, pos in enumerate(table[rank_subset(sub, h)]):
-                im |= ((masks >> np.uint64(pos)) & one) << np.uint64(j)
-            hit = lookup[im]
-            for i in sets:
-                cols[i] |= hit
+        wanted = [rank_subset(sub, h) for sub in owners]
+        orbit = family_orbit(fam, h)
+        if 1 + 2 * len(orbit) <= _GATHER_PASS_COST * (2 * nslices + 1):
+            kernel = _compare_kernel(n, h, r, orbit, wanted)
+        else:
+            kernel = _gather_kernel(n, h, r, family_orbit_lookup(fam, h), wanted)
+        orders.append((kernel, list(owners.values())))
+    for lo in range(0, masks.shape[0], _BLOCK_MASKS):
+        block = masks[lo:lo + _BLOCK_MASKS]
+        for kernel, owner_sets in orders:
+            for hit, sets in zip(kernel(block), owner_sets):
+                for i in sets:
+                    cols[i, lo:lo + _BLOCK_MASKS] |= hit
     return cols
 
 

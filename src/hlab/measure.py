@@ -153,7 +153,11 @@ def exact_cap_bits(override: int | None = None) -> int:
     cap = override
     if cap is None:
         env = os.environ.get(EXACT_CAP_ENV)
-        cap = int(env) if env else DEFAULT_EXACT_CAP_BITS
+        try:
+            cap = int(env) if env else DEFAULT_EXACT_CAP_BITS
+        except ValueError:
+            raise ParameterError(
+                f"{EXACT_CAP_ENV}={env!r} is not an integer bit count") from None
     if cap > HARD_EXACT_CAP_BITS:
         raise ParameterError(
             f"exact cap {cap} exceeds hard cap {HARD_EXACT_CAP_BITS} bits"

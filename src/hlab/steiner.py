@@ -236,23 +236,35 @@ def system_to_json_obj(sys: SteinerSystem) -> dict:
             "blocks": [list(b) for b in sys.blocks]}
 
 
-def system_from_json_obj(obj) -> SteinerSystem:
+def _system_fields(obj) -> tuple:
+    """(r, m, n, blocks) of a system object, blocks in file order, unverified."""
     try:
-        return SteinerSystem(
-            r=int(obj["r"]), m=int(obj["m"]), n=int(obj["n"]),
-            blocks=tuple(sorted(tuple(int(v) for v in b) for b in obj["blocks"])),
-        )
+        return (int(obj["r"]), int(obj["m"]), int(obj["n"]),
+                tuple(tuple(int(v) for v in b) for b in obj["blocks"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad system object: {exc}", 0) from None
 
 
-def load_system(path: str) -> SteinerSystem:
+def system_from_json_obj(obj) -> SteinerSystem:
+    r, m, n, blocks = _system_fields(obj)
+    return SteinerSystem(r=r, m=m, n=n, blocks=tuple(sorted(blocks)))
+
+
+def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
-    return system_from_json_obj(obj)
+
+
+def load_system_fields(path: str) -> tuple:
+    """(r, m, n, blocks) of a system file, for verify_system on raw input."""
+    return _system_fields(_read_json(path))
+
+
+def load_system(path: str) -> SteinerSystem:
+    return system_from_json_obj(_read_json(path))
 
 
 def save_system(sys: SteinerSystem, path: str) -> None:

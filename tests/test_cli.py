@@ -14,6 +14,7 @@ from hlab.supersat import Instance, LemmaParameters, save_instance
 
 K3 = complete_graph(3, 2)
 C4 = graph_from_edges(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)])
+P5 = graph_from_edges(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +24,7 @@ def files(tmp_path_factory):
         "k3": str(root / "K3.g6"),
         "c4": str(root / "C4.g6"),
         "fam_k3": str(root / "famK3.g6"),
+        "p5": str(root / "P5.g6"),
         "system": str(root / "sys6.json"),
         "instance": str(root / "inst6.json"),
         "root": str(root),
@@ -30,6 +32,7 @@ def files(tmp_path_factory):
     save_graph(K3, paths["k3"])
     save_graph(C4, paths["c4"])
     save_graph(K3, paths["fam_k3"])
+    save_graph(P5, paths["p5"])
     sys6 = SteinerSystem(r=2, m=3, n=6,
                          blocks=((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)))
     save_system(sys6, paths["system"])
@@ -305,3 +308,67 @@ def test_domain_error_bad_within(files, capsys, n, within):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and "vertex set" in err
+
+
+@pytest.mark.parametrize("text", ['{"r":2', '{"m": 3, "n": 7, "blocks": []}'],
+                         ids=["truncated", "no-r"])
+def test_domain_error_malformed_system_file(files, capsys, tmp_path, text):
+    bad = tmp_path / "system.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, ["verify-steiner", "--system", str(bad)])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_usage_error_zero_restarts(files, capsys):
+    code, out, err = run(capsys, ["steiner", "--r", "2", "--m", "3", "--n", "7",
+                                  "--seed", "0", "--restarts", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and "--restarts" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["floor", "--n", "10", "--m", "4", "--t", "2", "--gamma", "abc"],
+    ["floor", "--n", "10", "--m", "4", "--t", "2", "--eta", "abc"],
+    ["tailmass", "--nu", "abc", "--d", "3", "--mu", "1/2"],
+    ["tailmass", "--nu", "1/2", "--d", "3", "--mu", "abc"],
+    ["xset", "--instance", "unused.json", "--gamma", "abc"],
+    ["measure", "--n", "3", "--r", "2", "--p", "abc", "--min-edges", "1"],
+    ["measure", "--n", "3", "--r", "2", "--p", "1/0", "--min-edges", "1"],
+    ["steiner", "--r", "2", "--m", "3", "--n", "7", "--seed", "0",
+     "--algo", "nibble", "--bite", "abc"],
+], ids=["floor-gamma", "floor-eta", "tailmass-nu", "tailmass-mu", "xset-gamma",
+        "measure-p", "measure-p-zero-denominator", "steiner-bite"])
+def test_usage_error_bad_rational(files, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_domain_error_bad_cap_env(files, capsys, monkeypatch):
+    monkeypatch.setenv("HLAB_EXACT_CAP", "abc")
+    code, out, err = run(capsys, ["measure", "--n", "3", "--r", "2",
+                                  "--p", "1/2", "--forb", files["fam_k3"]])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "HLAB_EXACT_CAP" in err
+
+
+@pytest.mark.parametrize("family", ["p5", "c4"])
+def test_full_scan_byte_identical_across_workers(files, capsys, family):
+    # P5 (orbit 60) takes the sliced-table gather, C4 (orbit 3) the masked
+    # compare; 2^21 masks make several chunks for the workers to split.
+    base = ["measure", "--n", "7", "--r", "2", "--p", "1/3",
+            "--forb", files[family]]
+    outs = [run(capsys, base + ["--workers", w]) for w in ("1", "2")]
+    assert outs[0][0] == outs[1][0] == 0
+    assert outs[0][1] == outs[1][1]

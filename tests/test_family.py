@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hlab.errors import ConstructionError, ParameterError
-from hlab.family import (_contains_columns, batch_contains, contains_induced,
-                         count_induced, family_orbit, family_orbit_lookup,
-                         normalize_family)
+from hlab.family import (_compare_kernel, _contains_columns, _gather_kernel,
+                         batch_contains, contains_induced, count_induced,
+                         family_orbit, family_orbit_lookup, normalize_family)
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              induced_subgraph, permute_graph, random_graph)
 from hlab.rng import Rng
@@ -19,6 +19,10 @@ from oracles import naive_contains, naive_count_induced
 
 def cycle(n):
     return graph_from_edges(n, 2, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path(n):
+    return graph_from_edges(n, 2, [(i, i + 1) for i in range(n - 1)])
 
 
 K3 = complete_graph(3, 2)
@@ -203,6 +207,60 @@ def test_contains_columns_shared_subsets(data):
         for i, vset in enumerate(vsets):
             expect = naive_contains(induced_subgraph(G, vset), fam.members)
             assert cols[i, k] == expect
+
+
+# Labelled orbits: K3 1, C4 3, P4 12, P5 60, K4^(3) 1.  Small ones take the
+# masked compare, P5 always the gather, P4 the gather up to n=7 and the
+# compare at n=11 (five 11-bit slices).  n=4..5 masks fit one slice, n=6..7
+# two, n=11 (bits up to 54, the range mc samples) five.
+@pytest.mark.parametrize("members, r, ns, max_size", [
+    ([K3], 2, (4, 7, 11), 7),
+    ([C4], 2, (4, 7, 11), 7),
+    ([path(4)], 2, (4, 7, 11), 6),
+    ([path(5)], 2, (5, 7, 11), 6),
+    ([K3, path(5)], 2, (5, 6, 11), 6),
+    ([complete_graph(4, 3)], 3, (5, 6, 7), 6),
+], ids=["K3", "C4", "P4", "P5", "K3+P5", "K4_3"])
+@given(data=st.data())
+def test_row_kernels_match_oracle(members, r, ns, max_size, data):
+    fam = normalize_family(members)
+    n = data.draw(st.sampled_from(ns))
+    vsets = data.draw(st.lists(
+        st.sets(st.integers(0, n - 1), max_size=min(n, max_size)).map(tuple),
+        min_size=1, max_size=4))
+    masks = np.array(
+        data.draw(st.lists(st.integers(0, (1 << comb(n, r)) - 1),
+                           min_size=1, max_size=4)),
+        dtype=np.uint64)
+    cols = _contains_columns(masks, n, r, fam, vsets)
+    for k, mask in enumerate(masks.tolist()):
+        G = RUniformGraph(n=n, r=r, edge_mask=int(mask))
+        for i, vset in enumerate(vsets):
+            expect = (len(vset) >= r and
+                      naive_contains(induced_subgraph(G, vset), fam.members))
+            assert cols[i, k] == expect
+    # Both row kernels agree on every row, whichever one the selection runs.
+    for h in fam.orders():
+        every = list(range(comb(n, h)))
+        compare = _compare_kernel(n, h, r, family_orbit(fam, h), every)(masks)
+        gather = _gather_kernel(n, h, r, family_orbit_lookup(fam, h), every)(masks)
+        for a, b in zip(compare, gather, strict=True):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("members", [[C4], [path(5)]], ids=["compare", "gather"])
+def test_contains_columns_across_blocks(members):
+    # More masks than one kernel block: the whole call equals calls on
+    # pieces that each fit in one block (checked against the oracle above).
+    fam = normalize_family(members)
+    masks = np.random.default_rng(7).integers(
+        0, 1 << comb(7, 2), (1 << 16) + 999, dtype=np.uint64)
+    vsets = [range(7), (0, 1, 2, 3, 4), (2, 3, 4, 5, 6)]
+    whole = _contains_columns(masks, 7, 2, fam, vsets)
+    step = 5000
+    for lo in range(0, masks.shape[0], step):
+        piece = _contains_columns(masks[lo:lo + step], 7, 2, fam, vsets)
+        assert np.array_equal(whole[:, lo:lo + step], piece)
 
 
 def test_batch_contains_r3():

@@ -50,6 +50,9 @@ def predicates(draw, nbits):
 def test_triangle_free_examples():
     assert exact_measure(3, 2, HALF, FORB_K3).value == Fraction(7, 8)
     assert exact_measure(4, 2, HALF, FORB_K3).value == Fraction(41, 64)
+    # 133501 labelled triangle-free graphs on 7 vertices (OEIS A006785),
+    # counted over 2^21 masks: many kernel blocks and two scan chunks.
+    assert exact_measure(7, 2, HALF, FORB_K3).value == Fraction(133501, 1 << 21)
 
 
 def test_triangle_free_oracle_inclusion_exclusion():
