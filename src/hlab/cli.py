@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath
 
 from .codec import (encode_graph6, graph_to_json_obj, load_graph,
-                    load_graph_list, save_graph)
+                    load_graph_list, load_json, save_graph)
 from .errors import HlabError, InputError
 from .extremal import (exstar, exstar_to_json_obj, tau, tau_to_json_obj,
                        witness_check)
@@ -101,20 +101,25 @@ def _emit(rows: list, fmt: str) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _parse_ints(text: str) -> list:
-    return [int(v) for v in text.split(",") if v != ""]
+def _int_list(text: str) -> list:
+    """argparse type for comma lists of integers such as 2,3,4."""
+    try:
+        return [int(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma list of integers") from None
 
 
-def _parse_edges(text: str) -> list:
-    if not text:
-        return []
-    out = []
-    for item in text.split(","):
-        ends = item.split("-")
-        if len(ends) != 2:
-            raise _UsageError(f"edge {item!r} is not of the form a-b")
-        out.append((int(ends[0]), int(ends[1])))
-    return out
+def _edge_list(text: str) -> list:
+    """argparse type for comma lists of edges such as 0-1,1-2."""
+    ends = [item.split("-") for item in text.split(",")] if text else []
+    try:
+        if all(len(e) == 2 for e in ends):
+            return [(int(a), int(b)) for a, b in ends]
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"{text!r} is not a comma list of a-b edges")
 
 
 def _add_common(sp) -> None:
@@ -129,7 +134,7 @@ def _add_predicate_flags(sp) -> None:
                     help="family file; predicate = no induced member")
     sp.add_argument("--contains", metavar="FILE",
                     help="family file; predicate = some induced member")
-    sp.add_argument("--within", default=None,
+    sp.add_argument("--within", type=_int_list, default=None,
                     help="comma list of vertices restricting --contains")
     sp.add_argument("--min-edges", dest="min_edges", type=int, default=None)
     sp.add_argument("--max-edges", dest="max_edges", type=int, default=None)
@@ -141,25 +146,24 @@ def _load_family(path: str):
     return normalize_family(load_graph_list(path))
 
 
+# Predicate flag -> the predicate it selects, built from the parsed arguments.
+_PREDICATE_FLAGS = {
+    "forb": lambda a: EdgePredicate.forb(_load_family(a.forb)),
+    "contains": lambda a: EdgePredicate.contains(_load_family(a.contains),
+                                                 within=a.within or None),
+    "min_edges": lambda a: EdgePredicate.min_edges(a.min_edges),
+    "max_edges": lambda a: EdgePredicate.max_edges(a.max_edges),
+    "predicate": lambda a: predicate_from_json_obj(load_json(a.predicate)),
+}
+
+
 def _predicate_from_args(args) -> EdgePredicate:
-    chosen = [k for k in ("forb", "contains", "min_edges", "max_edges",
-                          "predicate") if getattr(args, k) is not None]
+    chosen = [f for f in _PREDICATE_FLAGS if getattr(args, f) is not None]
     if len(chosen) != 1:
         raise _UsageError(
             "exactly one of --forb/--contains/--min-edges/--max-edges/"
             "--predicate is required")
-    kind = chosen[0]
-    if kind == "forb":
-        return EdgePredicate.forb(_load_family(args.forb))
-    if kind == "contains":
-        within = _parse_ints(args.within) if args.within else None
-        return EdgePredicate.contains(_load_family(args.contains), within=within)
-    if kind == "min_edges":
-        return EdgePredicate.min_edges(args.min_edges)
-    if kind == "max_edges":
-        return EdgePredicate.max_edges(args.max_edges)
-    with open(args.predicate, encoding="utf-8") as fh:
-        return predicate_from_json_obj(json.load(fh))
+    return _PREDICATE_FLAGS[chosen[0]](args)
 
 
 def _cmd_measure(cfg: RunConfig) -> list:
@@ -174,7 +178,7 @@ def _cmd_measure(cfg: RunConfig) -> list:
 def _cmd_cn(cfg: RunConfig) -> list:
     a = cfg.args
     fam = _load_family(a.family)
-    points = cn_sequence(fam, a.p, _parse_ints(a.n_list),
+    points = cn_sequence(fam, a.p, a.n_list,
                          cap_bits=cfg.cap_bits, workers=cfg.workers)
     return [{"n": pt.n, "mu": pt.measure.value, "c_n": pt.c_n}
             for pt in points]
@@ -320,8 +324,7 @@ def _cmd_exstar(cfg: RunConfig) -> list:
 
 def _cmd_witness(cfg: RunConfig) -> list:
     a = cfg.args
-    res = witness_check(a.n, load_graph(a.graph), _parse_edges(a.e),
-                        _parse_edges(a.e0))
+    res = witness_check(a.n, load_graph(a.graph), a.e, a.e0)
     return [{"ok": res.ok,
              "counterexample": [list(e) for e in res.counterexample]
              if res.counterexample is not None else None}]
@@ -373,7 +376,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("cn", help="entropy constants over an n range")
     sp.add_argument("--family", required=True)
     sp.add_argument("--p", type=_fraction, required=True)
-    sp.add_argument("--n-list", dest="n_list", required=True)
+    sp.add_argument("--n-list", dest="n_list", type=_int_list, required=True)
     _add_common(sp)
 
     sp = subs.add_parser("mc", help="Monte-Carlo measure with exact CI")
@@ -442,8 +445,9 @@ def _parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("witness", help="check an (E, E0) witness pair")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--e", default="", help='edges "a-b,c-d"')
-    sp.add_argument("--e0", default="", help='base edges "a-b,c-d"')
+    sp.add_argument("--e", type=_edge_list, default="", help='edges "a-b,c-d"')
+    sp.add_argument("--e0", type=_edge_list, default="",
+                    help='base edges "a-b,c-d"')
     _add_common(sp)
 
     sp = subs.add_parser("count-induced", help="induced member subsets")

@@ -83,12 +83,21 @@ def encode_json(G: RUniformGraph) -> str:
     return json.dumps(graph_to_json_obj(G))
 
 
-def decode_json(text: str) -> RUniformGraph:
+def _parse_json(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
-    return graph_from_json_obj(obj)
+
+
+def load_json(path: str):
+    """The JSON value in a file; malformed JSON raises ParseError."""
+    with open(path, encoding="utf-8") as fh:
+        return _parse_json(fh.read())
+
+
+def decode_json(text: str) -> RUniformGraph:
+    return graph_from_json_obj(_parse_json(text))
 
 
 def load_graph(path: str) -> RUniformGraph:
@@ -114,10 +123,7 @@ def load_graph_list(path: str) -> list:
         text = fh.read()
     if path.endswith(".g6"):
         return [decode_graph6(line.strip()) for line in text.splitlines() if line.strip()]
-    try:
-        arr = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
+    arr = _parse_json(text)
     if not isinstance(arr, list):
         arr = [arr]
     return [graph_from_json_obj(o) for o in arr]

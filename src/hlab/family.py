@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConstructionError, ParameterError
 from .hypergraph import (
     RUniformGraph,
+    _induced_mask,
     canonical_code,
     induced_rank_table,
     orbit_masks,
@@ -91,14 +92,6 @@ def family_orbit_lookup(fam: ForbiddenFamily, h: int) -> np.ndarray:
 def _check_uniformity(G: RUniformGraph, fam: ForbiddenFamily) -> None:
     if G.r != fam.r:
         raise ParameterError(f"uniformity mismatch: graph r={G.r}, family r={fam.r}")
-
-
-def _induced_mask(G: RUniformGraph, d: tuple, local) -> int:
-    mask = 0
-    for j, loc in enumerate(local):
-        if G.edge_mask >> rank_subset(tuple(d[i] for i in loc), G.r) & 1:
-            mask |= 1 << j
-    return mask
 
 
 def _induced_hits(G: RUniformGraph, fam: ForbiddenFamily):

@@ -169,13 +169,17 @@ def induced_subgraph(G: RUniformGraph, vertices) -> RUniformGraph:
         raise DegenerateSubsetError(
             f"need at least r={G.r} vertices, got {len(d)}"
         )
-    local = subsets_colex(len(d), G.r)
+    return RUniformGraph(len(d), G.r,
+                         _induced_mask(G, d, subsets_colex(len(d), G.r)))
+
+
+def _induced_mask(G: RUniformGraph, d: tuple, local) -> int:
+    """Edge mask of G[d], d sorted; local = subsets_colex(len(d), G.r)."""
     mask = 0
     for j, loc in enumerate(local):
-        k = rank_subset(tuple(d[i] for i in loc), G.r)
-        if G.edge_mask >> k & 1:
+        if G.edge_mask >> rank_subset(tuple(d[i] for i in loc), G.r) & 1:
             mask |= 1 << j
-    return RUniformGraph(len(d), G.r, mask)
+    return mask
 
 
 def permute_graph(G: RUniformGraph, sigma) -> RUniformGraph:
@@ -184,13 +188,9 @@ def permute_graph(G: RUniformGraph, sigma) -> RUniformGraph:
     if sorted(sig) != list(range(G.n)):
         raise ParameterError(f"{sigma} is not a permutation of 0..{G.n - 1}")
     idx = _rank_index(G.n, G.r)
-    all_subs = subsets_colex(G.n, G.r)
     mask = 0
-    m = G.edge_mask
-    while m:
-        k = (m & -m).bit_length() - 1
-        mask |= 1 << idx[tuple(sorted(sig[v] for v in all_subs[k]))]
-        m &= m - 1
+    for e in G.edges():
+        mask |= 1 << idx[tuple(sorted(sig[v] for v in e))]
     return RUniformGraph(G.n, G.r, mask)
 
 
@@ -201,13 +201,7 @@ def canonical_bound(r: int) -> int:
 @lru_cache(maxsize=1 << 16)
 def _canonical_mask(n: int, r: int, mask: int) -> int:
     idx = _rank_index(n, r)
-    all_subs = subsets_colex(n, r)
-    edges = []
-    m = mask
-    while m:
-        k = (m & -m).bit_length() - 1
-        edges.append(all_subs[k])
-        m &= m - 1
+    edges = RUniformGraph(n, r, mask).edges()
     best = mask
     for sig in itertools.permutations(range(n)):
         cur = 0
@@ -234,13 +228,7 @@ def canonical_code(G: RUniformGraph, max_n: int | None = None) -> CanonicalCode:
 @lru_cache(maxsize=1 << 14)
 def _orbit_masks(n: int, r: int, mask: int) -> frozenset:
     idx = _rank_index(n, r)
-    all_subs = subsets_colex(n, r)
-    edges = []
-    m = mask
-    while m:
-        k = (m & -m).bit_length() - 1
-        edges.append(all_subs[k])
-        m &= m - 1
+    edges = RUniformGraph(n, r, mask).edges()
     out = set()
     for sig in itertools.permutations(range(n)):
         cur = 0

@@ -15,10 +15,13 @@ worker count.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb
+from operator import index
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -27,9 +30,7 @@ from scipy.stats import beta as _beta
 
 from .codec import graph_from_json_obj, graph_to_json_obj
 from .errors import FeasibilityError, ParameterError, ParseError
-from .family import (ForbiddenFamily, batch_contains, contains_induced,
-                     normalize_family)
-from .hypergraph import RUniformGraph, induced_subgraph
+from .family import ForbiddenFamily, batch_contains, normalize_family
 from .rng import bernoulli_threshold, substream_blocks
 
 DEFAULT_EXACT_CAP_BITS = 24
@@ -71,7 +72,7 @@ class EdgePredicate:
 
     @staticmethod
     def explicit(masks) -> "EdgePredicate":
-        return EdgePredicate(kind="explicit", masks=frozenset(int(m) for m in masks))
+        return EdgePredicate(kind="explicit", masks=frozenset(map(index, masks)))
 
     @staticmethod
     def intersection(parts) -> "EdgePredicate":
@@ -85,45 +86,9 @@ class EdgePredicate:
     def always_true() -> "EdgePredicate":
         return EdgePredicate(kind="min_edges", k=0)
 
-    def evaluate(self, G: RUniformGraph) -> bool:
-        if self.kind == "min_edges":
-            return G.num_edges >= self.k
-        if self.kind == "max_edges":
-            return G.num_edges <= self.k
-        if self.kind == "explicit":
-            return G.edge_mask in self.masks
-        if self.kind == "forb":
-            return not contains_induced(G, self.family)
-        if self.kind == "contains":
-            if self.within is not None:
-                return contains_induced(induced_subgraph(G, self.within),
-                                        self.family)
-            return contains_induced(G, self.family)
-        if self.kind == "intersection":
-            return all(p.evaluate(G) for p in self.parts)
-        if self.kind == "complement":
-            return not self.inner.evaluate(G)
-        raise ParameterError(f"unknown predicate kind {self.kind!r}")
-
     def batch(self, masks: np.ndarray, n: int, r: int) -> np.ndarray:
-        if self.kind == "min_edges":
-            return np.bitwise_count(masks) >= self.k
-        if self.kind == "max_edges":
-            return np.bitwise_count(masks) <= self.k
-        if self.kind == "explicit":
-            wanted = np.fromiter(sorted(self.masks), count=len(self.masks), dtype=np.uint64)
-            return np.isin(masks, wanted)
-        if self.kind == "forb":
-            return ~batch_contains(masks, n, r, self.family)
-        if self.kind == "contains":
-            return batch_contains(masks, n, r, self.family, within=self.within)
-        if self.kind == "intersection":
-            if not self.parts:
-                return np.ones(masks.shape, dtype=bool)
-            return reduce(np.logical_and, (p.batch(masks, n, r) for p in self.parts))
-        if self.kind == "complement":
-            return ~self.inner.batch(masks, n, r)
-        raise ParameterError(f"unknown predicate kind {self.kind!r}")
+        """Boolean column over an array of uint64 edge_masks of the (n, r) space."""
+        return _KINDS[self.kind].batch(self, masks, n, r)
 
 
 @dataclass(frozen=True)
@@ -165,8 +130,15 @@ def exact_cap_bits(override: int | None = None) -> int:
     return cap
 
 
+def _space_bits(n: int, r: int) -> int:
+    """C(n, r), the mask width of the (n, r) space, for n >= 0 and r >= 1."""
+    if n < 0 or r < 1:
+        raise ParameterError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
+    return comb(n, r)
+
+
 def check_exact_feasible(n: int, r: int, cap_bits: int | None = None) -> int:
-    nbits = comb(n, r)
+    nbits = _space_bits(n, r)
     cap = exact_cap_bits(cap_bits)
     if nbits > cap:
         raise FeasibilityError(
@@ -263,7 +235,7 @@ def sample_masks(n: int, r: int, p, seed: int, count: int,
     for each i, so results never depend on how batches are partitioned.
     """
     p = _validate_p(p)
-    nbits = comb(n, r)
+    nbits = _space_bits(n, r)
     threshold = bernoulli_threshold(p)
     out = np.zeros(count, dtype=np.uint64)
     if nbits == 0 or count == 0:
@@ -351,47 +323,74 @@ def family_from_json_obj(obj) -> ForbiddenFamily:
 
 
 def predicate_to_json_obj(pred: EdgePredicate) -> dict:
-    if pred.kind in ("min_edges", "max_edges"):
-        return {"kind": pred.kind, "k": pred.k}
-    if pred.kind == "explicit":
-        return {"kind": "explicit", "masks": sorted(pred.masks)}
-    if pred.kind == "forb":
-        return {"kind": "forb", "family": family_to_json_obj(pred.family)}
-    if pred.kind == "contains":
-        obj = {"kind": "contains", "family": family_to_json_obj(pred.family)}
-        if pred.within is not None:
-            obj["within"] = list(pred.within)
-        return obj
-    if pred.kind == "intersection":
-        return {"kind": "intersection",
-                "parts": [predicate_to_json_obj(q) for q in pred.parts]}
-    if pred.kind == "complement":
-        return {"kind": "complement", "inner": predicate_to_json_obj(pred.inner)}
-    raise ParameterError(f"unknown predicate kind {pred.kind!r}")
+    return {"kind": pred.kind, **_KINDS[pred.kind].operands(pred)}
 
 
 def predicate_from_json_obj(obj) -> EdgePredicate:
     try:
         kind = obj["kind"]
-        if kind == "min_edges":
-            return EdgePredicate.min_edges(int(obj["k"]))
-        if kind == "max_edges":
-            return EdgePredicate.max_edges(int(obj["k"]))
-        if kind == "explicit":
-            return EdgePredicate.explicit(int(m) for m in obj["masks"])
-        if kind == "forb":
-            return EdgePredicate.forb(family_from_json_obj(obj["family"]))
-        if kind == "contains":
-            within = obj.get("within")
-            return EdgePredicate.contains(
-                family_from_json_obj(obj["family"]),
-                within=tuple(int(v) for v in within) if within is not None else None,
-            )
-        if kind == "intersection":
-            return EdgePredicate.intersection(
-                predicate_from_json_obj(q) for q in obj["parts"])
-        if kind == "complement":
-            return EdgePredicate.complement(predicate_from_json_obj(obj["inner"]))
+        entry = _KINDS.get(kind)
+        if entry is not None:
+            return entry.parse(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad predicate object: {exc}", 0) from None
     raise ParseError(f"unknown predicate kind {kind!r}", 0)
+
+
+def _explicit_batch(pred, masks, n, r):
+    nbits = comb(n, r)
+    outside = [m for m in pred.masks if m < 0 or m >> nbits]
+    if outside:
+        raise ParameterError(
+            f"explicit mask {min(outside)} lies outside the "
+            f"C({n},{r}) = {nbits}-bit layout")
+    wanted = np.fromiter(sorted(pred.masks), count=len(pred.masks), dtype=np.uint64)
+    return np.isin(masks, wanted)
+
+
+class _Kind(NamedTuple):
+    """One predicate kind: batch rule, JSON operands, and their parser."""
+
+    batch: Callable     # (pred, masks, n, r) -> boolean column
+    operands: Callable  # pred -> JSON fields after "kind"
+    parse: Callable     # JSON object -> EdgePredicate
+
+
+_KINDS = {
+    "min_edges": _Kind(
+        lambda p, masks, n, r: np.bitwise_count(masks) >= p.k,
+        lambda p: {"k": p.k},
+        lambda o: EdgePredicate.min_edges(int(o["k"]))),
+    "max_edges": _Kind(
+        lambda p, masks, n, r: np.bitwise_count(masks) <= p.k,
+        lambda p: {"k": p.k},
+        lambda o: EdgePredicate.max_edges(int(o["k"]))),
+    "explicit": _Kind(
+        _explicit_batch,
+        lambda p: {"masks": sorted(p.masks)},
+        lambda o: EdgePredicate.explicit(o["masks"])),
+    "forb": _Kind(
+        lambda p, masks, n, r: ~batch_contains(masks, n, r, p.family),
+        lambda p: {"family": family_to_json_obj(p.family)},
+        lambda o: EdgePredicate.forb(family_from_json_obj(o["family"]))),
+    "contains": _Kind(
+        lambda p, masks, n, r: batch_contains(masks, n, r, p.family,
+                                              within=p.within),
+        lambda p: {"family": family_to_json_obj(p.family)} | (
+            {} if p.within is None else {"within": list(p.within)}),
+        lambda o: EdgePredicate.contains(
+            family_from_json_obj(o["family"]),
+            within=None if o.get("within") is None
+            else [int(v) for v in o["within"]])),
+    "intersection": _Kind(
+        lambda p, masks, n, r: reduce(
+            np.logical_and, (q.batch(masks, n, r) for q in p.parts),
+            np.ones(masks.shape, dtype=bool)),
+        lambda p: {"parts": [predicate_to_json_obj(q) for q in p.parts]},
+        lambda o: EdgePredicate.intersection(
+            predicate_from_json_obj(q) for q in o["parts"])),
+    "complement": _Kind(
+        lambda p, masks, n, r: ~p.inner.batch(masks, n, r),
+        lambda p: {"inner": predicate_to_json_obj(p.inner)},
+        lambda o: EdgePredicate.complement(predicate_from_json_obj(o["inner"]))),
+}

@@ -15,6 +15,7 @@ from math import comb
 
 import numpy as np
 
+from .codec import load_json
 from .errors import ConstructionError, ParameterError, ParseError
 from .hypergraph import induced_rank_table, subsets_colex
 from .rng import Rng, bernoulli_threshold
@@ -250,21 +251,13 @@ def system_from_json_obj(obj) -> SteinerSystem:
     return SteinerSystem(r=r, m=m, n=n, blocks=tuple(sorted(blocks)))
 
 
-def _read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
-
-
 def load_system_fields(path: str) -> tuple:
     """(r, m, n, blocks) of a system file, for verify_system on raw input."""
-    return _system_fields(_read_json(path))
+    return _system_fields(load_json(path))
 
 
 def load_system(path: str) -> SteinerSystem:
-    return system_from_json_obj(_read_json(path))
+    return system_from_json_obj(load_json(path))
 
 
 def save_system(sys: SteinerSystem, path: str) -> None:

@@ -19,6 +19,7 @@ from math import comb, floor
 
 import numpy as np
 
+from .codec import load_json
 from .errors import (ConstructionError, FeasibilityError, ParameterError,
                      ParseError)
 from .family import ForbiddenFamily, _contains_columns, count_induced
@@ -464,12 +465,7 @@ def instance_from_json_obj(obj) -> Instance:
 
 
 def load_instance(path: str) -> Instance:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
-    return instance_from_json_obj(obj)
+    return instance_from_json_obj(load_json(path))
 
 
 def save_instance(inst: Instance, path: str) -> None:

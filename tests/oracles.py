@@ -56,8 +56,42 @@ def naive_count_induced(G: RUniformGraph, members) -> int:
     return total
 
 
-def naive_contains(G: RUniformGraph, members) -> bool:
-    return naive_count_induced(G, members) > 0
+def naive_contains(G: RUniformGraph, members, within=None) -> bool:
+    """Some member is induced on vertices of G (of `within` when given)."""
+    verts = range(G.n) if within is None else sorted(within)
+    return any(is_induced_copy(G, d, m)
+               for m in members for d in combinations(verts, m.n))
+
+
+def naive_graph(obj: dict) -> RUniformGraph:
+    """A graph from its JSON form, each edge placed by naive_rank."""
+    r = obj["r"]
+    mask = 0
+    for e in obj["edges"]:
+        mask |= 1 << naive_rank(tuple(sorted(e)), r)
+    return RUniformGraph(obj["n"], r, mask)
+
+
+def naive_satisfies(obj: dict, G: RUniformGraph) -> bool:
+    """G lies in the class a JSON predicate descriptor names, by definition."""
+    kind = obj["kind"]
+    if kind == "min_edges":
+        return G.edge_mask.bit_count() >= obj["k"]
+    if kind == "max_edges":
+        return G.edge_mask.bit_count() <= obj["k"]
+    if kind == "explicit":
+        return G.edge_mask in obj["masks"]
+    if kind == "intersection":
+        return all(naive_satisfies(q, G) for q in obj["parts"])
+    if kind == "complement":
+        return not naive_satisfies(obj["inner"], G)
+    found = naive_contains(G, [naive_graph(g) for g in obj["family"]],
+                           obj.get("within"))
+    if kind == "contains":
+        return found
+    if kind == "forb":
+        return not found
+    raise ValueError(f"unknown predicate kind {kind!r}")
 
 
 def naive_measure(n: int, r: int, p, sat) -> Fraction:
@@ -196,13 +230,7 @@ def naive_partition_cells(n: int, r: int, p, sat, blocks, members) -> dict:
             continue
         pattern = 0
         for i, block in enumerate(blocks):
-            found = any(
-                any(is_induced_copy(G, d, m)
-                    for m in members if m.n == h)
-                for h in sorted({m.n for m in members})
-                for d in combinations(sorted(block), h)
-                if h <= len(block))
-            if found:
+            if naive_contains(G, members, block):
                 pattern |= 1 << i
         e = mask.bit_count()
         w = p ** e * (1 - p) ** (nbits - e)

@@ -372,3 +372,46 @@ def test_full_scan_byte_identical_across_workers(files, capsys, family):
     outs = [run(capsys, base + ["--workers", w]) for w in ("1", "2")]
     assert outs[0][0] == outs[1][0] == 0
     assert outs[0][1] == outs[1][1]
+
+
+_EXPLICIT = ["measure", "--n", "4", "--r", "2", "--p", "1/2",
+             "--predicate", "{pred}"]
+
+
+@pytest.mark.parametrize("argv, pred, code", [
+    (_EXPLICIT, '{"kind":"explicit","masks":[-1]}', 1),
+    (_EXPLICIT, '{"kind":"explicit","masks":[18446744073709551616]}', 1),
+    (_EXPLICIT, '{"kind":"explicit","masks":[9999]}', 1),
+    (_EXPLICIT, '{"kind":"explicit","masks":[18446744073709551615]}', 1),
+    (_EXPLICIT, '{"kind":"explicit","masks":[1.5]}', 1),
+    (_EXPLICIT, "{bad", 1),
+    (["cn", "--family", "{k3}", "--p", "1/2", "--n-list", "2,x"], None, 2),
+    (["measure", "--n", "4", "--r", "2", "--p", "1/2", "--contains", "{k3}",
+      "--within", "0,x"], None, 2),
+    (["witness", "--n", "4", "--graph", "{k3}", "--e", "0-x"], None, 2),
+    (["measure", "--n", "-1", "--r", "2", "--p", "1/2", "--forb", "{k3}"],
+     None, 1),
+    (["measure", "--n", "4", "--r", "-1", "--p", "1/2", "--min-edges", "0"],
+     None, 1),
+    (["mc", "--n", "4", "--r", "-2", "--p", "1/2", "--samples", "10",
+      "--seed", "0", "--min-edges", "0"], None, 1),
+    (["cn", "--family", "{k3}", "--p", "1/2", "--n-list", "-1"], None, 1),
+], ids=["explicit-negative", "explicit-2^64", "explicit-9999",
+        "explicit-2^64-1", "explicit-float", "predicate-bad-json",
+        "cn-n-list", "measure-within", "witness-e", "measure-n-negative",
+        "measure-r-negative", "mc-r-negative", "cn-n-negative"])
+def test_rejected_input_one_error_line(files, capsys, tmp_path, argv, pred,
+                                       code):
+    (tmp_path / "pred.json").write_text(pred or "")
+    argv = [a.format(k3=files["k3"], pred=tmp_path / "pred.json")
+            for a in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: " if code == 1 else "usage error: ")

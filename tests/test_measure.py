@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hlab.errors import FeasibilityError, ParameterError
+from hlab.errors import FeasibilityError, ParameterError, ParseError
 from hlab.family import normalize_family
 from hlab.hypergraph import RUniformGraph, complete_graph, graph_from_edges
 from hlab.measure import (DEFAULT_EXACT_CAP_BITS, EXACT_CAP_ENV,
@@ -18,7 +18,7 @@ from hlab.measure import (DEFAULT_EXACT_CAP_BITS, EXACT_CAP_ENV,
                           predicate_from_json_obj, predicate_to_json_obj,
                           sample_masks, satisfying_count)
 
-from oracles import naive_measure, triangle_free_measure
+from oracles import naive_measure, naive_satisfies, triangle_free_measure
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -28,10 +28,17 @@ C4 = graph_from_edges(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)])
 FORB_K3 = EdgePredicate.forb(normalize_family([K3]))
 
 
+FAMILIES = [normalize_family([K3]), normalize_family([P3]),
+            normalize_family([K3, C4])]
+
+
 @st.composite
-def predicates(draw, nbits):
+def predicates(draw, n, depth=2):
+    """Predicates on the (n, 2) space; explicit masks lie in its layout."""
+    nbits = comb(n, 2)
+    kinds = ["min_edges", "max_edges", "explicit", "forb", "contains"]
     kind = draw(st.sampled_from(
-        ["min_edges", "max_edges", "explicit", "complement", "intersection"]))
+        kinds + ["complement", "intersection"] if depth else kinds))
     if kind == "min_edges":
         return EdgePredicate.min_edges(draw(st.integers(0, nbits)))
     if kind == "max_edges":
@@ -39,12 +46,23 @@ def predicates(draw, nbits):
     if kind == "explicit":
         masks = draw(st.sets(st.integers(0, (1 << nbits) - 1), max_size=8))
         return EdgePredicate.explicit(masks)
+    if kind == "forb":
+        return EdgePredicate.forb(draw(st.sampled_from(FAMILIES)))
+    if kind == "contains":
+        # n - 1 vertices leave one out, so the restriction shows.
+        within = draw(st.none()
+                      | st.sets(st.integers(0, n - 1), min_size=n - 1))
+        return EdgePredicate.contains(draw(st.sampled_from(FAMILIES)),
+                                      within=within)
     if kind == "complement":
-        return EdgePredicate.complement(
-            EdgePredicate.min_edges(draw(st.integers(0, nbits))))
+        return EdgePredicate.complement(draw(predicates(n, depth - 1)))
     return EdgePredicate.intersection(
-        [EdgePredicate.min_edges(draw(st.integers(0, nbits))),
-         EdgePredicate.max_edges(draw(st.integers(0, nbits)))])
+        draw(st.lists(predicates(n, depth - 1), max_size=3)))
+
+
+# (n, predicate) pairs with n in 2..4, so explicit masks fit C(n, 2) bits.
+SPACES = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(st.just(n), predicates(n)))
 
 
 def test_triangle_free_examples():
@@ -75,15 +93,15 @@ def test_exact_measure_is_rational_with_log():
     assert abs(float(res.log2_value) - float(np.log2(float(res.value)))) < 1e-9
 
 
-@given(st.integers(2, 4), predicates(nbits=6), st.sampled_from([HALF, THIRD]))
-def test_exact_matches_naive(n, pred, p):
-    nbits = comb(n, 2)
+@given(SPACES, st.sampled_from([HALF, THIRD]))
+def test_exact_matches_naive(space, p):
+    n, pred = space
+    obj = predicate_to_json_obj(pred)
     got = exact_measure(n, 2, p, pred).value
-    assert got == naive_measure(
-        n, 2, p, lambda G: pred.evaluate(G))
+    assert got == naive_measure(n, 2, p, lambda G: naive_satisfies(obj, G))
 
 
-@given(predicates(nbits=10))
+@given(predicates(5))
 def test_complement_partition_of_unity(pred):
     comp = EdgePredicate.complement(pred)
     a = exact_measure(5, 2, THIRD, pred).value
@@ -252,13 +270,32 @@ def test_sample_masks_extreme_p():
     assert set(sample_masks(4, 2, Fraction(0), seed=0, count=5).tolist()) == {0}
 
 
-@given(st.integers(2, 4), predicates(nbits=6))
-def test_predicate_evaluate_matches_batch(n, pred):
-    nbits = comb(n, 2)
-    masks = np.arange(1 << nbits, dtype=np.uint64)
+@given(SPACES)
+def test_predicate_evaluate_matches_batch(space):
+    n, pred = space
+    obj = predicate_to_json_obj(pred)
+    masks = np.arange(1 << comb(n, 2), dtype=np.uint64)
     flags = pred.batch(masks, n, 2)
     for mask, flag in zip(masks.tolist(), flags.tolist()):
-        assert flag == pred.evaluate(RUniformGraph(n=n, r=2, edge_mask=int(mask)))
+        assert flag == naive_satisfies(obj, RUniformGraph(n, 2, mask))
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 6, 9999, (1 << 64) - 1, 1 << 64])
+def test_explicit_mask_outside_layout(mask):
+    pred = EdgePredicate.explicit([3, mask])
+    with pytest.raises(ParameterError, match="outside the C.4,2. = 6-bit"):
+        exact_measure(4, 2, HALF, pred)
+    with pytest.raises(ParameterError, match="outside"):
+        mc_measure(4, 2, HALF, pred, samples=10, seed=0)
+    inside = EdgePredicate.explicit([3, (1 << 6) - 1])
+    assert exact_measure(4, 2, HALF, inside).value == Fraction(2, 64)
+
+
+def test_explicit_mask_not_integer():
+    with pytest.raises(TypeError):
+        EdgePredicate.explicit([1.5])
+    with pytest.raises(ParseError, match="bad predicate object"):
+        predicate_from_json_obj({"kind": "explicit", "masks": [1.5]})
 
 
 def test_contains_within_predicate():
@@ -273,8 +310,9 @@ def test_contains_within_predicate():
     assert not (hit_within & ~hit_full).any()
 
 
-@given(st.integers(2, 4), predicates(nbits=6))
-def test_predicate_json_round_trip(n, pred):
+@given(SPACES)
+def test_predicate_json_round_trip(space):
+    n, pred = space
     obj = predicate_to_json_obj(pred)
     json.dumps(obj)
     back = predicate_from_json_obj(obj)

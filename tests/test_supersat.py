@@ -10,7 +10,7 @@ from hlab.errors import FeasibilityError, ParameterError, ParseError
 from hlab.family import normalize_family
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph, subsets_colex)
-from hlab.measure import EdgePredicate, exact_measure
+from hlab.measure import EdgePredicate, exact_measure, predicate_to_json_obj
 from hlab.steiner import SteinerSystem
 from hlab.supersat import (Instance, LemmaParameters, block_theta,
                            counting_floor, instance_from_json_obj,
@@ -19,7 +19,7 @@ from hlab.supersat import (Instance, LemmaParameters, block_theta,
                            partition_table, projection_bound_check,
                            save_instance, tail_mass, x_set)
 
-from oracles import naive_partition_cells
+from oracles import naive_partition_cells, naive_satisfies
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -138,8 +138,10 @@ def test_partition_cells_match_naive_oracle():
     sys = SteinerSystem(r=2, m=3, n=5, blocks=((0, 1, 2), (0, 3, 4)))
     for A in (ALWAYS, EdgePredicate.min_edges(4), FORB_K3):
         table = partition_table(A, sys, FAM_K3, 5, THIRD)
+        obj = predicate_to_json_obj(A)
         expect = naive_partition_cells(
-            5, 2, THIRD, A.evaluate, sys.blocks, FAM_K3.members)
+            5, 2, THIRD, lambda G: naive_satisfies(obj, G), sys.blocks,
+            FAM_K3.members)
         assert table.cells == {k: v for k, v in expect.items() if v}
 
 
