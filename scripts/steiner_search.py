@@ -2,6 +2,7 @@
 
 Reports the block-count distribution over the sweep, the trivial upper
 bound C(n,r)/C(m,r), and the best system found; optionally saves it.
+The sweep is `hlab steiner --restarts`, so both pick the same seed.
 
 Example:
     python3 scripts/steiner_search.py --r 2 --m 3 --n 7 --seeds 10000
@@ -11,28 +12,13 @@ import argparse
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from hlab.steiner import (greedy_system, maximality_report, nibble_system,
-                          save_system)
+from hlab.steiner import maximality_report, save_system, search_system
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    r: int
-    m: int
-    n: int
-    seeds: int
-    first_seed: int
-    algo: str
-    bite: Fraction
-    rounds: int
-    out: str | None
-
-
-def parse_args(argv) -> SweepConfig:
+def parse_args(argv) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--r", type=int, required=True)
     ap.add_argument("--m", type=int, required=True)
@@ -43,44 +29,30 @@ def parse_args(argv) -> SweepConfig:
     ap.add_argument("--bite", type=Fraction, default=Fraction(1, 10))
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--out", default=None, help="save the best system here")
-    a = ap.parse_args(argv)
-    return SweepConfig(r=a.r, m=a.m, n=a.n, seeds=a.seeds,
-                       first_seed=a.first_seed, algo=a.algo, bite=a.bite,
-                       rounds=a.rounds, out=a.out)
-
-
-def build(cfg: SweepConfig, seed: int):
-    if cfg.algo == "greedy":
-        return greedy_system(cfg.r, cfg.m, cfg.n, seed=seed)
-    return nibble_system(cfg.r, cfg.m, cfg.n, seed=seed, bite=cfg.bite,
-                         rounds=cfg.rounds)
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
-    bound = comb(cfg.n, cfg.r) // comb(cfg.m, cfg.r)
+    a = parse_args(argv)
+    bound = comb(a.n, a.r) // comb(a.m, a.r)
     started = time.perf_counter()
-    sizes: Counter = Counter()
-    best = None
-    for seed in range(cfg.first_seed, cfg.first_seed + cfg.seeds):
-        sys_ = build(cfg, seed)
-        sizes[sys_.d] += 1
-        if best is None or sys_.d > best[1].d:
-            best = (seed, sys_)
+    found = search_system(a.r, a.m, a.n, a.first_seed, a.seeds, algo=a.algo,
+                          bite=a.bite, rounds=a.rounds)
     elapsed = time.perf_counter() - started
-    seed, system = best
-    print(f"({cfg.r},{cfg.m},{cfg.n}) {cfg.algo}, {cfg.seeds} seeds, "
+    system = found.system
+    sizes = Counter(found.sizes)
+    print(f"({a.r},{a.m},{a.n}) {a.algo}, {a.seeds} seeds, "
           f"{elapsed:.1f}s; upper bound d <= {bound}")
     for d in sorted(sizes):
-        share = sizes[d] / cfg.seeds
+        share = sizes[d] / a.seeds
         print(f"  d = {d:>4}: {sizes[d]:>6} runs ({share:.1%})")
     rep = maximality_report(system)
-    print(f"best: d = {system.d} at seed {seed}, uncovered fraction "
+    print(f"best: d = {system.d} at seed {found.seed}, uncovered fraction "
           f"{system.uncovered_fraction}, maximal = {rep.maximal} "
           f"({rep.method})")
-    if cfg.out:
-        save_system(system, cfg.out)
-        print(f"saved to {cfg.out}")
+    if a.out:
+        save_system(system, a.out)
+        print(f"saved to {a.out}")
     return 0
 
 

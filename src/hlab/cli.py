@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -27,8 +26,8 @@ from .extremal import (exstar, exstar_to_json_obj, tau, tau_to_json_obj,
 from .family import contains_induced, count_induced, normalize_family
 from .measure import (EdgePredicate, cn_sequence, exact_measure, fraction_str,
                       mc_measure, predicate_from_json_obj)
-from .steiner import (greedy_system, load_system_fields, nibble_system,
-                      save_system, verify_system)
+from .steiner import (load_system_fields, save_system, search_system,
+                      verify_system)
 from .supersat import (counting_floor, lemma_report, load_instance,
                        partition_table, tail_mass, x_set)
 
@@ -51,16 +50,6 @@ def _fraction(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a rational number") from None
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """The parsed arguments plus the settings every subcommand shares."""
-
-    fmt: str
-    workers: int
-    cap_bits: int | None
-    args: argparse.Namespace
 
 
 def _fmt_float(x) -> str:
@@ -163,69 +152,53 @@ def _predicate_from_args(args) -> EdgePredicate:
         raise _UsageError(
             "exactly one of --forb/--contains/--min-edges/--max-edges/"
             "--predicate is required")
+    if args.within is not None and chosen != ["contains"]:
+        raise _UsageError("--within applies only to --contains")
     return _PREDICATE_FLAGS[chosen[0]](args)
 
 
-def _cmd_measure(cfg: RunConfig) -> list:
-    a = cfg.args
+def _cmd_measure(a: argparse.Namespace) -> list:
     pred = _predicate_from_args(a)
-    res = exact_measure(a.n, a.r, a.p, pred, cap_bits=cfg.cap_bits,
-                        workers=cfg.workers)
+    res = exact_measure(a.n, a.r, a.p, pred, cap_bits=a.cap, workers=a.workers)
     return [{"n": a.n, "r": a.r, "p": a.p, "value": res.value,
              "log2_value": res.log2_value, "method": res.method}]
 
 
-def _cmd_cn(cfg: RunConfig) -> list:
-    a = cfg.args
+def _cmd_cn(a: argparse.Namespace) -> list:
     fam = _load_family(a.family)
     points = cn_sequence(fam, a.p, a.n_list,
-                         cap_bits=cfg.cap_bits, workers=cfg.workers)
+                         cap_bits=a.cap, workers=a.workers)
     return [{"n": pt.n, "mu": pt.measure.value, "c_n": pt.c_n}
             for pt in points]
 
 
-def _cmd_mc(cfg: RunConfig) -> list:
-    a = cfg.args
+def _cmd_mc(a: argparse.Namespace) -> list:
     pred = _predicate_from_args(a)
     res = mc_measure(a.n, a.r, a.p, pred, samples=a.samples, seed=a.seed,
-                     ci_level=a.ci_level, workers=cfg.workers)
+                     ci_level=a.ci_level, workers=a.workers)
     return [{"n": a.n, "r": a.r, "p": a.p, "estimate": res.value,
              "hits": res.hits, "samples": res.samples, "seed": res.seed,
              "ci_level": res.ci_level, "ci_low": res.ci_low,
              "ci_high": res.ci_high, "method": res.method}]
 
 
-def _build_system(a):
-    if a.algo == "greedy":
-        return greedy_system(a.r, a.m, a.n, seed=a.seed)
-    return nibble_system(a.r, a.m, a.n, seed=a.seed, bite=a.bite,
-                         rounds=a.rounds)
-
-
-def _cmd_steiner(cfg: RunConfig) -> list:
-    a = cfg.args
+def _cmd_steiner(a: argparse.Namespace) -> list:
     if a.restarts < 1:
         raise _UsageError(f"--restarts must be >= 1, got {a.restarts}")
-    best = None
-    for offset in range(a.restarts):
-        seed = a.seed + offset
-        sub = argparse.Namespace(**{**vars(a), "seed": seed})
-        sysm = _build_system(sub)
-        if best is None or sysm.d > best[1].d:
-            best = (seed, sysm)
-    seed, sysm = best
+    found = search_system(a.r, a.m, a.n, a.seed, a.restarts, algo=a.algo,
+                          bite=a.bite, rounds=a.rounds)
     if a.out:
-        save_system(sysm, a.out)
-    rep = sysm.verify()
-    return [{"r": a.r, "m": a.m, "n": a.n, "algo": a.algo, "seed": seed,
+        save_system(found.system, a.out)
+    rep = found.system.verify()
+    return [{"r": a.r, "m": a.m, "n": a.n, "algo": a.algo, "seed": found.seed,
              "restarts": a.restarts, "valid": rep.valid, "d": rep.d,
              "covered": rep.covered,
              "uncovered_fraction": rep.uncovered_fraction,
              "violations": [list(v) for v in rep.violations]}]
 
 
-def _cmd_verify_steiner(cfg: RunConfig) -> list:
-    rep = verify_system(*load_system_fields(cfg.args.system))
+def _cmd_verify_steiner(a: argparse.Namespace) -> list:
+    rep = verify_system(*load_system_fields(a.system))
     return [{"valid": rep.valid, "d": rep.d, "covered": rep.covered,
              "uncovered_fraction": rep.uncovered_fraction,
              "violations": [list(v) for v in rep.violations],
@@ -238,11 +211,11 @@ def _require(inst, field):
     return getattr(inst, field)
 
 
-def _cmd_lemma(cfg: RunConfig) -> list:
-    inst = load_instance(cfg.args.instance)
+def _cmd_lemma(a: argparse.Namespace) -> list:
+    inst = load_instance(a.instance)
     rep = lemma_report(inst.predicate, _require(inst, "system"), inst.family,
                        _require(inst, "params"), inst.p,
-                       cap_bits=cfg.cap_bits, workers=cfg.workers)
+                       cap_bits=a.cap, workers=a.workers)
     return [{"d": rep.d, "theta": list(rep.theta),
              "index_set": list(rep.index_set), "eta": rep.eta,
              "mu_A": rep.mu_A.value, "gamma": rep.gamma, "nu": rep.nu,
@@ -250,11 +223,11 @@ def _cmd_lemma(cfg: RunConfig) -> list:
              "tail_small": rep.tail_small, "chain_ok": rep.chain_ok}]
 
 
-def _cmd_partition(cfg: RunConfig) -> list:
-    inst = load_instance(cfg.args.instance)
+def _cmd_partition(a: argparse.Namespace) -> list:
+    inst = load_instance(a.instance)
     table = partition_table(inst.predicate, _require(inst, "system"),
                             inst.family, inst.n, inst.p,
-                            cap_bits=cfg.cap_bits, workers=cfg.workers)
+                            cap_bits=a.cap, workers=a.workers)
     cells = [{"pattern": s, "size": s.bit_count(), "mu": table.cells[s]}
              for s in sorted(table.cells)]
     return [{"d": table.d, "cells": cells, "total": table.total,
@@ -263,15 +236,14 @@ def _cmd_partition(cfg: RunConfig) -> list:
              "identity_ok": table.weighted_sum == table.theta_sum}]
 
 
-def _cmd_tailmass(cfg: RunConfig) -> list:
-    a = cfg.args
+def _cmd_tailmass(a: argparse.Namespace) -> list:
     nu, mu = a.nu, a.mu
     row = {"nu": nu, "d": a.d, "mu_mB": mu}
     if a.instance:
         inst = load_instance(a.instance)
         table = partition_table(inst.predicate, _require(inst, "system"),
                                 inst.family, inst.n, inst.p,
-                                cap_bits=cfg.cap_bits, workers=cfg.workers)
+                                cap_bits=a.cap, workers=a.workers)
         if table.d != a.d:
             raise InputError(f"--d {a.d} disagrees with instance d={table.d}")
         value = tail_mass(nu, a.d, mu, table=table)
@@ -283,15 +255,14 @@ def _cmd_tailmass(cfg: RunConfig) -> list:
     return [row]
 
 
-def _cmd_xset(cfg: RunConfig) -> list:
-    a = cfg.args
+def _cmd_xset(a: argparse.Namespace) -> list:
     inst = load_instance(a.instance)
     gamma = a.gamma if a.gamma is not None else _require(inst, "params").gamma
     m = a.m if a.m is not None else _require(inst, "params").m
     if m is None:
         raise InputError("block order m missing from flags and instance")
     rep = x_set(inst.predicate, inst.family, m, gamma, inst.n, inst.p,
-                cap_bits=cfg.cap_bits, workers=cfg.workers)
+                cap_bits=a.cap, workers=a.workers)
     return [{"n": rep.n, "m": rep.m, "t": rep.t, "gamma": rep.gamma,
              "mu_A": rep.mu_A, "x_size": rep.x_size,
              "x_members": [list(d) for d in rep.x_members],
@@ -306,40 +277,36 @@ def _cmd_xset(cfg: RunConfig) -> list:
              "averaging_ok": rep.averaging_ok}]
 
 
-def _cmd_floor(cfg: RunConfig) -> list:
-    a = cfg.args
+def _cmd_floor(a: argparse.Namespace) -> list:
     res = counting_floor(a.n, a.m, a.t, a.gamma, a.eta)
     return [{"n": a.n, "m": a.m, "t": a.t, "ratio": res.ratio,
              "floor": res.floor, "ok": res.ok,
              "proviso_met": res.proviso_met}]
 
 
-def _cmd_tau(cfg: RunConfig) -> list:
-    return [tau_to_json_obj(tau(load_graph(cfg.args.graph)))]
+def _cmd_tau(a: argparse.Namespace) -> list:
+    return [tau_to_json_obj(tau(load_graph(a.graph)))]
 
 
-def _cmd_exstar(cfg: RunConfig) -> list:
-    return [exstar_to_json_obj(exstar(cfg.args.n, load_graph(cfg.args.graph)))]
+def _cmd_exstar(a: argparse.Namespace) -> list:
+    return [exstar_to_json_obj(exstar(a.n, load_graph(a.graph)))]
 
 
-def _cmd_witness(cfg: RunConfig) -> list:
-    a = cfg.args
+def _cmd_witness(a: argparse.Namespace) -> list:
     res = witness_check(a.n, load_graph(a.graph), a.e, a.e0)
     return [{"ok": res.ok,
              "counterexample": [list(e) for e in res.counterexample]
              if res.counterexample is not None else None}]
 
 
-def _cmd_count_induced(cfg: RunConfig) -> list:
-    a = cfg.args
+def _cmd_count_induced(a: argparse.Namespace) -> list:
     G = load_graph(a.graph)
     fam = _load_family(a.family)
     return [{"count": count_induced(G, fam),
              "contains": contains_induced(G, fam)}]
 
 
-def _cmd_codec(cfg: RunConfig) -> list:
-    a = cfg.args
+def _cmd_codec(a: argparse.Namespace) -> list:
     G = load_graph(a.input)
     if a.out:
         save_graph(G, a.out)
@@ -466,10 +433,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    cfg = RunConfig(fmt=args.format, workers=args.workers, cap_bits=args.cap,
-                    args=args)
     try:
-        rows = _HANDLERS[args.command](cfg)
+        rows = _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -479,7 +444,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(rows, cfg.fmt)
+    _emit(rows, args.format)
     return 0
 
 

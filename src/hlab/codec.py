@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from math import comb
+from operator import index
 
 from .errors import ParameterError, ParseError
 from .hypergraph import RUniformGraph, graph_from_edges
@@ -69,12 +70,18 @@ def graph_to_json_obj(G: RUniformGraph) -> dict:
     return {"n": G.n, "r": G.r, "edges": [list(e) for e in G.edges()]}
 
 
+def _json_int(value) -> int:
+    """An integer field of a decoded JSON value.  Floats, strings and
+    booleans raise TypeError, which each reader reports as a ParseError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return index(value)
+
+
 def graph_from_json_obj(obj) -> RUniformGraph:
     try:
-        n, r, edges = int(obj["n"]), int(obj["r"]), obj["edges"]
-        return graph_from_edges(n, r, [tuple(int(v) for v in e) for e in edges])
-    except ParameterError:
-        raise
+        n, r, edges = _json_int(obj["n"]), _json_int(obj["r"]), obj["edges"]
+        return graph_from_edges(n, r, [tuple(map(_json_int, e)) for e in edges])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad JSON graph object: {exc}", 0) from None
 

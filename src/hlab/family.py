@@ -60,33 +60,21 @@ def normalize_family(raw) -> ForbiddenFamily:
 
 
 @lru_cache(maxsize=None)
-def _order_orbit(r: int, h: int, member_masks: tuple) -> frozenset:
+def family_orbit(fam: ForbiddenFamily, h: int) -> frozenset:
     """Union of labeled-mask orbits of all members with n = h."""
     out = set()
-    for mask in member_masks:
-        out |= orbit_masks(RUniformGraph(h, r, mask))
+    for g in fam.members_of_order(h):
+        out |= orbit_masks(g)
     return frozenset(out)
 
 
-def family_orbit(fam: ForbiddenFamily, h: int) -> frozenset:
-    masks = tuple(sorted(m.edge_mask for m in fam.members_of_order(h)))
-    return _order_orbit(fam.r, h, masks)
-
-
 @lru_cache(maxsize=None)
-def _orbit_lookup(r: int, h: int, member_masks: tuple) -> np.ndarray:
+def family_orbit_lookup(fam: ForbiddenFamily, h: int) -> np.ndarray:
     """Boolean table over all 2^C(h,r) small masks marking family members."""
-    nbits = len(subsets_colex(h, r))
-    table = np.zeros(1 << nbits, dtype=bool)
-    for mask in _order_orbit(r, h, member_masks):
-        table[mask] = True
+    table = np.zeros(1 << len(subsets_colex(h, fam.r)), dtype=bool)
+    table[list(family_orbit(fam, h))] = True
     table.setflags(write=False)
     return table
-
-
-def family_orbit_lookup(fam: ForbiddenFamily, h: int) -> np.ndarray:
-    masks = tuple(sorted(m.edge_mask for m in fam.members_of_order(h)))
-    return _orbit_lookup(fam.r, h, masks)
 
 
 def _check_uniformity(G: RUniformGraph, fam: ForbiddenFamily) -> None:

@@ -29,13 +29,6 @@ CANONICAL_BOUND_GRAPHS = 10
 CANONICAL_BOUND_HYPERGRAPHS = 8
 
 
-def binom(n: int, k: int) -> int:
-    """Exact binomial coefficient (arbitrary precision, never wraps)."""
-    if k < 0 or n < 0:
-        return 0
-    return comb(n, k)
-
-
 def rank_subset(subset, r: int) -> int:
     """Colex rank of a strictly increasing r-subset."""
     s = tuple(subset)
@@ -198,35 +191,17 @@ def canonical_bound(r: int) -> int:
     return CANONICAL_BOUND_GRAPHS if r == 2 else CANONICAL_BOUND_HYPERGRAPHS
 
 
-@lru_cache(maxsize=1 << 16)
-def _canonical_mask(n: int, r: int, mask: int) -> int:
-    idx = _rank_index(n, r)
-    edges = RUniformGraph(n, r, mask).edges()
-    best = mask
-    for sig in itertools.permutations(range(n)):
-        cur = 0
-        for e in edges:
-            cur |= 1 << idx[tuple(sorted(sig[v] for v in e))]
-            if cur > best:
-                break
-        else:
-            if cur < best:
-                best = cur
-    return best
-
-
-def canonical_code(G: RUniformGraph, max_n: int | None = None) -> CanonicalCode:
-    """Exact canonical form by permutation minimization (small n only)."""
-    bound = canonical_bound(G.r) if max_n is None else max_n
+def _check_bound(G: RUniformGraph, what: str) -> None:
+    bound = canonical_bound(G.r)
     if G.n > bound:
         raise SizeLimitError(
-            f"canonicalization limited to n <= {bound} for r={G.r}, got n={G.n}"
+            f"{what} limited to n <= {bound} for r={G.r}, got n={G.n}"
         )
-    return CanonicalCode(G.n, G.r, _canonical_mask(G.n, G.r, G.edge_mask))
 
 
 @lru_cache(maxsize=1 << 14)
 def _orbit_masks(n: int, r: int, mask: int) -> frozenset:
+    """The one walk over the n! relabelings of a labeled graph."""
     idx = _rank_index(n, r)
     edges = RUniformGraph(n, r, mask).edges()
     out = set()
@@ -240,12 +215,14 @@ def _orbit_masks(n: int, r: int, mask: int) -> frozenset:
 
 def orbit_masks(G: RUniformGraph) -> frozenset:
     """All labeled edge_masks isomorphic to G (the relabeling orbit)."""
-    bound = canonical_bound(G.r)
-    if G.n > bound:
-        raise SizeLimitError(
-            f"orbit enumeration limited to n <= {bound} for r={G.r}, got n={G.n}"
-        )
+    _check_bound(G, "orbit enumeration")
     return _orbit_masks(G.n, G.r, G.edge_mask)
+
+
+def canonical_code(G: RUniformGraph) -> CanonicalCode:
+    """Exact canonical form: the least mask of G's orbit (small n only)."""
+    _check_bound(G, "canonicalization")
+    return CanonicalCode(G.n, G.r, min(_orbit_masks(G.n, G.r, G.edge_mask)))
 
 
 def random_graph(n: int, r: int, p, rng: Rng) -> RUniformGraph:

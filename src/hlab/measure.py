@@ -28,7 +28,7 @@ import numpy as np
 from concurrent.futures import ThreadPoolExecutor
 from scipy.stats import beta as _beta
 
-from .codec import graph_from_json_obj, graph_to_json_obj
+from .codec import _json_int, graph_from_json_obj, graph_to_json_obj
 from .errors import FeasibilityError, ParameterError, ParseError
 from .family import ForbiddenFamily, batch_contains, normalize_family
 from .rng import bernoulli_threshold, substream_blocks
@@ -360,15 +360,15 @@ _KINDS = {
     "min_edges": _Kind(
         lambda p, masks, n, r: np.bitwise_count(masks) >= p.k,
         lambda p: {"k": p.k},
-        lambda o: EdgePredicate.min_edges(int(o["k"]))),
+        lambda o: EdgePredicate.min_edges(_json_int(o["k"]))),
     "max_edges": _Kind(
         lambda p, masks, n, r: np.bitwise_count(masks) <= p.k,
         lambda p: {"k": p.k},
-        lambda o: EdgePredicate.max_edges(int(o["k"]))),
+        lambda o: EdgePredicate.max_edges(_json_int(o["k"]))),
     "explicit": _Kind(
         _explicit_batch,
         lambda p: {"masks": sorted(p.masks)},
-        lambda o: EdgePredicate.explicit(o["masks"])),
+        lambda o: EdgePredicate.explicit(map(_json_int, o["masks"]))),
     "forb": _Kind(
         lambda p, masks, n, r: ~batch_contains(masks, n, r, p.family),
         lambda p: {"family": family_to_json_obj(p.family)},
@@ -381,7 +381,7 @@ _KINDS = {
         lambda o: EdgePredicate.contains(
             family_from_json_obj(o["family"]),
             within=None if o.get("within") is None
-            else [int(v) for v in o["within"]])),
+            else map(_json_int, o["within"]))),
     "intersection": _Kind(
         lambda p, masks, n, r: reduce(
             np.logical_and, (q.batch(masks, n, r) for q in p.parts),

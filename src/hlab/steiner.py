@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .codec import load_json
+from .codec import _json_int, load_json
 from .errors import ConstructionError, ParameterError, ParseError
 from .hypergraph import induced_rank_table, subsets_colex
 from .rng import Rng, bernoulli_threshold
@@ -115,26 +115,6 @@ class SteinerSystem:
         return verify_system(self.r, self.m, self.n, self.blocks)
 
 
-def _greedy_fill(r: int, m: int, n: int, rng: Rng, covered: bytearray,
-                 blocks: list) -> list:
-    """Scan all m-subsets in seeded-shuffle order, adding every block whose
-    r-subsets are all uncovered.  The result is maximal by construction."""
-    subs = subsets_colex(n, m)
-    rows = _block_rank_rows(n, m, r)
-    order = list(range(len(subs)))
-    rng.shuffle(order)
-    for ci in order:
-        row = rows[ci]
-        for k in row:
-            if covered[k]:
-                break
-        else:
-            for k in row:
-                covered[k] = 1
-            blocks.append(subs[ci])
-    return blocks
-
-
 def _check_params(r: int, m: int, n: int) -> None:
     if not r < m <= n:
         raise ParameterError(f"need r < m <= n, got (r={r}, m={m}, n={n})")
@@ -142,31 +122,24 @@ def _check_params(r: int, m: int, n: int) -> None:
         raise ParameterError("need r >= 1")
 
 
-def greedy_system(r: int, m: int, n: int, seed: int, stream: int = 0) -> SteinerSystem:
-    """Random-order greedy packing; maximal, deterministic in (seed, stream)."""
-    _check_params(r, m, n)
-    rng = Rng(seed, stream)
-    covered = bytearray(comb(n, r))
-    blocks = _greedy_fill(r, m, n, rng, covered, [])
-    return SteinerSystem(r=r, m=m, n=n, blocks=tuple(sorted(blocks)))
-
-
-def nibble_system(r: int, m: int, n: int, seed: int,
-                  bite=DEFAULT_BITE, rounds: int = DEFAULT_ROUNDS,
-                  stream: int = 0) -> SteinerSystem:
-    """Iterated random bites, then greedy completion to maximality.
-
-    Each round draws one Bernoulli(bite) per m-subset (in colex order);
-    sampled candidates are kept when their r-subsets are uncovered and
-    do not collide with a candidate kept earlier in the same round.
-    With rounds=0 this is exactly greedy_system at the same seed.
-    """
-    _check_params(r, m, n)
-    bite = Fraction(bite)
+def _check_nibble(bite: Fraction, rounds: int) -> None:
     if not 0 < bite < 1:
         raise ParameterError(f"bite must lie in (0, 1), got {bite}")
     if rounds < 0:
         raise ParameterError("rounds must be >= 0")
+
+
+def _packing(r: int, m: int, n: int, seed: int, stream: int = 0,
+             bite: Fraction = DEFAULT_BITE, rounds: int = 0) -> tuple:
+    """Sorted blocks of a packing, unverified: `rounds` random bites, then
+    greedy completion (with rounds=0, greedy alone).
+
+    Each round draws one Bernoulli(bite) per m-subset (in colex order);
+    sampled candidates are kept when their r-subsets are uncovered and
+    do not collide with a candidate kept earlier in the same round.  The
+    completion scans all m-subsets in seeded-shuffle order, adding every
+    block whose r-subsets are all uncovered, so the result is maximal.
+    """
     rng = Rng(seed, stream)
     threshold = np.uint64(bernoulli_threshold(bite))
     subs = subsets_colex(n, m)
@@ -185,8 +158,70 @@ def nibble_system(r: int, m: int, n: int, seed: int,
             blocks.append(subs[ci])
         for k in round_marks:
             covered[k] = 1
-    _greedy_fill(r, m, n, rng, covered, blocks)
-    return SteinerSystem(r=r, m=m, n=n, blocks=tuple(sorted(blocks)))
+    order = list(range(len(subs)))
+    rng.shuffle(order)
+    for ci in order:
+        row = rows[ci]
+        for k in row:
+            if covered[k]:
+                break
+        else:
+            for k in row:
+                covered[k] = 1
+            blocks.append(subs[ci])
+    return tuple(sorted(blocks))
+
+
+def greedy_system(r: int, m: int, n: int, seed: int, stream: int = 0) -> SteinerSystem:
+    """Random-order greedy packing; maximal, deterministic in (seed, stream)."""
+    _check_params(r, m, n)
+    return SteinerSystem(r=r, m=m, n=n, blocks=_packing(r, m, n, seed, stream))
+
+
+def nibble_system(r: int, m: int, n: int, seed: int,
+                  bite=DEFAULT_BITE, rounds: int = DEFAULT_ROUNDS,
+                  stream: int = 0) -> SteinerSystem:
+    """Iterated random bites, then greedy completion to maximality.
+
+    With rounds=0 this is exactly greedy_system at the same seed.
+    """
+    _check_params(r, m, n)
+    bite = Fraction(bite)
+    _check_nibble(bite, rounds)
+    return SteinerSystem(r=r, m=m, n=n,
+                         blocks=_packing(r, m, n, seed, stream, bite, rounds))
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    seed: int  # the first seed reaching the largest d
+    system: SteinerSystem
+    sizes: tuple  # d of each seed tried, in seed order
+
+
+def search_system(r: int, m: int, n: int, seed: int, restarts: int,
+                  algo: str = "greedy", bite=DEFAULT_BITE,
+                  rounds: int = DEFAULT_ROUNDS) -> SearchResult:
+    """Pack seeds seed..seed+restarts-1 with greedy_system or nibble_system
+    and keep the first seed with the most blocks; only that one is verified."""
+    _check_params(r, m, n)
+    if restarts < 1:
+        raise ParameterError(f"restarts must be >= 1, got {restarts}")
+    if algo == "nibble":
+        bite = Fraction(bite)
+        _check_nibble(bite, rounds)
+    elif algo == "greedy":
+        bite, rounds = DEFAULT_BITE, 0
+    else:
+        raise ParameterError(f"algo must be greedy or nibble, got {algo!r}")
+    best_seed, best, sizes = seed, None, []
+    for s in range(seed, seed + restarts):
+        blocks = _packing(r, m, n, s, bite=bite, rounds=rounds)
+        sizes.append(len(blocks))
+        if best is None or len(blocks) > len(best):
+            best_seed, best = s, blocks
+    return SearchResult(best_seed, SteinerSystem(r=r, m=m, n=n, blocks=best),
+                        tuple(sizes))
 
 
 def permute_system(sys: SteinerSystem, sigma) -> SteinerSystem:
@@ -240,8 +275,8 @@ def system_to_json_obj(sys: SteinerSystem) -> dict:
 def _system_fields(obj) -> tuple:
     """(r, m, n, blocks) of a system object, blocks in file order, unverified."""
     try:
-        return (int(obj["r"]), int(obj["m"]), int(obj["n"]),
-                tuple(tuple(int(v) for v in b) for b in obj["blocks"]))
+        return (_json_int(obj["r"]), _json_int(obj["m"]), _json_int(obj["n"]),
+                tuple(tuple(map(_json_int, b)) for b in obj["blocks"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad system object: {exc}", 0) from None
 
@@ -252,8 +287,11 @@ def system_from_json_obj(obj) -> SteinerSystem:
 
 
 def load_system_fields(path: str) -> tuple:
-    """(r, m, n, blocks) of a system file, for verify_system on raw input."""
-    return _system_fields(load_json(path))
+    """(r, m, n, blocks) of a system file, for verify_system on raw input;
+    only (r, m, n) are checked."""
+    fields = _system_fields(load_json(path))
+    _check_params(*fields[:3])
+    return fields
 
 
 def load_system(path: str) -> SteinerSystem:

@@ -19,7 +19,7 @@ from math import comb, floor
 
 import numpy as np
 
-from .codec import load_json
+from .codec import _json_int, load_json
 from .errors import (ConstructionError, FeasibilityError, ParameterError,
                      ParseError)
 from .family import ForbiddenFamily, _contains_columns, count_induced
@@ -221,17 +221,15 @@ class ProjectionReport:
     cells: tuple
 
 
-def projection_bound_check(table: PartitionTable, mu_mB,
-                           d: int | None = None) -> ProjectionReport:
+def projection_bound_check(table: PartitionTable, mu_mB) -> ProjectionReport:
     """Check mu(A_S) <= mu_mB^(d-|S|) cell-wise; blocks outside S are
     r-set disjoint, so the events 'block i avoids the family' are
     independent and their product measure dominates each cell."""
     mu_mB = Fraction(mu_mB)
-    d = table.d if d is None else d
     cells = []
     for s in sorted(table.cells):
         mu = table.cells[s]
-        bound = mu_mB ** (d - s.bit_count())
+        bound = mu_mB ** (table.d - s.bit_count())
         cells.append(ProjectionCell(pattern=s, size=s.bit_count(), mu=mu,
                                     bound=bound, ok=mu <= bound,
                                     slack=bound - mu))
@@ -435,7 +433,7 @@ def params_from_json_obj(obj) -> LemmaParameters:
         return LemmaParameters(
             nu=Fraction(obj["nu"]),
             gamma=Fraction(obj["gamma"]) if "gamma" in obj else None,
-            m=int(obj["m"]) if "m" in obj else None)
+            m=_json_int(obj["m"]) if "m" in obj else None)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad parameter object: {exc}", 0) from None
 
@@ -453,7 +451,7 @@ def instance_to_json_obj(inst: Instance) -> dict:
 
 def instance_from_json_obj(obj) -> Instance:
     try:
-        n, r, p = int(obj["n"]), int(obj["r"]), Fraction(obj["p"])
+        n, r, p = _json_int(obj["n"]), _json_int(obj["r"]), Fraction(obj["p"])
         pred = predicate_from_json_obj(obj["predicate"])
         fam = family_from_json_obj(obj["family"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -396,10 +396,25 @@ _EXPLICIT = ["measure", "--n", "4", "--r", "2", "--p", "1/2",
     (["mc", "--n", "4", "--r", "-2", "--p", "1/2", "--samples", "10",
       "--seed", "0", "--min-edges", "0"], None, 1),
     (["cn", "--family", "{k3}", "--p", "1/2", "--n-list", "-1"], None, 1),
+    (["measure", "--n", "3", "--r", "2", "--p", "1/2", "--forb", "{k3}",
+      "--within", "0,1"], None, 2),
+    (["measure", "--n", "3", "--r", "2", "--p", "1/2", "--predicate",
+      "{pred}"], '{"kind":"min_edges","k":1.5}', 1),
+    (["measure", "--n", "3", "--r", "2", "--p", "1/2", "--predicate",
+      "{pred}"], '{"kind":"contains","within":[0.5,1,2],"family":'
+                 '[{"n":3,"r":2,"edges":[[0,1],[0,2],[1,2]]}]}', 1),
+    (["codec", "--input", "{pred}"],
+     '{"n":3.7,"r":2,"edges":[[0,1.9]]}', 1),
+    (["verify-steiner", "--system", "{pred}"],
+     '{"r":2,"m":3,"n":4,"blocks":[[0,1,2.5]]}', 1),
+    (["verify-steiner", "--system", "{pred}"],
+     '{"r":-1,"m":3,"n":4,"blocks":[[0,1,2]]}', 1),
 ], ids=["explicit-negative", "explicit-2^64", "explicit-9999",
         "explicit-2^64-1", "explicit-float", "predicate-bad-json",
         "cn-n-list", "measure-within", "witness-e", "measure-n-negative",
-        "measure-r-negative", "mc-r-negative", "cn-n-negative"])
+        "measure-r-negative", "mc-r-negative", "cn-n-negative",
+        "within-without-contains", "min-edges-float", "within-float",
+        "codec-float", "steiner-block-float", "steiner-r-negative"])
 def test_rejected_input_one_error_line(files, capsys, tmp_path, argv, pred,
                                        code):
     (tmp_path / "pred.json").write_text(pred or "")
@@ -415,3 +430,41 @@ def test_rejected_input_one_error_line(files, capsys, tmp_path, argv, pred,
     assert "Traceback" not in captured.err
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: " if code == 1 else "usage error: ")
+
+
+def test_steiner_verifies_only_the_winner(files, capsys, monkeypatch):
+    import hlab.steiner as steiner
+    calls = []
+    real = steiner.verify_system
+    monkeypatch.setattr(steiner, "verify_system",
+                        lambda *a: calls.append(a) or real(*a))
+    obj = run_json(capsys, ["steiner", "--r", "2", "--m", "3", "--n", "7",
+                            "--seed", "0", "--restarts", "50"])
+    assert obj["valid"] is True
+    assert 1 <= len(calls) <= 2
+
+
+def test_steiner_rejects_invalid_winner(files, capsys, monkeypatch):
+    import hlab.steiner as steiner
+    monkeypatch.setattr(steiner, "_packing",
+                        lambda *a, **k: ((0, 1, 2), (0, 1, 3)))
+    code, out, err = run(capsys, ["steiner", "--r", "2", "--m", "3",
+                                  "--n", "7", "--seed", "0",
+                                  "--restarts", "5"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a partial Steiner system" in err
+
+
+@pytest.mark.parametrize("algo", ["greedy", "nibble"])
+def test_steiner_search_script_agrees_with_cli(files, capsys, algo):
+    from test_scripts import load_script
+    argv = ["--r", "2", "--m", "3", "--n", "9", "--algo", algo]
+    obj = run_json(capsys, ["steiner", *argv, "--seed", "4",
+                            "--restarts", "30"])
+    assert load_script("steiner_search").main(
+        [*argv, "--first-seed", "4", "--seeds", "30"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    best = next(line for line in lines if line.startswith("best: "))
+    assert best.startswith(f"best: d = {obj['d']} at seed {obj['seed']},")

@@ -99,6 +99,17 @@ def test_json_errors():
         decode_json('{"n": 3, "r": 2, "edges": [[0, 9]]}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 3.7, "r": 2, "edges": [[0, 1]]}',
+    '{"n": 3, "r": 2, "edges": [[0, 1.9]]}',
+    '{"n": 3, "r": "2", "edges": []}',
+    '{"n": true, "r": 2, "edges": []}',
+])
+def test_json_fields_must_be_integers(text):
+    with pytest.raises(ParseError, match="bad JSON graph object"):
+        decode_json(text)
+
+
 def test_file_roundtrips(tmp_path):
     G = graph_from_edges(5, 2, [(0, 1), (2, 4)])
     g6 = tmp_path / "g.g6"

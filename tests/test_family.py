@@ -148,6 +148,25 @@ def test_family_orbit_matches_membership(k3, p3):
     assert orbit == frozenset({0b011, 0b101, 0b110})
 
 
+def test_one_relabelling_walk_per_member(monkeypatch):
+    # Normalising walks each member's n! relabelings; the scan then reuses
+    # that orbit, so each member costs exactly one walk.
+    import itertools
+
+    from hlab.hypergraph import _orbit_masks
+    walks = []
+    real = itertools.permutations
+    monkeypatch.setattr(itertools, "permutations",
+                        lambda *a: walks.append(a) or real(*a))
+    for cached in (_orbit_masks, family_orbit, family_orbit_lookup):
+        cached.cache_clear()
+    fam = normalize_family([path(5), C4])
+    masks = np.arange(1 << 10, dtype=np.uint64)
+    assert batch_contains(masks, 5, 2, fam).any()
+    assert _orbit_masks.cache_info().misses == 2
+    assert len(walks) == 2
+
+
 def test_family_orbit_lookup_agrees(k3, c4):
     fam = normalize_family([k3, c4])
     for h in (3, 4):

@@ -161,6 +161,12 @@ def test_canonical_size_limit():
         canonical_code(empty_graph(9, 3))
 
 
+@given(graphs(min_n=2, max_n=6))
+def test_canonical_code_is_orbit_minimum(G):
+    assert canonical_code(G).code == min(
+        permute_graph(G, sigma).edge_mask for sigma in permutations(range(G.n)))
+
+
 def test_orbit_masks_size_divides_factorial(c4):
     orbit = orbit_masks(c4)
     assert c4.edge_mask in orbit

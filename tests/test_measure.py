@@ -298,6 +298,18 @@ def test_explicit_mask_not_integer():
         predicate_from_json_obj({"kind": "explicit", "masks": [1.5]})
 
 
+@pytest.mark.parametrize("obj", [
+    {"kind": "min_edges", "k": 1.5},
+    {"kind": "max_edges", "k": "2"},
+    {"kind": "explicit", "masks": [True]},
+    {"kind": "contains", "family": [{"n": 3, "r": 2, "edges": [[0, 1]]}],
+     "within": [0.5, 1, 2]},
+])
+def test_predicate_operands_must_be_integers(obj):
+    with pytest.raises(ParseError, match="bad predicate object"):
+        predicate_from_json_obj(obj)
+
+
 def test_contains_within_predicate():
     fam = normalize_family([K3])
     pred = EdgePredicate.contains(fam, within=(0, 1, 2, 3))

@@ -9,7 +9,7 @@ from hlab.errors import ConstructionError, ParameterError, ParseError
 from hlab.hypergraph import unrank_subset
 from hlab.steiner import (SteinerSystem, greedy_system, load_system,
                           maximality_report, nibble_system, permute_system,
-                          save_system, system_from_json_obj,
+                          save_system, search_system, system_from_json_obj,
                           system_to_json_obj, uncovered_ranks, verify_system)
 
 from oracles import max_packing
@@ -140,6 +140,30 @@ def test_nibble_parameter_validation():
         nibble_system(2, 3, 9, seed=0, rounds=-1)
 
 
+@pytest.mark.parametrize("algo", ["greedy", "nibble"])
+def test_search_keeps_first_seed_with_largest_d(algo):
+    build = greedy_system if algo == "greedy" else nibble_system
+    found = search_system(2, 3, 9, seed=5, restarts=40, algo=algo)
+    systems = [build(2, 3, 9, seed=s) for s in range(5, 45)]
+    assert found.sizes == tuple(s.d for s in systems)
+    best = max(found.sizes)
+    assert found.seed == 5 + found.sizes.index(best)
+    assert found.system == systems[found.seed - 5]
+
+
+def test_search_parameter_validation():
+    with pytest.raises(ParameterError):
+        search_system(2, 3, 9, seed=0, restarts=0)
+    with pytest.raises(ParameterError):
+        search_system(2, 3, 9, seed=0, restarts=5, algo="annealing")
+    with pytest.raises(ParameterError):
+        search_system(3, 3, 9, seed=0, restarts=5)
+    with pytest.raises(ParameterError):
+        search_system(2, 3, 9, seed=0, restarts=5, algo="nibble", bite=2)
+    # greedy ignores the nibble knobs
+    assert search_system(2, 3, 9, seed=0, restarts=5, bite=2).sizes
+
+
 def uncovered_pair_triangles(sys: SteinerSystem) -> int:
     pairs = [unrank_subset(k, 2) for k in uncovered_ranks(sys)]
     adj = {v: set() for v in range(sys.n)}
@@ -235,3 +259,13 @@ def test_json_bad_inputs(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ParseError):
         load_system(str(path))
+
+
+@pytest.mark.parametrize("obj", [
+    {"r": 2, "m": 3, "n": 4, "blocks": [[0, 1, 2.5]]},
+    {"r": 2.0, "m": 3, "n": 4, "blocks": []},
+    {"r": 2, "m": 3, "n": "4", "blocks": []},
+])
+def test_json_fields_must_be_integers(obj):
+    with pytest.raises(ParseError, match="bad system object"):
+        system_from_json_obj(obj)

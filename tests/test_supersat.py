@@ -425,6 +425,16 @@ def test_params_json_round_trip():
         params_from_json_obj({"gamma": "1/4"})
 
 
+@pytest.mark.parametrize("key, value", [("n", 6.0), ("r", "2"), ("n", True),
+                                        ("params", {"nu": "1/4", "m": 3.0})])
+def test_instance_json_integers(key, value):
+    obj = instance_to_json_obj(Instance(n=6, r=2, p=HALF,
+                                        predicate=EdgePredicate.min_edges(8),
+                                        family=FAM_K3))
+    with pytest.raises(ParseError):
+        instance_from_json_obj({**obj, key: value})
+
+
 def test_instance_json_round_trip(tmp_path):
     inst = Instance(n=6, r=2, p=HALF, predicate=EdgePredicate.min_edges(8),
                     family=FAM_K3, system=SYS6,
