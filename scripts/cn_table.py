@@ -6,7 +6,6 @@ Example:
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -15,17 +14,7 @@ from hlab.codec import load_graph_list
 from hlab.measure import cn_sequence, fraction_str
 
 
-@dataclass(frozen=True)
-class TableConfig:
-    family_path: str
-    p: Fraction
-    n_lo: int
-    n_hi: int
-    workers: int
-    cap_bits: int | None
-
-
-def parse_args(argv) -> TableConfig:
+def parse_args(argv) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--family", required=True,
                     help="family file (graph6 lines or JSON array)")
@@ -34,18 +23,16 @@ def parse_args(argv) -> TableConfig:
                     default=(2, 7))
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--cap", type=int, default=None)
-    a = ap.parse_args(argv)
-    return TableConfig(family_path=a.family, p=a.p, n_lo=a.n[0], n_hi=a.n[1],
-                       workers=a.workers, cap_bits=a.cap)
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
-    fam = normalize_family(load_graph_list(cfg.family_path))
-    points = cn_sequence(fam, cfg.p, range(cfg.n_lo, cfg.n_hi + 1),
-                         cap_bits=cfg.cap_bits, workers=cfg.workers)
+    a = parse_args(argv)
+    fam = normalize_family(load_graph_list(a.family))
+    points = cn_sequence(fam, a.p, range(a.n[0], a.n[1] + 1),
+                         cap_bits=a.cap, workers=a.workers)
     print(f"family: {len(fam.members)} member(s), r={fam.r}, t={fam.t}, "
-          f"p={fraction_str(cfg.p)}")
+          f"p={fraction_str(a.p)}")
     print(f"{'n':>3} {'C(n,r)':>7} {'mu_n':>24} {'c_n':>20} {'delta':>12}")
     prev = None
     for pt in points:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from hlab.family import normalize_family
 from hlab.hypergraph import complete_graph
-from hlab.measure import EdgePredicate, exact_measure, fraction_str
+from hlab.measure import EdgePredicate, fraction_str
 from hlab.steiner import greedy_system
 from hlab.supersat import (Instance, LemmaParameters, counting_floor,
                            lemma_report, load_instance, partition_table,

@@ -114,8 +114,6 @@ def _edge_list(text: str) -> list:
 def _add_common(sp) -> None:
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=None,
-                    help="exact mask-space cap in bits")
 
 
 def _add_predicate_flags(sp) -> None:
@@ -428,6 +426,10 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     _add_common(sp)
 
+    # the subcommands that enumerate a mask space take its cap
+    for name in ("measure", "cn", "lemma", "partition", "tailmass", "xset"):
+        subs.choices[name].add_argument("--cap", type=int, default=None,
+                                        help="exact mask-space cap in bits")
     return top
 
 

@@ -14,6 +14,7 @@ every edge sorted and the edge list in colex order.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from math import comb
 from operator import index
 
@@ -76,6 +77,19 @@ def _json_int(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
     return index(value)
+
+
+def _json_fraction(value) -> Fraction:
+    """A rational field of a decoded JSON value: an integer or a string in
+    Fraction syntax such as "1/3".  Floats and booleans raise TypeError,
+    bad strings and zero denominators ValueError, which each reader
+    reports as a ParseError."""
+    if not isinstance(value, str):
+        return Fraction(_json_int(value))
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def graph_from_json_obj(obj) -> RUniformGraph:

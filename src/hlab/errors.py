@@ -13,10 +13,6 @@ class MalformedSubsetError(HlabError):
     """Subset is not strictly increasing or has the wrong arity."""
 
 
-class DegenerateSubsetError(HlabError):
-    """Vertex subset too small to induce an r-graph."""
-
-
 class SizeLimitError(HlabError):
     """Instance exceeds a configured exactness bound."""
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -66,20 +65,6 @@ def _find_partition(adj: list, n: int, s: int, t: int) -> tuple | None:
     if n == 0:
         return tuple(() for _ in range(t))
     return tuple(tuple(ms) for ms in parts) if extend(0) else None
-
-
-def check_partition(F: RUniformGraph, parts, s: int) -> bool:
-    """True iff parts is a partition of V(F) whose first s parts are
-    cliques and the rest independent sets."""
-    flat = [v for part in parts for v in part]
-    if sorted(flat) != list(range(F.n)):
-        return False
-    adj = _adjacency(F)
-    for idx, part in enumerate(parts):
-        for a, b in combinations(part, 2):
-            if bool(adj[a] >> b & 1) != (idx < s):
-                return False
-    return True
 
 
 @dataclass(frozen=True)

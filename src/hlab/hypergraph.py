@@ -15,12 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import (
-    DegenerateSubsetError,
-    MalformedSubsetError,
-    ParameterError,
-    SizeLimitError,
-)
+from .errors import MalformedSubsetError, ParameterError, SizeLimitError
 from .rng import Rng, bernoulli_threshold
 
 # Brute-force canonicalization stays exact only while n! enumeration is
@@ -42,20 +37,6 @@ def rank_subset(subset, r: int) -> int:
         prev = a
         total += comb(a, i)
     return total
-
-
-def unrank_subset(k: int, r: int) -> tuple:
-    """Inverse of rank_subset; total on every k >= 0."""
-    if k < 0:
-        raise MalformedSubsetError("rank must be nonnegative")
-    out = []
-    for i in range(r, 0, -1):
-        a = i - 1
-        while comb(a + 1, i) <= k:
-            a += 1
-        out.append(a)
-        k -= comb(a, i)
-    return tuple(reversed(out))
 
 
 @lru_cache(maxsize=None)
@@ -125,9 +106,6 @@ class RUniformGraph:
             m &= m - 1
         return tuple(out)
 
-    def has_edge(self, subset) -> bool:
-        return bool(self.edge_mask >> rank_subset(subset, self.r) & 1)
-
 
 @dataclass(frozen=True)
 class CanonicalCode:
@@ -145,25 +123,8 @@ def graph_from_edges(n: int, r: int, edges) -> RUniformGraph:
     return RUniformGraph(n, r, mask)
 
 
-def empty_graph(n: int, r: int) -> RUniformGraph:
-    return RUniformGraph(n, r, 0)
-
-
 def complete_graph(n: int, r: int) -> RUniformGraph:
     return RUniformGraph(n, r, (1 << comb(n, r)) - 1)
-
-
-def induced_subgraph(G: RUniformGraph, vertices) -> RUniformGraph:
-    """G[D] with D relabeled 0..|D|-1 in increasing order."""
-    d = tuple(sorted(vertices))
-    if len(set(d)) != len(d) or (d and (d[0] < 0 or d[-1] >= G.n)):
-        raise MalformedSubsetError(f"{vertices} is not a vertex subset of 0..{G.n - 1}")
-    if len(d) < G.r:
-        raise DegenerateSubsetError(
-            f"need at least r={G.r} vertices, got {len(d)}"
-        )
-    return RUniformGraph(len(d), G.r,
-                         _induced_mask(G, d, subsets_colex(len(d), G.r)))
 
 
 def _induced_mask(G: RUniformGraph, d: tuple, local) -> int:

@@ -14,7 +14,6 @@ worker count.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,6 @@ from .rng import bernoulli_threshold, substream_blocks
 
 DEFAULT_EXACT_CAP_BITS = 24
 HARD_EXACT_CAP_BITS = 30
-EXACT_CAP_ENV = "HLAB_EXACT_CAP"
 _BLOCK_BITS = 20
 _LOG_PREC_BITS = 96
 
@@ -82,10 +80,6 @@ class EdgePredicate:
     def complement(inner: "EdgePredicate") -> "EdgePredicate":
         return EdgePredicate(kind="complement", inner=inner)
 
-    @staticmethod
-    def always_true() -> "EdgePredicate":
-        return EdgePredicate(kind="min_edges", k=0)
-
     def batch(self, masks: np.ndarray, n: int, r: int) -> np.ndarray:
         """Boolean column over an array of uint64 edge_masks of the (n, r) space."""
         return _KINDS[self.kind].batch(self, masks, n, r)
@@ -113,23 +107,6 @@ class EntropyPoint:
     c_n: object  # mpmath.mpf
 
 
-def exact_cap_bits(override: int | None = None) -> int:
-    """Resolve the mask-space cap: explicit override, env var, default."""
-    cap = override
-    if cap is None:
-        env = os.environ.get(EXACT_CAP_ENV)
-        try:
-            cap = int(env) if env else DEFAULT_EXACT_CAP_BITS
-        except ValueError:
-            raise ParameterError(
-                f"{EXACT_CAP_ENV}={env!r} is not an integer bit count") from None
-    if cap > HARD_EXACT_CAP_BITS:
-        raise ParameterError(
-            f"exact cap {cap} exceeds hard cap {HARD_EXACT_CAP_BITS} bits"
-        )
-    return cap
-
-
 def _space_bits(n: int, r: int) -> int:
     """C(n, r), the mask width of the (n, r) space, for n >= 0 and r >= 1."""
     if n < 0 or r < 1:
@@ -138,8 +115,14 @@ def _space_bits(n: int, r: int) -> int:
 
 
 def check_exact_feasible(n: int, r: int, cap_bits: int | None = None) -> int:
+    """C(n, r) when it fits the mask-space cap: cap_bits, or
+    DEFAULT_EXACT_CAP_BITS when None; no cap may exceed HARD_EXACT_CAP_BITS."""
     nbits = _space_bits(n, r)
-    cap = exact_cap_bits(cap_bits)
+    cap = DEFAULT_EXACT_CAP_BITS if cap_bits is None else cap_bits
+    if cap > HARD_EXACT_CAP_BITS:
+        raise ParameterError(
+            f"exact cap {cap} exceeds hard cap {HARD_EXACT_CAP_BITS} bits"
+        )
     if nbits > cap:
         raise FeasibilityError(
             f"mask space 2^{nbits} for (n={n}, r={r}) exceeds the exact cap "
@@ -218,13 +201,6 @@ def exact_measure(n: int, r: int, p, pred, cap_bits: int | None = None,
     hist = _edge_histogram(pred, n, r, nbits, workers)
     value = value_from_histogram(hist, p, nbits)
     return MeasureResult(value=value, method="exact", log2_value=log2_fraction(value))
-
-
-def satisfying_count(n: int, r: int, pred, cap_bits: int | None = None,
-                     workers: int = 1) -> int:
-    """Number of satisfying masks (the p=1/2 numerator), via the histogram."""
-    nbits = check_exact_feasible(n, r, cap_bits)
-    return sum(_edge_histogram(pred, n, r, nbits, workers))
 
 
 def sample_masks(n: int, r: int, p, seed: int, count: int,

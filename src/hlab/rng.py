@@ -104,10 +104,6 @@ class Rng:
         self._key = stream_key(self.seed, self.stream)
         self._counter = 0
 
-    def substream(self, i: int) -> "Rng":
-        """Independent substream i of the same seed (state-disjoint)."""
-        return Rng(self.seed, i)
-
     def next_u64(self) -> int:
         self._counter += 1
         return raw_u64(self._key, self._counter)
@@ -133,7 +129,3 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.random_below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def bernoulli(self, threshold: int) -> bool:
-        """One draw against a precomputed ``bernoulli_threshold``."""
-        return self.next_u64() < threshold

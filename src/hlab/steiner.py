@@ -1,4 +1,4 @@
-"""Partial Steiner systems (r,m,n): construction, validation, permutation.
+"""Partial Steiner systems (r,m,n): construction and validation.
 
 Covered r-subsets live in a byte table indexed by colex rank, giving
 O(1) collision checks on the construction hot path.  All constructors
@@ -78,10 +78,7 @@ class SteinerSystem:
     blocks: tuple
 
     def __post_init__(self):
-        if not self.r < self.m <= self.n:
-            raise ParameterError(
-                f"need r < m <= n, got (r={self.r}, m={self.m}, n={self.n})"
-            )
+        _check_params(self.r, self.m, self.n)
         report = verify_system(self.r, self.m, self.n, self.blocks)
         if not report.valid:
             raise ConstructionError(
@@ -224,15 +221,6 @@ def search_system(r: int, m: int, n: int, seed: int, restarts: int,
                         tuple(sizes))
 
 
-def permute_system(sys: SteinerSystem, sigma) -> SteinerSystem:
-    """Relabel vertices by v -> sigma[v]; block count is invariant."""
-    sig = tuple(sigma)
-    if sorted(sig) != list(range(sys.n)):
-        raise ParameterError(f"{sigma} is not a permutation of 0..{sys.n - 1}")
-    blocks = tuple(sorted(tuple(sorted(sig[v] for v in b)) for b in sys.blocks))
-    return SteinerSystem(r=sys.r, m=sys.m, n=sys.n, blocks=blocks)
-
-
 @dataclass(frozen=True)
 class MaximalityReport:
     maximal: bool | None  # None: sampled search found nothing (no certificate)
@@ -262,11 +250,6 @@ def maximality_report(sys: SteinerSystem, exhaustive_limit: int = 2_000_000,
     return MaximalityReport(None, "sampled", samples, None)
 
 
-def uncovered_ranks(sys: SteinerSystem) -> list:
-    table = sys.covered_table()
-    return [k for k, hit in enumerate(table) if not hit]
-
-
 def system_to_json_obj(sys: SteinerSystem) -> dict:
     return {"r": sys.r, "m": sys.m, "n": sys.n,
             "blocks": [list(b) for b in sys.blocks]}
@@ -292,10 +275,6 @@ def load_system_fields(path: str) -> tuple:
     fields = _system_fields(load_json(path))
     _check_params(*fields[:3])
     return fields
-
-
-def load_system(path: str) -> SteinerSystem:
-    return system_from_json_obj(load_json(path))
 
 
 def save_system(sys: SteinerSystem, path: str) -> None:

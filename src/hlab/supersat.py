@@ -19,7 +19,7 @@ from math import comb, floor
 
 import numpy as np
 
-from .codec import _json_int, load_json
+from .codec import _json_fraction, _json_int, load_json
 from .errors import (ConstructionError, FeasibilityError, ParameterError,
                      ParseError)
 from .family import ForbiddenFamily, _contains_columns, count_induced
@@ -53,15 +53,6 @@ class LemmaParameters:
                 raise ParameterError(f"{name} must lie in (0, 1), got {v}")
         if self.m is not None and self.m < 2:
             raise ParameterError(f"block order m must be >= 2, got {self.m}")
-
-
-def block_theta(A: EdgePredicate, block, fam: ForbiddenFamily, n: int, p,
-                cap_bits: int | None = None, workers: int = 1) -> Fraction:
-    """theta_i: measure of {G in A : some member induced inside block}."""
-    pred = EdgePredicate.intersection(
-        (A, EdgePredicate.contains(fam, within=block)))
-    return exact_measure(n, fam.r, p, pred, cap_bits=cap_bits,
-                         workers=workers).value
 
 
 def _theta_scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int,
@@ -431,8 +422,8 @@ def params_to_json_obj(params: LemmaParameters) -> dict:
 def params_from_json_obj(obj) -> LemmaParameters:
     try:
         return LemmaParameters(
-            nu=Fraction(obj["nu"]),
-            gamma=Fraction(obj["gamma"]) if "gamma" in obj else None,
+            nu=_json_fraction(obj["nu"]),
+            gamma=_json_fraction(obj["gamma"]) if "gamma" in obj else None,
             m=_json_int(obj["m"]) if "m" in obj else None)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad parameter object: {exc}", 0) from None
@@ -451,7 +442,8 @@ def instance_to_json_obj(inst: Instance) -> dict:
 
 def instance_from_json_obj(obj) -> Instance:
     try:
-        n, r, p = _json_int(obj["n"]), _json_int(obj["r"]), Fraction(obj["p"])
+        n, r = _json_int(obj["n"]), _json_int(obj["r"])
+        p = _json_fraction(obj["p"])
         pred = predicate_from_json_obj(obj["predicate"])
         fam = family_from_json_obj(obj["family"])
     except (KeyError, TypeError, ValueError) as exc:

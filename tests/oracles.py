@@ -19,6 +19,19 @@ def colex_less(a: tuple, b: tuple) -> bool:
     return diff in b
 
 
+def unrank_subset(k: int, r: int) -> tuple:
+    """The r-subset of colex rank k: each element, from the largest down,
+    is the largest a with C(a, i) <= what is left of k."""
+    out = []
+    for i in range(r, 0, -1):
+        a = i - 1
+        while comb(a + 1, i) <= k:
+            a += 1
+        out.append(a)
+        k -= comb(a, i)
+    return tuple(reversed(out))
+
+
 def naive_rank(subset: tuple, r: int) -> int:
     """Position of subset among all r-subsets in colex order, by scan."""
     top = max(subset) + 1
@@ -44,6 +57,16 @@ def is_induced_copy(G: RUniformGraph, dverts: tuple, H: RUniformGraph) -> bool:
         if good:
             return True
     return False
+
+
+def induced_subgraph(G: RUniformGraph, vertices) -> RUniformGraph:
+    """G[D] with D relabelled 0..|D|-1 in increasing order, edge by edge."""
+    pos = {v: i for i, v in enumerate(sorted(vertices))}
+    mask = 0
+    for e in G.edges():
+        if all(v in pos for v in e):
+            mask |= 1 << naive_rank(tuple(pos[v] for v in e), G.r)
+    return RUniformGraph(len(pos), G.r, mask)
 
 
 def naive_count_induced(G: RUniformGraph, members) -> int:
@@ -120,6 +143,12 @@ def triangle_free_measure(n: int, p) -> Fraction:
     return total
 
 
+def uncovered_rsets(r: int, n: int, blocks) -> list:
+    """The r-subsets of range(n) lying inside no block, in lexicographic order."""
+    covered = {c for b in blocks for c in combinations(b, r)}
+    return [c for c in combinations(range(n), r) if c not in covered]
+
+
 def max_packing(r: int, m: int, n: int) -> int:
     """Branch-and-bound maximum number of pairwise r-set-disjoint blocks."""
     blocks = [frozenset(combinations(b, r))
@@ -161,6 +190,17 @@ def partitionable(G: RUniformGraph, s: int, t: int) -> bool:
         if ok:
             return True
     return False
+
+
+def check_partition(F: RUniformGraph, parts, s: int) -> bool:
+    """True iff parts is a partition of V(F) whose first s parts are
+    cliques and the rest independent sets."""
+    if sorted(v for part in parts for v in part) != list(range(F.n)):
+        return False
+    edges = set(F.edges())
+    return all(((a, b) in edges) == (idx < s)
+               for idx, part in enumerate(parts)
+               for a, b in combinations(sorted(part), 2))
 
 
 def tau_exhaustive(G: RUniformGraph) -> int | None:

@@ -148,7 +148,7 @@ def test_criterion_07_projection_bound():
         mu_mB = Fraction(7, 8)
         table = partition_table(MIN8, SYS6, FAM_K3, 6, HALF)
         assert projection_bound_check(table, mu_mB).ok
-        free = partition_table(EdgePredicate.always_true(), SYS6, FAM_K3,
+        free = partition_table(EdgePredicate.min_edges(0), SYS6, FAM_K3,
                                6, HALF)
         assert free.cells[0] == mu_mB ** 4
 

@@ -353,14 +353,28 @@ def test_usage_error_bad_rational(files, capsys, argv):
     assert captured.err.count("\n") == 1
 
 
-def test_domain_error_bad_cap_env(files, capsys, monkeypatch):
-    monkeypatch.setenv("HLAB_EXACT_CAP", "abc")
-    code, out, err = run(capsys, ["measure", "--n", "3", "--r", "2",
-                                  "--p", "1/2", "--forb", files["fam_k3"]])
-    assert code == 1
-    assert out == ""
-    assert "Traceback" not in err
-    assert err.startswith("error: ") and "HLAB_EXACT_CAP" in err
+@pytest.mark.parametrize("argv", [
+    ["mc", "--n", "3", "--r", "2", "--p", "1/2", "--samples", "10",
+     "--seed", "0", "--min-edges", "0"],
+    ["steiner", "--r", "2", "--m", "3", "--n", "7", "--seed", "0"],
+    ["verify-steiner", "--system", "{system}"],
+    ["floor", "--n", "10", "--m", "4", "--t", "2"],
+    ["tau", "--graph", "{k3}"],
+    ["exstar", "--n", "3", "--graph", "{k3}"],
+    ["witness", "--n", "4", "--graph", "{k3}"],
+    ["count-induced", "--graph", "{c4}", "--family", "{k3}"],
+    ["codec", "--input", "{k3}"],
+], ids=lambda argv: argv[0])
+def test_cap_only_where_a_mask_space_is_scanned(files, capsys, argv):
+    argv = [a.format(**files) for a in argv]
+    assert run(capsys, argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cap", "5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and "--cap" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("family", ["p5", "c4"])
@@ -376,6 +390,16 @@ def test_full_scan_byte_identical_across_workers(files, capsys, family):
 
 _EXPLICIT = ["measure", "--n", "4", "--r", "2", "--p", "1/2",
              "--predicate", "{pred}"]
+_LEMMA = ["lemma", "--instance", "{pred}"]
+
+
+def _instance(p="1/2", **params):
+    """A lemma instance file on 4 vertices with p and params overridden."""
+    return json.dumps({
+        "n": 4, "r": 2, "p": p, "predicate": {"kind": "min_edges", "k": 2},
+        "family": [{"n": 3, "r": 2, "edges": [[0, 1], [0, 2], [1, 2]]}],
+        "system": {"r": 2, "m": 3, "n": 4, "blocks": [[0, 1, 2]]},
+        "params": {"nu": "1/4", "m": 3, **params}})
 
 
 @pytest.mark.parametrize("argv, pred, code", [
@@ -409,12 +433,19 @@ _EXPLICIT = ["measure", "--n", "4", "--r", "2", "--p", "1/2",
      '{"r":2,"m":3,"n":4,"blocks":[[0,1,2.5]]}', 1),
     (["verify-steiner", "--system", "{pred}"],
      '{"r":-1,"m":3,"n":4,"blocks":[[0,1,2]]}', 1),
+    (_LEMMA, _instance(p=0.1), 1),
+    (_LEMMA, _instance(p=True), 1),
+    (_LEMMA, _instance(gamma=True), 1),
+    (_LEMMA, _instance(p="1/0"), 1),
+    (_LEMMA, _instance(nu="1/0"), 1),
 ], ids=["explicit-negative", "explicit-2^64", "explicit-9999",
         "explicit-2^64-1", "explicit-float", "predicate-bad-json",
         "cn-n-list", "measure-within", "witness-e", "measure-n-negative",
         "measure-r-negative", "mc-r-negative", "cn-n-negative",
         "within-without-contains", "min-edges-float", "within-float",
-        "codec-float", "steiner-block-float", "steiner-r-negative"])
+        "codec-float", "steiner-block-float", "steiner-r-negative",
+        "instance-p-float", "instance-p-bool", "instance-gamma-bool",
+        "instance-p-zero-denominator", "instance-nu-zero-denominator"])
 def test_rejected_input_one_error_line(files, capsys, tmp_path, argv, pred,
                                        code):
     (tmp_path / "pred.json").write_text(pred or "")

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from hlab.errors import (DegenerateGraphError, FeasibilityError, InputError,
                          ParameterError, SizeLimitError)
-from hlab.extremal import (check_partition, exstar, exstar_to_json_obj,
-                           predicted_c_half, tau, tau_to_json_obj,
-                           witness_check)
+from hlab.extremal import (exstar, exstar_to_json_obj, predicted_c_half, tau,
+                           tau_to_json_obj, witness_check)
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph)
 
-from oracles import exstar_exhaustive, max_edges_clique_free, tau_exhaustive
+from oracles import (check_partition, exstar_exhaustive, max_edges_clique_free,
+                     tau_exhaustive)
 
 K3 = complete_graph(3, 2)
 K4 = complete_graph(4, 2)

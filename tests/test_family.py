@@ -11,10 +11,10 @@ from hlab.family import (_compare_kernel, _contains_columns, _gather_kernel,
                          batch_contains, contains_induced, count_induced,
                          family_orbit, family_orbit_lookup, normalize_family)
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
-                             induced_subgraph, permute_graph, random_graph)
+                             permute_graph, random_graph)
 from hlab.rng import Rng
 
-from oracles import naive_contains, naive_count_induced
+from oracles import induced_subgraph, naive_contains, naive_count_induced
 
 
 def cycle(n):

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from hlab.errors import FeasibilityError, ParameterError, ParseError
 from hlab.family import normalize_family
 from hlab.hypergraph import RUniformGraph, complete_graph, graph_from_edges
-from hlab.measure import (DEFAULT_EXACT_CAP_BITS, EXACT_CAP_ENV,
-                          HARD_EXACT_CAP_BITS, EdgePredicate, cn_from_measure,
-                          cn_sequence, exact_cap_bits, exact_measure,
+from hlab.measure import (HARD_EXACT_CAP_BITS, EdgePredicate,
+                          cn_from_measure, cn_sequence, exact_measure,
                           fraction_str, log2_fraction, mc_measure,
                           predicate_from_json_obj, predicate_to_json_obj,
-                          sample_masks, satisfying_count)
+                          sample_masks)
 
 from oracles import naive_measure, naive_satisfies, triangle_free_measure
 
@@ -82,7 +81,7 @@ def test_triangle_free_oracle_inclusion_exclusion():
 
 def test_vacuous_predicate():
     assert exact_measure(5, 2, THIRD, EdgePredicate.min_edges(0)).value == 1
-    assert exact_measure(4, 3, HALF, EdgePredicate.always_true()).value == 1
+    assert exact_measure(4, 3, HALF, EdgePredicate.min_edges(0)).value == 1
 
 
 def test_exact_measure_is_rational_with_log():
@@ -121,6 +120,13 @@ def test_monotone_under_implication():
                 <= exact_measure(5, 2, THIRD, EdgePredicate.min_edges(k)).value)
 
 
+def satisfying_count(n, r, pred):
+    """Satisfying masks by one batch over the whole space, the route apart
+    from exact_measure's edge histogram: the p=1/2 numerator."""
+    return int(pred.batch(np.arange(1 << comb(n, r), dtype=np.uint64),
+                          n, r).sum())
+
+
 def test_half_probability_counts_masks():
     for n in (3, 4, 5):
         cnt = satisfying_count(n, 2, FORB_K3)
@@ -149,17 +155,7 @@ def test_feasibility_cap():
     with pytest.raises(FeasibilityError, match="mc_measure"):
         exact_measure(9, 2, HALF, FORB_K3, cap_bits=20)
     with pytest.raises(ParameterError):
-        exact_cap_bits(HARD_EXACT_CAP_BITS + 1)
-
-
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv(EXACT_CAP_ENV, "10")
-    with pytest.raises(FeasibilityError):
-        exact_measure(6, 2, HALF, FORB_K3)
-    monkeypatch.setenv(EXACT_CAP_ENV, "15")
-    assert exact_measure(6, 2, HALF, FORB_K3).value > 0
-    monkeypatch.delenv(EXACT_CAP_ENV)
-    assert exact_cap_bits() == DEFAULT_EXACT_CAP_BITS
+        exact_measure(3, 2, HALF, FORB_K3, cap_bits=HARD_EXACT_CAP_BITS + 1)
 
 
 def test_invalid_probability():
@@ -228,7 +224,7 @@ def test_mc_worker_independence():
 
 
 def test_mc_always_true():
-    res = mc_measure(4, 2, HALF, EdgePredicate.always_true(),
+    res = mc_measure(4, 2, HALF, EdgePredicate.min_edges(0),
                      samples=500, seed=1)
     assert res.value == 1.0
     assert res.ci_high == 1.0

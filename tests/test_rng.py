@@ -52,12 +52,6 @@ def test_distinct_streams_disagree(seed, s1, s2):
     assert a != b
 
 
-def test_substream_helper():
-    rng = Rng(1, 0)
-    sub = rng.substream(17)
-    assert sub.next_u64() == Rng(1, 17).next_u64()
-
-
 @given(st.integers(1, 10**6), st.integers(0, 2**64 - 1))
 def test_random_below_in_range(bound, seed):
     v = Rng(seed).random_below(bound)
@@ -98,14 +92,6 @@ def test_bernoulli_threshold_rejects_outside():
         bernoulli_threshold(Fraction(3, 2))
     with pytest.raises(ParameterError):
         bernoulli_threshold(Fraction(-1, 2))
-
-
-def test_bernoulli_replays_draws():
-    th = bernoulli_threshold(Fraction(1, 3))
-    rng = Rng(4, 4)
-    bits = [rng.bernoulli(th) for _ in range(64)]
-    draws = Rng(4, 4).u64_block(64)
-    assert bits == (draws < np.uint64(th)).tolist()
 
 
 def test_block_is_uint64_and_fullwidth():

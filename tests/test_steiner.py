@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hlab.codec import load_json
 from hlab.errors import ConstructionError, ParameterError, ParseError
-from hlab.hypergraph import unrank_subset
-from hlab.steiner import (SteinerSystem, greedy_system, load_system,
-                          maximality_report, nibble_system, permute_system,
-                          save_system, search_system, system_from_json_obj,
-                          system_to_json_obj, uncovered_ranks, verify_system)
+from hlab.steiner import (SteinerSystem, greedy_system, load_system_fields,
+                          maximality_report, nibble_system, save_system,
+                          search_system, system_from_json_obj,
+                          system_to_json_obj, verify_system)
 
-from oracles import max_packing
+from oracles import max_packing, uncovered_rsets
 
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
         (2, 4, 5))
@@ -59,6 +59,8 @@ def test_system_rejects_invalid():
         SteinerSystem(r=2, m=3, n=4, blocks=((0, 1, 2), (0, 1, 3)))
     with pytest.raises(ParameterError):
         SteinerSystem(r=3, m=3, n=5, blocks=())
+    with pytest.raises(ParameterError, match="r >= 1"):
+        SteinerSystem(r=0, m=1, n=2, blocks=((0,),))
 
 
 def test_system_derived_fields():
@@ -66,7 +68,7 @@ def test_system_derived_fields():
     assert sys.d == 7
     assert sys.covered == 21
     assert sys.uncovered_fraction == 0
-    assert uncovered_ranks(sys) == []
+    assert uncovered_rsets(sys.r, sys.n, sys.blocks) == []
 
 
 def test_greedy_determinism():
@@ -165,7 +167,7 @@ def test_search_parameter_validation():
 
 
 def uncovered_pair_triangles(sys: SteinerSystem) -> int:
-    pairs = [unrank_subset(k, 2) for k in uncovered_ranks(sys)]
+    pairs = uncovered_rsets(2, sys.n, sys.blocks)
     adj = {v: set() for v in range(sys.n)}
     for a, b in pairs:
         adj[a].add(b)
@@ -189,24 +191,6 @@ def test_nibble_coverage_bound_from_maximality():
     assert sys.uncovered_fraction <= Fraction(n * n // 4, comb(n, 2))
 
 
-def test_permute_identity_and_invariance():
-    sys = SteinerSystem(r=2, m=3, n=7, blocks=FANO)
-    assert permute_system(sys, tuple(range(7))) == sys
-    rev = permute_system(sys, tuple(reversed(range(7))))
-    assert rev.verify().valid
-    assert rev.d == 7
-    assert rev.covered == sys.covered
-
-
-@given(st.permutations(range(9)), st.integers(0, 1000))
-def test_permute_preserves_report(sigma, seed):
-    sys = greedy_system(2, 3, 9, seed=seed)
-    out = permute_system(sys, tuple(sigma))
-    a, b = sys.verify(), out.verify()
-    assert (a.valid, a.d, a.covered, a.uncovered_fraction) == (
-        b.valid, b.d, b.covered, b.uncovered_fraction)
-
-
 def test_permute_relabels_violations():
     raw = [(0, 1, 2), (0, 1, 3)]
     sigma = (3, 2, 1, 0)
@@ -215,12 +199,6 @@ def test_permute_relabels_violations():
     b = verify_system(2, 3, 4, mapped)
     relabeled = {tuple(sorted(sigma[v] for v in s)) for s in a.violations}
     assert relabeled == set(b.violations)
-
-
-def test_permute_rejects_non_bijection():
-    sys = greedy_system(2, 3, 5, seed=0)
-    with pytest.raises(ParameterError):
-        permute_system(sys, (0, 0, 1, 2, 3))
 
 
 def test_maximality_report_finds_addable():
@@ -249,7 +227,7 @@ def test_json_round_trip(tmp_path):
     assert system_from_json_obj(obj) == sys
     path = tmp_path / "sys.json"
     save_system(sys, str(path))
-    assert load_system(str(path)) == sys
+    assert system_from_json_obj(load_json(str(path))) == sys
 
 
 def test_json_bad_inputs(tmp_path):
@@ -258,7 +236,7 @@ def test_json_bad_inputs(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ParseError):
-        load_system(str(path))
+        load_system_fields(str(path))
 
 
 @pytest.mark.parametrize("obj", [

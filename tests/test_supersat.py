@@ -12,9 +12,9 @@ from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph, subsets_colex)
 from hlab.measure import EdgePredicate, exact_measure, predicate_to_json_obj
 from hlab.steiner import SteinerSystem
-from hlab.supersat import (Instance, LemmaParameters, block_theta,
-                           counting_floor, instance_from_json_obj,
-                           instance_to_json_obj, lemma_report, load_instance,
+from hlab.supersat import (Instance, LemmaParameters, counting_floor,
+                           instance_from_json_obj, instance_to_json_obj,
+                           lemma_report, load_instance,
                            params_from_json_obj, params_to_json_obj,
                            partition_table, projection_bound_check,
                            save_instance, tail_mass, x_set)
@@ -26,7 +26,7 @@ THIRD = Fraction(1, 3)
 K3 = complete_graph(3, 2)
 FAM_K3 = normalize_family([K3])
 FORB_K3 = EdgePredicate.forb(FAM_K3)
-ALWAYS = EdgePredicate.always_true()
+ALWAYS = EdgePredicate.min_edges(0)
 
 SYS6 = SteinerSystem(r=2, m=3, n=6,
                      blocks=((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)))
@@ -52,6 +52,14 @@ def predicates6():
         EdgePredicate.intersection(
             [EdgePredicate.min_edges(3), EdgePredicate.max_edges(9)]),
     ])
+
+
+def block_theta(A, block, fam, n, p):
+    """theta_i by its own full scan, the route apart from _theta_scan:
+    the measure of A and some member induced inside the block."""
+    pred = EdgePredicate.intersection(
+        (A, EdgePredicate.contains(fam, within=block)))
+    return exact_measure(n, fam.r, p, pred).value
 
 
 def test_block_theta_triangle_inside_block():
