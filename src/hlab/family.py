@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, ParameterError, SizeLimitError
 from .hypergraph import (
     RUniformGraph,
     _induced_mask,
@@ -68,10 +68,20 @@ def family_orbit(fam: ForbiddenFamily, h: int) -> frozenset:
     return frozenset(out)
 
 
+# Largest orbit lookup table, in bits of its index: 2^28 booleans (256 MB)
+# still takes an 8-vertex graph member.
+_LOOKUP_MAX_BITS = 28
+
+
 @lru_cache(maxsize=None)
 def family_orbit_lookup(fam: ForbiddenFamily, h: int) -> np.ndarray:
     """Boolean table over all 2^C(h,r) small masks marking family members."""
-    table = np.zeros(1 << len(subsets_colex(h, fam.r)), dtype=bool)
+    bits = len(subsets_colex(h, fam.r))
+    if bits > _LOOKUP_MAX_BITS:
+        raise SizeLimitError(
+            f"orbit lookup table for the order-{h} members needs 2^{bits} "
+            f"entries, above the limit 2^{_LOOKUP_MAX_BITS}")
+    table = np.zeros(1 << bits, dtype=bool)
     table[list(family_orbit(fam, h))] = True
     table.setflags(write=False)
     return table

@@ -25,7 +25,6 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 from concurrent.futures import ThreadPoolExecutor
-from scipy.stats import beta as _beta
 
 from .codec import _json_int, graph_from_json_obj, graph_to_json_obj
 from .errors import FeasibilityError, ParameterError, ParseError
@@ -34,6 +33,8 @@ from .rng import bernoulli_threshold, substream_blocks
 
 DEFAULT_EXACT_CAP_BITS = 24
 HARD_EXACT_CAP_BITS = 30
+# sample_masks holds one sampled graph in one uint64
+_SAMPLE_MAX_BITS = 63
 _BLOCK_BITS = 20
 _LOG_PREC_BITS = 96
 
@@ -124,9 +125,13 @@ def check_exact_feasible(n: int, r: int, cap_bits: int | None = None) -> int:
             f"exact cap {cap} exceeds hard cap {HARD_EXACT_CAP_BITS} bits"
         )
     if nbits > cap:
+        fallback = ("fall back to mc_measure for a sampled estimate"
+                    if nbits <= _SAMPLE_MAX_BITS else
+                    f"no sampled fallback exists yet above C(n,r) = "
+                    f"{_SAMPLE_MAX_BITS} bits")
         raise FeasibilityError(
             f"mask space 2^{nbits} for (n={n}, r={r}) exceeds the exact cap "
-            f"2^{cap}; fall back to mc_measure for a sampled estimate"
+            f"2^{cap}; {fallback}"
         )
     return nbits
 
@@ -216,9 +221,10 @@ def sample_masks(n: int, r: int, p, seed: int, count: int,
     out = np.zeros(count, dtype=np.uint64)
     if nbits == 0 or count == 0:
         return out
-    if nbits > 63:
+    if nbits > _SAMPLE_MAX_BITS:
         raise FeasibilityError(
-            f"vectorized sampling limited to C(n,r) <= 63 bits, got {nbits}"
+            f"vectorized sampling limited to C(n,r) <= {_SAMPLE_MAX_BITS} bits, "
+            f"got {nbits}"
         )
     if threshold >= 1 << 64:
         return np.full(count, (1 << nbits) - 1, dtype=np.uint64)
@@ -229,12 +235,19 @@ def sample_masks(n: int, r: int, p, seed: int, count: int,
 
 
 def clopper_pearson(hits: int, samples: int, level: float) -> tuple:
-    """Exact binomial CI; conservative coverage >= level."""
+    """Exact binomial CI; conservative coverage >= level.
+
+    The bounds are Beta quantiles, taken as inverse regularized incomplete
+    beta values.  The special-function module is imported on the first
+    call, so commands that never sample never load it.
+    """
+    from scipy.special import betaincinv
+
     alpha = 1.0 - level
-    lo = 0.0 if hits == 0 else float(_beta.ppf(alpha / 2, hits, samples - hits + 1))
+    lo = 0.0 if hits == 0 else float(
+        betaincinv(hits, samples - hits + 1, alpha / 2))
     hi = 1.0 if hits == samples else float(
-        _beta.ppf(1 - alpha / 2, hits + 1, samples - hits)
-    )
+        betaincinv(hits + 1, samples - hits, 1 - alpha / 2))
     return lo, hi
 
 

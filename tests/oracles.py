@@ -10,6 +10,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
 
+import mpmath
+
 from hlab.hypergraph import RUniformGraph
 
 
@@ -115,6 +117,33 @@ def naive_satisfies(obj: dict, G: RUniformGraph) -> bool:
     if kind == "forb":
         return not found
     raise ValueError(f"unknown predicate kind {kind!r}")
+
+
+def _beta_quantile(a: int, b: int, target, rel: float = 2.0 ** -60):
+    """x with I_x(a, b) = target, by bisection on mpmath's regularized
+    incomplete beta function, to relative width `rel`."""
+    lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+    while hi - lo > rel * hi:
+        mid = (lo + hi) / 2
+        if mpmath.betainc(a, b, 0, mid, regularized=True) < target:
+            lo = mid
+        else:
+            hi = mid
+    return float((lo + hi) / 2)
+
+
+def clopper_pearson_bisect(hits: int, samples: int, level: float) -> tuple:
+    """Clopper-Pearson bounds from their definition: lo is the p with
+    P(Bin(samples, p) >= hits) = alpha/2, hi the p with
+    P(Bin(samples, p) <= hits) = alpha/2, read through
+    P(Bin(n, p) >= k) = I_p(k, n - k + 1)."""
+    alpha = mpmath.mpf(1.0 - level)
+    with mpmath.workprec(96):
+        lo = 0.0 if hits == 0 else _beta_quantile(
+            hits, samples - hits + 1, alpha / 2)
+        hi = 1.0 if hits == samples else _beta_quantile(
+            hits + 1, samples - hits, 1 - alpha / 2)
+    return lo, hi
 
 
 def naive_measure(n: int, r: int, p, sat) -> Fraction:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -227,6 +228,52 @@ def test_domain_error_infeasible(files, capsys):
     assert code == 1
     assert out == ""
     assert "mc_measure" in err
+
+
+def test_infeasible_beyond_sampling_names_no_fallback(files, capsys):
+    # C(12,2) = 66 bits: too wide for the exact scan and for mc alike.
+    code, out, err = run(capsys, ["measure", "--n", "12", "--r", "2",
+                                  "--p", "1/2", "--forb", files["fam_k3"]])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "mc_measure" not in err and "no sampled fallback" in err
+
+
+SCIPY_PROBE = """
+import sys
+import hlab.cli
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+assert hlab.cli.main(["cn", "--family", sys.argv[1], "--p", "1/2",
+                      "--n-list", "3,4"]) == 0
+assert loaded() == [], loaded()
+assert hlab.cli.main(["mc", "--n", "4", "--r", "2", "--p", "1/2",
+                      "--samples", "100", "--seed", "0",
+                      "--forb", sys.argv[1]]) == 0
+assert "scipy.special" in sys.modules
+assert "scipy.stats" not in sys.modules, loaded()
+"""
+
+
+def test_scipy_loaded_only_by_mc(files):
+    # A fresh interpreter: only mc's interval needs scipy, and only
+    # scipy.special, so every other command starts without it.
+    import subprocess
+    import sys as _sys
+    from pathlib import Path
+
+    import hlab
+
+    src = str(Path(hlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([_sys.executable, "-c", SCIPY_PROBE,
+                           files["fam_k3"]],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_domain_error_bad_graph_file(files, capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hlab.errors import ConstructionError, ParameterError
+from hlab.errors import ConstructionError, ParameterError, SizeLimitError
 from hlab.family import (_compare_kernel, _contains_columns, _gather_kernel,
                          batch_contains, contains_induced, count_induced,
                          family_orbit, family_orbit_lookup, normalize_family)
@@ -294,6 +294,24 @@ def test_batch_contains_r3():
     for mask, flag in zip(masks.tolist(), hit.tolist()):
         G = RUniformGraph(n=n, r=3, edge_mask=int(mask))
         assert flag == contains_induced(G, fam)
+
+
+def test_lookup_table_size_limit(monkeypatch):
+    # A 7-vertex 3-graph with a 5040-member orbit takes the gather kernel
+    # at n=8, whose lookup would need 2^C(7,3) = 2^35 booleans (32 GB).
+    seven = RUniformGraph(n=7, r=3, edge_mask=0x123456789)
+    fam = normalize_family([seven])
+    assert len(family_orbit(fam, 7)) == 5040
+    real = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        assert np.prod(shape) <= 1 << 28, f"allocation of {shape}"
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded)
+    masks = np.arange(5, dtype=np.uint64) * np.uint64(0x0123456789ABCD)
+    with pytest.raises(SizeLimitError, match="2\\^35"):
+        batch_contains(masks, 8, 3, fam)
 
 
 def test_members_of_order(k3, c4):

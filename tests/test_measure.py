@@ -12,12 +12,14 @@ from hlab.errors import FeasibilityError, ParameterError, ParseError
 from hlab.family import normalize_family
 from hlab.hypergraph import RUniformGraph, complete_graph, graph_from_edges
 from hlab.measure import (HARD_EXACT_CAP_BITS, EdgePredicate,
+                          check_exact_feasible, clopper_pearson,
                           cn_from_measure, cn_sequence, exact_measure,
                           fraction_str, log2_fraction, mc_measure,
                           predicate_from_json_obj, predicate_to_json_obj,
                           sample_masks)
 
-from oracles import naive_measure, naive_satisfies, triangle_free_measure
+from oracles import (clopper_pearson_bisect, naive_measure, naive_satisfies,
+                     triangle_free_measure)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -158,6 +160,18 @@ def test_feasibility_cap():
         exact_measure(3, 2, HALF, FORB_K3, cap_bits=HARD_EXACT_CAP_BITS + 1)
 
 
+def test_feasibility_names_only_a_working_fallback():
+    # C(11,2) = 55 bits fits one sampled uint64; C(12,2) = 66 does not.
+    with pytest.raises(FeasibilityError, match="mc_measure"):
+        check_exact_feasible(11, 2)
+    with pytest.raises(FeasibilityError) as exc:
+        check_exact_feasible(12, 2)
+    assert "mc_measure" not in str(exc.value)
+    assert "no sampled fallback" in str(exc.value)
+    with pytest.raises(FeasibilityError, match="63 bits"):
+        mc_measure(12, 2, HALF, FORB_K3, samples=10, seed=0)
+
+
 def test_invalid_probability():
     with pytest.raises(ParameterError):
         exact_measure(3, 2, Fraction(3, 2), FORB_K3)
@@ -241,6 +255,44 @@ def test_mc_ci_contains_estimate_and_exact():
         if res.ci_low <= exact <= res.ci_high:
             hits_inside += 1
     assert hits_inside >= 17
+
+
+def _grid(samples_list):
+    for samples in samples_list:
+        for hits in sorted({0, 1, 2, samples // 3, samples // 2, samples - 2,
+                            samples - 1, samples}):
+            if 0 <= hits <= samples:
+                for level in (0.9, 0.95, 0.99):
+                    yield hits, samples, level
+
+
+CP_SAMPLES = [1, 2, 3, 5, 10, 99, 1000, 4000, 65_537, 10**5, 10**6,
+              12_345_678, 10**7, 10**8]
+
+
+def test_clopper_pearson_bitwise_matches_beta_ppf():
+    # The bounds used to come from scipy.stats.beta.ppf; the inverse
+    # regularized incomplete beta must give the very same floats.
+    from scipy.stats import beta
+
+    for hits, samples, level in _grid(CP_SAMPLES):
+        alpha = 1.0 - level
+        lo = 0.0 if hits == 0 else float(
+            beta.ppf(alpha / 2, hits, samples - hits + 1))
+        hi = 1.0 if hits == samples else float(
+            beta.ppf(1 - alpha / 2, hits + 1, samples - hits))
+        got = clopper_pearson(hits, samples, level)
+        assert [x.hex() for x in got] == [lo.hex(), hi.hex()], (
+            hits, samples, level)
+
+
+def test_clopper_pearson_matches_bisection_oracle():
+    for hits, samples, level in _grid([1, 2, 3, 7, 40, 500]):
+        got = clopper_pearson(hits, samples, level)
+        want = clopper_pearson_bisect(hits, samples, level)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=0), (
+                hits, samples, level)
 
 
 def test_mc_rejects_bad_arguments():
