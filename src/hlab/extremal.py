@@ -178,23 +178,49 @@ def _free_table(n: int, F: RUniformGraph) -> np.ndarray:
     return ~batch_contains(masks, n, 2, fam)
 
 
-def _submasks_ascending(mask: int) -> list:
-    subs = [0]
-    b = mask
-    while b:
-        low = b & -b
-        subs += [s | low for s in subs]
-        b ^= low
-    return sorted(subs)
+def _feasible_table(free: np.ndarray, nbits: int) -> np.ndarray:
+    """feasible[E]: some E0 inside ~E has free[E0 | X] for every X inside E.
+
+    A first pass, bit by bit, turns each binary digit of the mask into a
+    ternary one: 0 or 1 means the bit is outside E and set that way in
+    E0; 2 means the bit is in E, the AND of its two values, so that X
+    ranges over it.  A second pass ORs digits 0 and 1 into a binary
+    "outside E" digit and keeps digit 2 as "in E"; as it runs after all
+    of the first, E0 is chosen once for every X.  The first pass runs
+    from the low bit and the second from the high bit, so the large
+    steps work on long contiguous runs.  Peak memory is about 3^nbits
+    bytes.
+    """
+    table = free
+    for k in range(nbits):
+        low = table.reshape(-1, 2, 3 ** k)
+        table = np.empty((low.shape[0], 3, 3 ** k), dtype=bool)
+        table[:, :2] = low
+        np.logical_and(low[:, 0], low[:, 1], out=table[:, 2])
+    for k in range(nbits):
+        tern = table.reshape(2 ** k, 3, -1)
+        table = np.empty((2 ** k, 2, tern.shape[2]), dtype=bool)
+        np.logical_or(tern[:, 0], tern[:, 1], out=table[:, 0])
+        table[:, 1] = tern[:, 2]
+    return table.reshape(-1)
+
+
+def _submask_array(mask: int) -> np.ndarray:
+    """Every submask of `mask`, ascending."""
+    subs = np.zeros(1, dtype=np.int64)
+    for bit in range(mask.bit_length()):
+        if mask >> bit & 1:
+            subs = np.concatenate([subs, subs | (1 << bit)])
+    return subs
 
 
 def exstar(n: int, F: RUniformGraph) -> ExStarResult:
-    """Exact ex*(n, F) with a witness pair, by descending |E| search.
+    """Exact ex*(n, F) with a witness pair, by one subcube pass over the
+    free table (see `_feasible_table`).
 
-    Feasibility of E is monotone under shrinking E, so the first
-    feasible size is the maximum.  For each E, base candidates E0 are
-    prefiltered to F-free masks and then cut down X by X (vectorized);
-    ties return the colex-least (E, E0) masks.
+    The value is the largest |E| with a feasible E.  Ties return the
+    colex-least E of that size, then the colex-least E0 inside ~E that
+    keeps every X inside E free.
     """
     if F.r != 2:
         raise ParameterError(f"exstar is for r=2 graphs, got r={F.r}")
@@ -204,42 +230,26 @@ def exstar(n: int, F: RUniformGraph) -> ExStarResult:
         raise ParameterError("need n >= 1")
     free = _free_table(n, F)
     nbits = comb(n, 2)
-    full = (1 << nbits) - 1
+    feasible = _feasible_table(free, nbits)
+    if not feasible.any():
+        raise DegenerateGraphError(
+            "no edge set is feasible; every graph on n vertices induces F")
+    sizes = np.zeros(1, dtype=np.int8)
+    for _ in range(nbits):
+        sizes = np.concatenate([sizes, sizes + 1])
+    value = int(sizes[feasible].max())
+    e_mask = int(np.flatnonzero(feasible & (sizes == value))[0])
+    bases = _submask_array(((1 << nbits) - 1) ^ e_mask)
+    xs = _submask_array(e_mask)
+    safe = free[bases[:, None] | xs[None, :]].all(axis=1)
+    e0_mask = int(bases[np.argmax(safe)])
     pairs = subsets_colex(n, 2)
 
     def edges_of(mask: int) -> tuple:
         return tuple(pairs[i] for i in range(nbits) if mask >> i & 1)
 
-    for size in range(nbits, -1, -1):
-        for e_mask in _size_masks(nbits, size):
-            comp = full ^ e_mask
-            cands = np.array([e0 for e0 in _submasks_ascending(comp)
-                              if free[e0]], dtype=np.uint64)
-            if cands.size == 0:
-                continue
-            for x in _submasks_ascending(e_mask):
-                cands = cands[free[cands | np.uint64(x)]]
-                if cands.size == 0:
-                    break
-            if cands.size:
-                return ExStarResult(n=n, value=size, edges=edges_of(e_mask),
-                                    base_edges=edges_of(int(cands[0])))
-    raise DegenerateGraphError(
-        "no edge set is feasible; every graph on n vertices induces F")
-
-
-def _size_masks(nbits: int, size: int):
-    """All nbits-wide masks of given popcount, ascending (Gosper)."""
-    if size == 0:
-        yield 0
-        return
-    v = (1 << size) - 1
-    limit = 1 << nbits
-    while v < limit:
-        yield v
-        c = v & -v
-        r = v + c
-        v = (((r ^ v) >> 2) // c) | r
+    return ExStarResult(n=n, value=value, edges=edges_of(e_mask),
+                        base_edges=edges_of(e0_mask))
 
 
 def exstar_to_json_obj(res: ExStarResult) -> dict:

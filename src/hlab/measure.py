@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from .codec import _json_int, graph_from_json_obj, graph_to_json_obj
 from .errors import FeasibilityError, ParameterError, ParseError
 from .family import ForbiddenFamily, batch_contains, normalize_family
-from .rng import bernoulli_threshold, substream_blocks
+from .rng import bernoulli_masks, bernoulli_threshold
 
 DEFAULT_EXACT_CAP_BITS = 24
 HARD_EXACT_CAP_BITS = 30
@@ -217,21 +217,13 @@ def sample_masks(n: int, r: int, p, seed: int, count: int,
     """
     p = _validate_p(p)
     nbits = _space_bits(n, r)
-    threshold = bernoulli_threshold(p)
-    out = np.zeros(count, dtype=np.uint64)
-    if nbits == 0 or count == 0:
-        return out
     if nbits > _SAMPLE_MAX_BITS:
         raise FeasibilityError(
             f"vectorized sampling limited to C(n,r) <= {_SAMPLE_MAX_BITS} bits, "
             f"got {nbits}"
         )
-    if threshold >= 1 << 64:
-        return np.full(count, (1 << nbits) - 1, dtype=np.uint64)
-    draws = substream_blocks(seed, first_stream, count, nbits)
-    bits = (draws < np.uint64(threshold)).astype(np.uint64)
-    shifts = np.arange(nbits, dtype=np.uint64)
-    return (bits << shifts[None, :]).sum(axis=1, dtype=np.uint64)
+    return bernoulli_masks(seed, first_stream, count, nbits,
+                           bernoulli_threshold(p))
 
 
 def clopper_pearson(hits: int, samples: int, level: float) -> tuple:

@@ -15,9 +15,12 @@ with counter = 1, 2, 3, ... and all arithmetic mod 2**64.  Constants:
 
 The full generator state is the triple (seed, stream, counter).  For a
 fixed seed the map stream -> key is injective, so two substreams never
-share a state: substreams are non-overlapping by construction.  The
-same closed form drives the vectorised block API, which is therefore
-bit-identical to repeated scalar calls.
+share a state: substreams are non-overlapping by construction.  Every
+output is a closed form of (key, counter), so the vectorised APIs are
+bit-identical to repeated scalar calls: ``raw_u64_block`` evaluates one
+stream at a run of counters, and ``bernoulli_masks`` evaluates counter j
+across many streams at once, one bit column of the sampled masks at a
+time, without materialising the (streams x draws) output matrix.
 """
 
 from __future__ import annotations
@@ -43,10 +46,17 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+def _mix64_np(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """``mix64`` of each element of the uint64 array z, in place; tmp is
+    scratch space of z's shape."""
+    if tmp is None:
+        tmp = np.empty_like(z)
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, np.uint64(mult), out=z)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    return np.bitwise_xor(z, tmp, out=z)
 
 
 def stream_key(seed: int, stream: int) -> int:
@@ -69,16 +79,30 @@ def raw_u64_block(key: int, first_counter: int, count: int) -> np.ndarray:
     return _mix64_np(np.uint64(key) ^ _mix64_np(ctr * np.uint64(GAMMA_COUNTER)))
 
 
-def substream_blocks(seed: int, first_stream: int, count: int,
-                     draws: int) -> np.ndarray:
-    """Row i: the first `draws` outputs of substream first_stream + i.
+def bernoulli_masks(seed: int, first_stream: int, count: int, draws: int,
+                    threshold: int) -> np.ndarray:
+    """Bit j of mask i: output j+1 of substream first_stream + i is below
+    `threshold`, for j < draws <= 64.
 
-    Bit-identical to count separate Rng(seed, stream) instances, so
-    batch consumers are independent of how work is split.
+    Bit-identical to comparing count separate Rng(seed, stream) blocks,
+    so batch consumers are independent of how work is split.  Works
+    column by column on length-`count` buffers.
     """
+    if threshold >= 1 << 64:
+        return np.full(count, (1 << draws) - 1, dtype=np.uint64)
     keys = stream_keys(seed, np.arange(first_stream, first_stream + count))
-    ctr = np.arange(1, draws + 1, dtype=np.uint64) * np.uint64(GAMMA_COUNTER)
-    return _mix64_np(keys[:, None] ^ _mix64_np(ctr)[None, :])
+    thr = np.uint64(threshold)
+    masks = np.zeros(count, dtype=np.uint64)
+    z = np.empty_like(masks)
+    tmp = np.empty_like(masks)
+    below = np.empty(count, dtype=bool)
+    for j in range(draws):
+        np.bitwise_xor(keys, np.uint64(mix64((j + 1) * GAMMA_COUNTER)), out=z)
+        np.less(_mix64_np(z, tmp), thr, out=below)
+        tmp[:] = below
+        np.left_shift(tmp, np.uint64(j), out=tmp)
+        np.bitwise_or(masks, tmp, out=masks)
+    return masks
 
 
 def bernoulli_threshold(p) -> int:
@@ -125,7 +149,19 @@ class Rng:
                 return u % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by this stream."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.random_below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle driven by this stream.
+
+        Same permutation and counter as drawing each swap index with
+        ``random_below``: the draws for positions i..1 come in one block,
+        and a rejected draw restarts the block just past it.
+        """
+        pos = len(items) - 1
+        while pos > 0:
+            for u in raw_u64_block(self._key, self._counter + 1, pos).tolist():
+                self._counter += 1
+                m = pos + 1
+                if u >= ((1 << 64) // m) * m:
+                    break
+                j = u % m
+                items[pos], items[j] = items[j], items[pos]
+                pos -= 1

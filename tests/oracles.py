@@ -11,6 +11,7 @@ from itertools import combinations, permutations, product
 from math import comb
 
 import mpmath
+import numpy as np
 
 from hlab.hypergraph import RUniformGraph
 
@@ -146,6 +147,30 @@ def clopper_pearson_bisect(hits: int, samples: int, level: float) -> tuple:
     return lo, hi
 
 
+def substream_blocks(seed: int, first_stream: int, count: int,
+                     draws: int) -> np.ndarray:
+    """Row i: the first `draws` outputs of substream first_stream + i, as
+    the whole (count x draws) matrix, from the closed form the generator
+    documents (key = mix64(seed ^ mix64(stream * GAMMA_STREAM)), output j
+    = mix64(key ^ mix64(j * GAMMA_COUNTER)), j = 1, 2, ...)."""
+    def mix(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    streams = np.arange(first_stream, first_stream + count, dtype=np.uint64)
+    keys = mix(np.uint64(seed) ^ mix(streams * np.uint64(0x9E3779B97F4A7C15)))
+    ctr = np.arange(1, draws + 1, dtype=np.uint64) * np.uint64(0xD1B54A32D192ED03)
+    return mix(keys[:, None] ^ mix(ctr)[None, :])
+
+
+def shuffle_scalar(rng, items: list) -> None:
+    """Fisher-Yates from the top, one `random_below` draw per position."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.random_below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 def naive_measure(n: int, r: int, p, sat) -> Fraction:
     """Sum of graph probabilities over satisfying masks, one by one."""
     p = Fraction(p)
@@ -258,21 +283,28 @@ def submasks(mask: int) -> list:
     return subs
 
 
-def exstar_exhaustive(n: int, F: RUniformGraph) -> int:
-    """Full scan over every (E, E0) pair with a precomputed free table."""
+def exstar_witness_exhaustive(n: int, F: RUniformGraph) -> tuple:
+    """(ex*, E, E0) by a full scan over every (E, E0) pair with a
+    precomputed free table; E is the colex-least edge set of the largest
+    feasible size and E0 the colex-least base that works for it.  Masks
+    are read in colex rank order, so colex order is integer order."""
     nbits = comb(n, 2)
     free = free_table_naive(n, F)
     full = (1 << nbits) - 1
-    best = -1
+    best = (-1, None, None)
     for e_mask in range(1 << nbits):
-        if e_mask.bit_count() <= best:
+        if e_mask.bit_count() <= best[0]:
             continue
         xs = submasks(e_mask)
-        for e0 in submasks(full ^ e_mask):
+        for e0 in sorted(submasks(full ^ e_mask)):
             if all(free[e0 | x] for x in xs):
-                best = e_mask.bit_count()
+                best = (e_mask.bit_count(), e_mask, e0)
                 break
     return best
+
+
+def exstar_exhaustive(n: int, F: RUniformGraph) -> int:
+    return exstar_witness_exhaustive(n, F)[0]
 
 
 def max_edges_clique_free(n: int, k: int) -> int:

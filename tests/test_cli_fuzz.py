@@ -163,8 +163,8 @@ def int_lists(elements):
 
 
 # Values each flag may take.  Counts that set the amount of work stay
-# small: --workers 1-2 (threads), --samples <= 10^4, and --n <= 5
-# (exstar alone takes about 2 s at n = 6).
+# small: --workers 1-2 (threads), --samples <= 10^4, and --n <= 5, so
+# an r = 2 mask space (exstar's free table too) has at most 2^10 masks.
 FILES = ("k3", "graph", "k4_3", "system", "instance", "predicate",
          "missing", "dir")
 VALUES = {

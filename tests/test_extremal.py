@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from hlab.errors import (DegenerateGraphError, FeasibilityError, InputError,
                          ParameterError, SizeLimitError)
-from hlab.extremal import (exstar, exstar_to_json_obj, predicted_c_half, tau,
-                           tau_to_json_obj, witness_check)
+from hlab.extremal import (ExStarResult, exstar, exstar_to_json_obj,
+                           predicted_c_half, tau, tau_to_json_obj,
+                           witness_check)
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph)
 
-from oracles import (check_partition, exstar_exhaustive, max_edges_clique_free,
-                     tau_exhaustive)
+from oracles import (check_partition, exstar_exhaustive,
+                     exstar_witness_exhaustive, max_edges_clique_free,
+                     tau_exhaustive, unrank_subset)
 
 K3 = complete_graph(3, 2)
 K4 = complete_graph(4, 2)
@@ -160,6 +162,30 @@ def test_witness_downward_closure(data):
         sub = data.draw(st.sets(st.sampled_from(sorted(e)), max_size=len(e))
                         if e else st.just(set()))
         assert witness_check(n, K3, sorted(sub), sorted(e0)).ok
+
+
+@pytest.mark.parametrize("F", [
+    complete_graph(2, 2), K3, P3,
+    graph_from_edges(4, 2, [(0, 1), (1, 2), (2, 3)]), C4, K4,
+    RUniformGraph(3, 2, 0)], ids=["K2", "K3", "P3", "P4", "C4", "K4", "E3"])
+def test_exstar_result_matches_witness_oracle(F):
+    for n in range(1, 6):
+        value, e_mask, e0_mask = exstar_witness_exhaustive(n, F)
+        pairs = [unrank_subset(k, 2) for k in range(comb(n, 2))]
+
+        def edges(mask):
+            return tuple(pairs[k] for k in range(len(pairs)) if mask >> k & 1)
+
+        assert exstar(n, F) == ExStarResult(
+            n=n, value=value, edges=edges(e_mask), base_edges=edges(e0_mask))
+
+
+def test_exstar_n6_triangle_pinned():
+    assert exstar(6, K3) == ExStarResult(
+        n=6, value=9,
+        edges=((0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (0, 5), (1, 5),
+               (2, 5)),
+        base_edges=())
 
 
 def test_exstar_triangle_values():

@@ -19,7 +19,7 @@ from hlab.measure import (HARD_EXACT_CAP_BITS, EdgePredicate,
                           sample_masks)
 
 from oracles import (clopper_pearson_bisect, naive_measure, naive_satisfies,
-                     triangle_free_measure)
+                     substream_blocks, triangle_free_measure)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -316,6 +316,42 @@ def test_sample_masks_extreme_p():
     assert set(sample_masks(4, 2, Fraction(1), seed=0, count=5).tolist()) == {
         (1 << comb(4, 2)) - 1}
     assert set(sample_masks(4, 2, Fraction(0), seed=0, count=5).tolist()) == {0}
+
+
+def _oracle_masks(n, r, p, seed, count, first_stream):
+    draws = substream_blocks(seed, first_stream, count, comb(n, r))
+    bits = draws < np.uint64(p * 2**64 // 1) if p < 1 else (
+        np.ones(draws.shape, dtype=bool))
+    shifts = np.arange(draws.shape[1], dtype=np.uint64)
+    return (bits.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("n,r", [(11, 2), (8, 3)])
+@pytest.mark.parametrize("p", [Fraction(0), THIRD, HALF, Fraction(1)])
+@pytest.mark.parametrize("count", [1, (1 << 16) + 3])
+def test_sample_masks_bitwise_oracles(n, r, p, count):
+    from hlab.hypergraph import random_graph
+    from hlab.rng import Rng
+
+    first = 70_001
+    masks = sample_masks(n, r, p, seed=5, count=count, first_stream=first)
+    assert masks.dtype == np.uint64
+    assert masks.tolist() == _oracle_masks(n, r, p, 5, count, first).tolist()
+    for i in sorted({0, count // 2, count - 1, min(1 << 16, count - 1)}):
+        g = random_graph(n, r, p, Rng(seed=5, stream=first + i))
+        assert int(masks[i]) == g.edge_mask
+
+
+@pytest.mark.parametrize("p,pred", [(Fraction(1, 8), FORB_K3),
+                                    (HALF, EdgePredicate.max_edges(27))])
+def test_mc_hits_past_one_chunk(p, pred):
+    samples = (1 << 16) + 3
+    runs = [mc_measure(11, 2, p, pred, samples=samples, seed=4, workers=w)
+            for w in (1, 2)]
+    want = int(pred.batch(_oracle_masks(11, 2, p, 4, samples, 0), 11, 2).sum())
+    assert 0 < want < samples
+    assert [res.hits for res in runs] == [want, want]
+    assert runs[0] == runs[1]
 
 
 @given(SPACES)

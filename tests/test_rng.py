@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hlab.rng as rng_module
 from hlab.errors import ParameterError
-from hlab.rng import (Rng, bernoulli_threshold, raw_u64, raw_u64_block,
-                      stream_key, substream_blocks)
+from hlab.rng import (Rng, bernoulli_masks, bernoulli_threshold, raw_u64,
+                      raw_u64_block, stream_key)
+
+from oracles import shuffle_scalar, substream_blocks
 
 
 def test_same_seed_same_sequence():
@@ -43,6 +46,17 @@ def test_substream_blocks_rows():
         assert rows[i].tolist() == Rng(99, 10 + i).u64_block(12).tolist()
 
 
+@pytest.mark.parametrize("draws", [0, 1, 55, 64])
+@pytest.mark.parametrize("threshold", [0, 1, 1 << 62, (1 << 64) - 1, 1 << 64])
+def test_bernoulli_masks_match_row_oracle(draws, threshold):
+    masks = bernoulli_masks(99, 10, 300, draws, threshold)
+    rows = substream_blocks(99, first_stream=10, count=300, draws=draws)
+    want = [sum(1 << j for j, u in enumerate(row) if u < threshold)
+            for row in rows.tolist()]
+    assert masks.dtype == np.uint64
+    assert masks.tolist() == want
+
+
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32), st.integers(0, 2**32))
 def test_distinct_streams_disagree(seed, s1, s2):
     if s1 == s2:
@@ -71,6 +85,45 @@ def test_shuffle_deterministic():
     Rng(8, 2).shuffle(a)
     Rng(8, 2).shuffle(b)
     assert a == b
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 7, 35, 455])
+def test_shuffle_matches_scalar_oracle(size):
+    for seed in range(20):
+        fast, slow = Rng(seed, size), Rng(seed, size)
+        a, b = list(range(size)), list(range(size))
+        fast.shuffle(a)
+        shuffle_scalar(slow, b)
+        assert a == b
+        assert fast.next_u64() == slow.next_u64()
+
+
+@pytest.mark.parametrize("bad", [{1}, {1, 2}, {3, 4, 5}, {1, 4, 9}, {6, 11}])
+def test_shuffle_rejections_match_scalar_oracle(monkeypatch, bad):
+    # 2^64 - 1 is rejected for every bound m that is not a power of two;
+    # for m <= 512, real draws land there with probability below 2^-55.
+    top = (1 << 64) - 1
+    raw, block = rng_module.raw_u64, rng_module.raw_u64_block
+
+    def patched_raw(key, counter):
+        return top if counter in bad else raw(key, counter)
+
+    def patched_block(key, first, count):
+        out = block(key, first, count)
+        for c in bad:
+            if first <= c < first + count:
+                out[c - first] = np.uint64(top)
+        return out
+
+    monkeypatch.setattr(rng_module, "raw_u64", patched_raw)
+    monkeypatch.setattr(rng_module, "raw_u64_block", patched_block)
+    fast, slow = Rng(3, 1), Rng(3, 1)
+    a, b = list(range(10)), list(range(10))
+    fast.shuffle(a)
+    shuffle_scalar(slow, b)
+    assert a == b
+    assert fast._counter == slow._counter > 9
+    assert fast.next_u64() == slow.next_u64()
 
 
 def test_bernoulli_threshold_exact_dyadic():
