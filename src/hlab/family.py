@@ -206,26 +206,27 @@ def _gather_kernel(n: int, h: int, r: int, lookup: np.ndarray, wanted: list):
     return run
 
 
-def _contains_columns(masks: np.ndarray, n: int, r: int, fam: ForbiddenFamily,
-                      vsets) -> np.ndarray:
-    """Row i: 'some member is induced inside vsets[i]', one entry per mask.
+def _contains_rows(n: int, r: int, fam: ForbiddenFamily, vsets,
+                   through: int | None = None):
+    """Build the row kernels once; run(masks) returns _contains_columns.
 
     Each h-subset's row is evaluated once and its hits are ORed into every
-    vertex set containing the subset.  Per order, the masked compare costs
-    1 + 2|orbit| elementwise passes per row and the sliced-table gather
-    2 * slices + 1 gather passes; the cheaper one runs.
+    vertex set containing the subset; with `through`, only the h-subsets
+    containing that vertex become rows.  Per order, the masked compare
+    costs 1 + 2|orbit| elementwise passes per row and the sliced-table
+    gather 2 * slices + 1 gather passes; the cheaper one runs.
     """
     if fam.r != r:
         raise ParameterError(f"uniformity mismatch: space r={r}, family r={fam.r}")
     vsets = [_vertex_set(s, n) for s in vsets]
-    cols = np.zeros((len(vsets), masks.shape[0]), dtype=bool)
     nslices = _slice_count(n, r)
     orders = []
     for h in fam.orders():
         owners: dict = {}
         for i, vset in enumerate(vsets):
             for sub in combinations(vset, h):
-                owners.setdefault(sub, []).append(i)
+                if through is None or through in sub:
+                    owners.setdefault(sub, []).append(i)
         if not owners:
             continue
         wanted = [rank_subset(sub, h) for sub in owners]
@@ -235,13 +236,24 @@ def _contains_columns(masks: np.ndarray, n: int, r: int, fam: ForbiddenFamily,
         else:
             kernel = _gather_kernel(n, h, r, family_orbit_lookup(fam, h), wanted)
         orders.append((kernel, list(owners.values())))
-    for lo in range(0, masks.shape[0], _BLOCK_MASKS):
-        block = masks[lo:lo + _BLOCK_MASKS]
-        for kernel, owner_sets in orders:
-            for hit, sets in zip(kernel(block), owner_sets):
-                for i in sets:
-                    cols[i, lo:lo + _BLOCK_MASKS] |= hit
-    return cols
+
+    def run(masks: np.ndarray) -> np.ndarray:
+        cols = np.zeros((len(vsets), masks.shape[0]), dtype=bool)
+        for lo in range(0, masks.shape[0], _BLOCK_MASKS):
+            block = masks[lo:lo + _BLOCK_MASKS]
+            for kernel, owner_sets in orders:
+                for hit, sets in zip(kernel(block), owner_sets):
+                    for i in sets:
+                        cols[i, lo:lo + _BLOCK_MASKS] |= hit
+        return cols
+    return run
+
+
+def _contains_columns(masks: np.ndarray, n: int, r: int, fam: ForbiddenFamily,
+                      vsets, through: int | None = None) -> np.ndarray:
+    """Row i: 'some member is induced inside vsets[i]', one entry per mask;
+    with `through`, only copies containing that vertex count."""
+    return _contains_rows(n, r, fam, vsets, through)(masks)
 
 
 def batch_contains(masks: np.ndarray, n: int, r: int, fam: ForbiddenFamily,

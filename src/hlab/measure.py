@@ -1,15 +1,22 @@
 """Exact and Monte-Carlo measures of graph classes in G(n,p).
 
-mu_k(C) = Pr[G(k,p) in C].  The exact path enumerates every edge_mask,
-histograms satisfying masks by edge count, and evaluates
-sum_e count_e * p^e * (1-p)^(N-e) in exact rational arithmetic; p is a
-rational input throughout.  Entropy constants c_n = -log2(mu_n)/C(n,r)
-are computed in 96-bit mpmath arithmetic (round-to-nearest), well above
-the 50-bit contract.
+mu_k(C) = Pr[G(k,p) in C].  The exact path histograms the masks of C by
+edge count and evaluates sum_e count_e * p^e * (1-p)^(N-e) in exact
+rational arithmetic; p is a rational input throughout.  Entropy
+constants c_n = -log2(mu_n)/C(n,r) are computed in 96-bit mpmath
+arithmetic (round-to-nearest), well above the 50-bit contract.
 
-Enumeration is chunked on a fixed grid of at most 2^20 masks; worker
-count only schedules chunks, so results are bit-identical for any
-worker count.
+A hereditary class (a predicate kind with an extension rule: `forb`,
+`max_edges`, and intersections of those) is built one vertex at a time.
+In the colex layout the low C(k-1,r) bits of a k-vertex mask are
+G[0..k-2], so the level-k candidates are the level-(k-1) survivors ORed
+with every choice of edges through vertex k-1, and only the copies
+through that vertex are tested.  One pass yields the histogram of every
+level up to n.  Every other predicate is evaluated on each of the
+2^C(n,r) masks, chunked on a fixed grid of at most 2^20 masks.  The
+extension walks its frontiers in fixed slices that together hold at
+most 2^20 masks.  Worker count only schedules chunks and slices, and
+histograms add, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb
 from operator import index
 from typing import NamedTuple
@@ -28,7 +35,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .codec import _json_int, graph_from_json_obj, graph_to_json_obj
 from .errors import FeasibilityError, ParameterError, ParseError
-from .family import ForbiddenFamily, batch_contains, normalize_family
+from .family import (_BLOCK_MASKS, ForbiddenFamily, _contains_rows,
+                     batch_contains, normalize_family)
 from .rng import bernoulli_masks, bernoulli_threshold
 
 DEFAULT_EXACT_CAP_BITS = 24
@@ -173,19 +181,58 @@ def _edge_histogram(pred, n: int, r: int, nbits: int, workers: int) -> list:
     return hist
 
 
+def _extension_histograms(rules: list, r: int, workers: int) -> list:
+    """Edge histogram of the class at every level k = 0..len(rules)-1.
+
+    rules[k] maps level-k candidates (whose first k-1 vertices induce a
+    member of the class) to a keep column.  The frontiers are walked
+    depth first in slices of at most `budget` candidates, so the stack
+    holds one slice's survivors per level: at most 2^20 masks in all.
+    """
+    n = len(rules) - 1
+    hists = [np.zeros(comb(k, r) + 1, dtype=np.int64) for k in range(n + 1)]
+    budget = max(1, (1 << _BLOCK_BITS) // (n + 1))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        apply = pool.map if workers > 1 else map
+
+        def survivors(k: int, cand: np.ndarray) -> np.ndarray:
+            blocks = [cand[i:i + _BLOCK_MASKS]
+                      for i in range(0, cand.shape[0], _BLOCK_MASKS)]
+            surv = cand[np.concatenate(list(apply(rules[k], blocks)))]
+            hists[k] += np.bincount(np.bitwise_count(surv),
+                                    minlength=hists[k].shape[0])
+            return surv
+
+        stack = [(0, survivors(0, np.zeros(1, dtype=np.uint64)), 0)]
+        while stack:
+            k, front, pos = stack.pop()
+            if k == n or front.shape[0] == 0:
+                continue
+            width = comb(k, r - 1)  # edges through vertex k, from bit C(k, r)
+            end = min(pos + budget, front.shape[0] << width)
+            if end < front.shape[0] << width:
+                stack.append((k, front, end))
+            idx = np.arange(pos, end, dtype=np.uint64)
+            choice = (idx & np.uint64((1 << width) - 1)) << np.uint64(comb(k, r))
+            cand = front[idx >> np.uint64(width)] | choice
+            stack.append((k + 1, survivors(k + 1, cand), 0))
+    return [h.tolist() for h in hists]
+
+
+@lru_cache(maxsize=None)
 def weight_powers(p: Fraction, nbits: int) -> tuple:
-    """(p^e)_e and ((1-p)^e)_e as exact rationals."""
+    """w_e = p^e (1-p)^(nbits-e), the probability of one mask with e
+    edges, as exact rationals; cached per (p, nbits)."""
     q = 1 - p
     pe, qe = [Fraction(1)], [Fraction(1)]
     for _ in range(nbits):
         pe.append(pe[-1] * p)
         qe.append(qe[-1] * q)
-    return pe, qe
+    return tuple(a * b for a, b in zip(pe, reversed(qe)))
 
 
 def value_from_histogram(hist, p: Fraction, nbits: int) -> Fraction:
-    pe, qe = weight_powers(p, nbits)
-    return sum((hist[e] * pe[e] * qe[nbits - e] for e in range(nbits + 1)),
+    return sum((c * w for c, w in zip(hist, weight_powers(p, nbits))),
                Fraction(0))
 
 
@@ -198,14 +245,33 @@ def log2_fraction(x: Fraction):
         )
 
 
-def exact_measure(n: int, r: int, p, pred, cap_bits: int | None = None,
-                  workers: int = 1) -> MeasureResult:
-    """Exact mu_n(pred) by full mask enumeration; deterministic."""
-    p = _validate_p(p)
-    nbits = check_exact_feasible(n, r, cap_bits)
-    hist = _edge_histogram(pred, n, r, nbits, workers)
+def _extension_rule(pred, k: int, r: int):
+    """The keep-column rule of level k for a hereditary pred, else None."""
+    extend = _KINDS[pred.kind].extend
+    return None if extend is None else extend(pred, k, r)
+
+
+def _extension_rules(pred, n: int, r: int) -> list | None:
+    """Rules for levels 0..n, each built once; None when pred has none."""
+    rules = [_extension_rule(pred, k, r) for k in range(n + 1)]
+    return None if rules[0] is None else rules
+
+
+def _exact_result(hist, p: Fraction, nbits: int) -> MeasureResult:
     value = value_from_histogram(hist, p, nbits)
     return MeasureResult(value=value, method="exact", log2_value=log2_fraction(value))
+
+
+def exact_measure(n: int, r: int, p, pred, cap_bits: int | None = None,
+                  workers: int = 1) -> MeasureResult:
+    """Exact mu_n(pred); deterministic.  A hereditary pred is built vertex
+    by vertex, any other by full mask enumeration."""
+    p = _validate_p(p)
+    nbits = check_exact_feasible(n, r, cap_bits)
+    rules = _extension_rules(pred, n, r)
+    hist = (_edge_histogram(pred, n, r, nbits, workers) if rules is None
+            else _extension_histograms(rules, r, workers)[n])
+    return _exact_result(hist, p, nbits)
 
 
 def sample_masks(n: int, r: int, p, seed: int, count: int,
@@ -280,13 +346,32 @@ def cn_from_measure(n: int, r: int, mu: Fraction):
 
 def cn_sequence(fam: ForbiddenFamily, p, n_list, cap_bits: int | None = None,
                 workers: int = 1) -> list:
-    """Entropy points c_n = -log2(mu_n(Forb(fam)))/C(n,r), exact input only."""
-    pred = EdgePredicate.forb(fam)
-    out = []
+    """Entropy points c_n = -log2(mu_n(Forb(fam)))/C(n,r), exact input only.
+
+    One vertex-extension pass up to the largest n yields every point.
+    Errors come in list order, as if each n were measured on its own.
+    """
+    r = fam.r
+    if n_list:
+        p = _validate_p(p)
+    sizes, failure = [], None
     for n in n_list:
-        res = exact_measure(n, fam.r, p, pred, cap_bits=cap_bits, workers=workers)
-        out.append(EntropyPoint(n=n, measure=res,
-                                c_n=cn_from_measure(n, fam.r, res.value)))
+        try:
+            sizes.append((n, check_exact_feasible(n, r, cap_bits)))
+        except (ParameterError, FeasibilityError) as exc:
+            failure = exc
+            break
+    out = []
+    if sizes:
+        rules = _extension_rules(EdgePredicate.forb(fam),
+                                 max(n for n, _ in sizes), r)
+        hists = _extension_histograms(rules, r, workers)
+        for n, nbits in sizes:
+            res = _exact_result(hists[n], p, nbits)
+            out.append(EntropyPoint(n=n, measure=res,
+                                    c_n=cn_from_measure(n, r, res.value)))
+    if failure is not None:
+        raise failure
     return out
 
 
@@ -329,12 +414,32 @@ def _explicit_batch(pred, masks, n, r):
     return np.isin(masks, wanted)
 
 
+def _forb_extension(pred, k: int, r: int):
+    run = _contains_rows(k, r, pred.family, [range(k)], through=k - 1)
+    return lambda masks: ~run(masks)[0]
+
+
+def _intersection_extension(pred, k: int, r: int):
+    rules = []
+    for q in pred.parts:
+        rule = _extension_rule(q, k, r)
+        if rule is None:
+            return None
+        rules.append(rule)
+    return lambda masks: reduce(np.logical_and, (f(masks) for f in rules),
+                                np.ones(masks.shape, dtype=bool))
+
+
 class _Kind(NamedTuple):
-    """One predicate kind: batch rule, JSON operands, and their parser."""
+    """One predicate kind: batch rule, JSON operands, their parser, and
+    the extension rule of a hereditary kind."""
 
     batch: Callable     # (pred, masks, n, r) -> boolean column
     operands: Callable  # pred -> JSON fields after "kind"
     parse: Callable     # JSON object -> EdgePredicate
+    # (pred, k, r) -> keep column over level-k candidates, or None; None
+    # for a kind that is not closed under induced subgraphs
+    extend: Callable | None = None
 
 
 _KINDS = {
@@ -345,7 +450,8 @@ _KINDS = {
     "max_edges": _Kind(
         lambda p, masks, n, r: np.bitwise_count(masks) <= p.k,
         lambda p: {"k": p.k},
-        lambda o: EdgePredicate.max_edges(_json_int(o["k"]))),
+        lambda o: EdgePredicate.max_edges(_json_int(o["k"])),
+        lambda p, k, r: lambda masks: p.batch(masks, k, r)),
     "explicit": _Kind(
         _explicit_batch,
         lambda p: {"masks": sorted(p.masks)},
@@ -353,7 +459,8 @@ _KINDS = {
     "forb": _Kind(
         lambda p, masks, n, r: ~batch_contains(masks, n, r, p.family),
         lambda p: {"family": family_to_json_obj(p.family)},
-        lambda o: EdgePredicate.forb(family_from_json_obj(o["family"]))),
+        lambda o: EdgePredicate.forb(family_from_json_obj(o["family"])),
+        _forb_extension),
     "contains": _Kind(
         lambda p, masks, n, r: batch_contains(masks, n, r, p.family,
                                               within=p.within),
@@ -369,7 +476,8 @@ _KINDS = {
             np.ones(masks.shape, dtype=bool)),
         lambda p: {"parts": [predicate_to_json_obj(q) for q in p.parts]},
         lambda o: EdgePredicate.intersection(
-            predicate_from_json_obj(q) for q in o["parts"])),
+            predicate_from_json_obj(q) for q in o["parts"]),
+        _intersection_extension),
     "complement": _Kind(
         lambda p, masks, n, r: ~p.inner.batch(masks, n, r),
         lambda p: {"inner": predicate_to_json_obj(p.inner)},

@@ -138,11 +138,12 @@ def _packing(r: int, m: int, n: int, seed: int, stream: int = 0,
     block whose r-subsets are all uncovered, so the result is maximal.
     """
     rng = Rng(seed, stream)
-    threshold = np.uint64(bernoulli_threshold(bite))
     subs = subsets_colex(n, m)
     rows = _block_rank_rows(n, m, r)
     covered = bytearray(comb(n, r))
     blocks: list = []
+    # Only a round compares draws with the threshold.
+    threshold = np.uint64(bernoulli_threshold(bite)) if rounds else None
     for _ in range(rounds):
         draws = rng.u64_block(len(subs))
         sampled = np.nonzero(draws < threshold)[0]

@@ -177,11 +177,11 @@ def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
         for k, c in zip(uniq.tolist(), counts.tolist()):
             agg[k] = agg.get(k, 0) + c
         theta_hists += hists
-    pe, qe = weight_powers(p, nbits)
+    weight = weight_powers(p, nbits)
     cells: dict = {}
     for k in sorted(agg):
         s, e = divmod(k, nbits + 1)
-        cells[s] = cells.get(s, Fraction(0)) + agg[k] * pe[e] * qe[nbits - e]
+        cells[s] = cells.get(s, Fraction(0)) + agg[k] * weight[e]
     total = sum(cells.values(), Fraction(0))
     weighted = sum((s.bit_count() * v for s, v in cells.items()), Fraction(0))
     theta = tuple(value_from_histogram(h.tolist(), p, nbits)

@@ -82,11 +82,14 @@ def naive_count_induced(G: RUniformGraph, members) -> int:
     return total
 
 
-def naive_contains(G: RUniformGraph, members, within=None) -> bool:
-    """Some member is induced on vertices of G (of `within` when given)."""
+def naive_contains(G: RUniformGraph, members, within=None,
+                   through=None) -> bool:
+    """Some member is induced on vertices of G (of `within` when given),
+    on a vertex set containing `through` when that is given."""
     verts = range(G.n) if within is None else sorted(within)
     return any(is_induced_copy(G, d, m)
-               for m in members for d in combinations(verts, m.n))
+               for m in members for d in combinations(verts, m.n)
+               if through is None or through in d)
 
 
 def naive_graph(obj: dict) -> RUniformGraph:
@@ -181,6 +184,20 @@ def naive_measure(n: int, r: int, p, sat) -> Fraction:
             e = mask.bit_count()
             total += p ** e * (1 - p) ** (nbits - e)
     return total
+
+
+def naive_level_histograms(n: int, r: int, sat) -> list:
+    """hists[k][e]: masks of the (k, r) space with e edges whose graph
+    satisfies sat, for k = 0..n, each mask tested on its own."""
+    hists = []
+    for k in range(n + 1):
+        nbits = comb(k, r)
+        hist = [0] * (nbits + 1)
+        for mask in range(1 << nbits):
+            if sat(RUniformGraph(k, r, mask)):
+                hist[mask.bit_count()] += 1
+        hists.append(hist)
+    return hists
 
 
 def triangle_free_measure(n: int, p) -> Fraction:

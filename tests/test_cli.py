@@ -427,12 +427,40 @@ def test_cap_only_where_a_mask_space_is_scanned(files, capsys, argv):
 @pytest.mark.parametrize("family", ["p5", "c4"])
 def test_full_scan_byte_identical_across_workers(files, capsys, family):
     # P5 (orbit 60) takes the sliced-table gather, C4 (orbit 3) the masked
-    # compare; 2^21 masks make several chunks for the workers to split.
-    base = ["measure", "--n", "7", "--r", "2", "--p", "1/3",
-            "--forb", files[family]]
-    outs = [run(capsys, base + ["--workers", w]) for w in ("1", "2")]
-    assert outs[0][0] == outs[1][0] == 0
-    assert outs[0][1] == outs[1][1]
+    # compare.  --contains is not hereditary, so its 2^21 masks make
+    # several chunks of the full scan for the workers to split; --forb
+    # runs the vertex extension, several 2^16-candidate blocks at n = 7.
+    for flag in ("--contains", "--forb"):
+        base = ["measure", "--n", "7", "--r", "2", "--p", "1/3",
+                flag, files[family]]
+        outs = [run(capsys, base + ["--workers", w]) for w in ("1", "2")]
+        assert outs[0][0] == outs[1][0] == 0
+        assert outs[0][1] == outs[1][1]
+
+
+def test_extension_byte_identical_across_workers(files, capsys, tmp_path):
+    from hlab.family import normalize_family
+    from hlab.measure import predicate_to_json_obj
+
+    pred = EdgePredicate.intersection([
+        EdgePredicate.max_edges(12), EdgePredicate.forb(normalize_family([P5]))])
+    pred_file = tmp_path / "pred.json"
+    pred_file.write_text(json.dumps(predicate_to_json_obj(pred)))
+    cn = ["cn", "--family", files["c4"], "--p", "1/3", "--n-list", "7,3,5"]
+    measure = ["measure", "--n", "7", "--r", "2", "--p", "1/3",
+               "--forb", files["c4"]]
+    capped = ["measure", "--n", "7", "--r", "2", "--p", "1/2",
+              "--predicate", str(pred_file)]
+    for base in (cn, measure, capped):
+        outs = [run(capsys, base + ["--workers", w]) for w in ("1", "2")]
+        assert outs[0][0] == 0
+        assert outs[0] == outs[1]
+    # The one cn pass gives each n the value measure computes for it alone.
+    points = run_json(capsys, cn)
+    assert [pt["n"] for pt in points] == [7, 3, 5]
+    for pt in points:
+        alone = run_json(capsys, measure[:2] + [str(pt["n"])] + measure[3:])
+        assert pt["mu"] == alone["value"]
 
 
 _EXPLICIT = ["measure", "--n", "4", "--r", "2", "--p", "1/2",

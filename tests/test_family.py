@@ -251,13 +251,17 @@ def test_row_kernels_match_oracle(members, r, ns, max_size, data):
         data.draw(st.lists(st.integers(0, (1 << comb(n, r)) - 1),
                            min_size=1, max_size=4)),
         dtype=np.uint64)
+    through = data.draw(st.integers(0, n - 1))
     cols = _contains_columns(masks, n, r, fam, vsets)
+    cols_through = _contains_columns(masks, n, r, fam, vsets, through=through)
     for k, mask in enumerate(masks.tolist()):
         G = RUniformGraph(n=n, r=r, edge_mask=int(mask))
         for i, vset in enumerate(vsets):
             expect = (len(vset) >= r and
                       naive_contains(induced_subgraph(G, vset), fam.members))
             assert cols[i, k] == expect
+            assert cols_through[i, k] == naive_contains(
+                G, fam.members, within=vset, through=through)
     # Both row kernels agree on every row, whichever one the selection runs.
     for h in fam.orders():
         every = list(range(comb(n, h)))

@@ -12,20 +12,25 @@ from hlab.errors import FeasibilityError, ParameterError, ParseError
 from hlab.family import normalize_family
 from hlab.hypergraph import RUniformGraph, complete_graph, graph_from_edges
 from hlab.measure import (HARD_EXACT_CAP_BITS, EdgePredicate,
-                          check_exact_feasible, clopper_pearson,
-                          cn_from_measure, cn_sequence, exact_measure,
-                          fraction_str, log2_fraction, mc_measure,
-                          predicate_from_json_obj, predicate_to_json_obj,
-                          sample_masks)
+                          _edge_histogram, _extension_histograms,
+                          _extension_rules, check_exact_feasible,
+                          clopper_pearson, cn_from_measure, cn_sequence,
+                          exact_measure, fraction_str, log2_fraction,
+                          mc_measure, predicate_from_json_obj,
+                          predicate_to_json_obj, sample_masks, weight_powers)
 
-from oracles import (clopper_pearson_bisect, naive_measure, naive_satisfies,
-                     substream_blocks, triangle_free_measure)
+from oracles import (clopper_pearson_bisect, naive_level_histograms,
+                     naive_measure, naive_satisfies, substream_blocks,
+                     triangle_free_measure)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 K3 = complete_graph(3, 2)
 P3 = graph_from_edges(3, 2, [(0, 1), (1, 2)])
 C4 = graph_from_edges(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)])
+P4 = graph_from_edges(4, 2, [(0, 1), (1, 2), (2, 3)])
+P5 = graph_from_edges(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)])
+K4_3 = complete_graph(4, 3)
 FORB_K3 = EdgePredicate.forb(normalize_family([K3]))
 
 
@@ -428,3 +433,149 @@ def test_forb_predicate_json_round_trip():
 def test_fraction_str():
     assert fraction_str(Fraction(7, 8)) == "7/8"
     assert fraction_str(Fraction(3)) == "3/1"
+
+
+# Orbits K3 1, C4 3, P4 12, P5 60, K4^(3) 1: both row kernels run on the
+# rows through the new vertex, and K4^(3) takes the r = 3 layout.
+EXTENSION_FAMILIES = {"K3": ([K3], 2), "C4": ([C4], 2), "P4": ([P4], 2),
+                      "P5": ([P5], 2), "K3+P5": ([K3, P5], 2),
+                      "K4_3": ([K4_3], 3)}
+
+
+def _level_histograms(pred, n, r, workers=1):
+    return _extension_histograms(_extension_rules(pred, n, r), r, workers)
+
+
+def _hereditary(members, k):
+    """Forb(F) and max_edges(k) ∧ Forb(F), the cap first so the naive
+    oracle tests few graphs for copies."""
+    forb = EdgePredicate.forb(normalize_family(members))
+    return [forb, EdgePredicate.intersection([EdgePredicate.max_edges(k), forb])]
+
+
+@pytest.mark.parametrize("name", EXTENSION_FAMILIES)
+def test_extension_levels_match_naive_oracle(name):
+    members, r = EXTENSION_FAMILIES[name]
+    for pred in _hereditary(members, 4):
+        obj = predicate_to_json_obj(pred)
+        want = naive_level_histograms(5, r, lambda G: naive_satisfies(obj, G))
+        assert _level_histograms(pred, 5, r) == want
+
+
+@pytest.mark.parametrize("name", EXTENSION_FAMILIES)
+def test_extension_levels_match_full_scan(name):
+    members, r = EXTENSION_FAMILIES[name]
+    n = 7 if r == 2 else 6
+    for pred in _hereditary(members, 9):
+        hists = _level_histograms(pred, n, r)
+        assert len(hists) == n + 1
+        for k, hist in enumerate(hists):
+            assert hist == _edge_histogram(pred, k, r, comb(k, r), 1)
+
+
+def test_triangle_free_labelled_counts_from_one_pass():
+    # OEIS A006785: labelled triangle-free graphs on 0..7 vertices.
+    hists = _level_histograms(FORB_K3, 7, 2)
+    assert [sum(h) for h in hists] == [1, 1, 2, 7, 41, 388, 5789, 133501]
+
+
+@pytest.mark.parametrize("p", [Fraction(0), THIRD, HALF, Fraction(1)])
+def test_extension_edge_cases_match_naive_measure(p):
+    cases = [
+        (3, 2, EdgePredicate.forb(normalize_family([P5]))),  # member order > n
+        (4, 2, EdgePredicate.forb(normalize_family([K3, P5]))),
+        (2, 3, EdgePredicate.forb(normalize_family([K4_3]))),  # n < r
+        (5, 3, EdgePredicate.forb(normalize_family([K4_3]))),
+        (0, 2, FORB_K3),
+        (1, 2, FORB_K3),
+        (4, 2, EdgePredicate.intersection([])),
+        (4, 2, EdgePredicate.max_edges(-1)),  # empty from level 0 on
+        (4, 2, EdgePredicate.intersection([FORB_K3, EdgePredicate.max_edges(3)])),
+        (4, 2, EdgePredicate.intersection(
+            [EdgePredicate.intersection([FORB_K3]),
+             EdgePredicate.forb(normalize_family([P4]))])),
+    ]
+    for n, r, pred in cases:
+        obj = predicate_to_json_obj(pred)
+        want = naive_measure(n, r, p, lambda G: naive_satisfies(obj, G))
+        assert exact_measure(n, r, p, pred).value == want
+
+
+def test_weight_powers_are_mask_probabilities():
+    for p in (Fraction(0), THIRD, Fraction(1)):
+        assert weight_powers(p, 6) == tuple(p ** e * (1 - p) ** (6 - e)
+                                            for e in range(7))
+
+
+def test_extension_memory_within_one_scan_chunk():
+    # r = 1 doubles every level, and max_edges(22) keeps all 2^22 masks at
+    # n = 22: the widest frontiers an extension can meet.  Its peak must
+    # stay within the full scan's (min_edges(0), the same class).
+    import tracemalloc
+
+    def traced(pred):
+        tracemalloc.start()
+        try:
+            value = exact_measure(22, 1, HALF, pred, cap_bits=22).value
+            return value, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ext_value, ext_peak = traced(EdgePredicate.max_edges(22))
+    scan_value, scan_peak = traced(EdgePredicate.min_edges(0))
+    assert ext_value == scan_value == 1
+    assert ext_peak <= scan_peak
+
+
+def test_extension_errors_unchanged():
+    with pytest.raises(ParameterError) as exc:
+        exact_measure(4, 3, HALF, FORB_K3)
+    assert str(exc.value) == "uniformity mismatch: space r=3, family r=2"
+    with pytest.raises(FeasibilityError) as exc:
+        exact_measure(9, 2, HALF, FORB_K3, cap_bits=20)
+    assert str(exc.value) == (
+        "mask space 2^36 for (n=9, r=2) exceeds the exact cap 2^20; "
+        "fall back to mc_measure for a sampled estimate")
+    # cn_sequence raises in list order, as when each n was measured alone.
+    fam = normalize_family([K3])
+    with pytest.raises(FeasibilityError, match=r"2\^36"):
+        cn_sequence(fam, HALF, [3, 9, 1], cap_bits=20)
+    with pytest.raises(ParameterError, match=r"C\(1,2\) = 0"):
+        cn_sequence(fam, HALF, [3, 1, 9], cap_bits=20)
+    with pytest.raises(ParameterError, match="zero measure"):
+        cn_sequence(fam, Fraction(1), [2, 3, 9], cap_bits=20)
+    with pytest.raises(ParameterError, match="edge probability"):
+        cn_sequence(fam, Fraction(2), [9], cap_bits=20)
+    assert cn_sequence(fam, Fraction(2), []) == []
+
+
+def test_cn_sequence_points_in_list_order():
+    fam = normalize_family([C4])
+    pts = cn_sequence(fam, THIRD, [6, 2, 6, 4])
+    assert [pt.n for pt in pts] == [6, 2, 6, 4]
+    for pt in pts:
+        assert pt.measure == exact_measure(pt.n, 2, THIRD, EdgePredicate.forb(fam))
+
+
+def test_hereditary_predicates_skip_the_full_scan(monkeypatch):
+    import hlab.measure
+
+    spaces = []
+    original = hlab.measure.mask_chunks
+
+    def counted(nbits):
+        spaces.append(nbits)
+        return original(nbits)
+
+    monkeypatch.setattr(hlab.measure, "mask_chunks", counted)
+    cap = EdgePredicate.max_edges(3)
+    for pred in (FORB_K3, cap, EdgePredicate.intersection([FORB_K3, cap]),
+                 EdgePredicate.intersection([])):
+        exact_measure(5, 2, HALF, pred)
+    cn_sequence(normalize_family([K3]), HALF, [2, 5, 4])
+    assert spaces == []
+    for pred in (EdgePredicate.min_edges(3), EdgePredicate.complement(FORB_K3),
+                 EdgePredicate.intersection([FORB_K3,
+                                             EdgePredicate.min_edges(3)])):
+        exact_measure(5, 2, HALF, pred)
+    assert spaces == [10, 10, 10]

@@ -127,6 +127,25 @@ def test_nibble_zero_rounds_is_greedy():
                 == greedy_system(2, 3, 12, seed=seed))
 
 
+def test_greedy_packing_takes_no_threshold(monkeypatch):
+    # With no nibble round, no draw is compared with a Bernoulli threshold.
+    import hlab.steiner
+
+    greedy = greedy_system(2, 3, 9, seed=3)
+    nibble = nibble_system(2, 3, 9, seed=3, rounds=2)
+
+    def refuse(p):
+        raise AssertionError("threshold built for a greedy packing")
+
+    monkeypatch.setattr(hlab.steiner, "bernoulli_threshold", refuse)
+    assert greedy_system(2, 3, 9, seed=3) == greedy
+    assert nibble_system(2, 3, 9, seed=3, rounds=0) == greedy
+    with pytest.raises(AssertionError, match="threshold built"):
+        nibble_system(2, 3, 9, seed=3, rounds=2)
+    monkeypatch.undo()
+    assert nibble_system(2, 3, 9, seed=3, rounds=2) == nibble
+
+
 def test_nibble_determinism():
     a = nibble_system(2, 3, 15, seed=4, bite=Fraction(1, 8), rounds=6)
     b = nibble_system(2, 3, 15, seed=4, bite=Fraction(1, 8), rounds=6)

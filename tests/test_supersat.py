@@ -10,7 +10,8 @@ from hlab.errors import FeasibilityError, ParameterError, ParseError
 from hlab.family import normalize_family
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph, subsets_colex)
-from hlab.measure import EdgePredicate, exact_measure, predicate_to_json_obj
+from hlab.measure import (EdgePredicate, _edge_histogram, exact_measure,
+                          predicate_to_json_obj, value_from_histogram)
 from hlab.steiner import SteinerSystem
 from hlab.supersat import (Instance, LemmaParameters, counting_floor,
                            instance_from_json_obj, instance_to_json_obj,
@@ -107,6 +108,15 @@ def test_single_pass_matches_block_theta(sys, A):
         x_set(A, FAM_K3, sys.m, Fraction(1, 4), sys.n, bad_p)
 
 
+def test_x_set_builds_mask_weights_once():
+    from hlab.measure import weight_powers
+
+    weight_powers.cache_clear()
+    x_set(EdgePredicate.min_edges(8), FAM_K3, 3, Fraction(1, 4), 6, HALF)
+    info = weight_powers.cache_info()
+    assert info.misses == 1 and info.hits > 20
+
+
 def test_one_enumeration_pass_per_command(monkeypatch):
     import hlab.measure
     import hlab.supersat
@@ -128,9 +138,12 @@ def test_one_enumeration_pass_per_command(monkeypatch):
     x_set(A, FAM_K3, 3, Fraction(1, 4), 6, HALF)
     assert spaces == [full]
     spaces.clear()
-    lemma_report(A, SYS6, FAM_K3, LemmaParameters(nu=Fraction(1, 4), m=3),
-                 HALF)
-    assert spaces == [full, block]
+    rep = lemma_report(A, SYS6, FAM_K3,
+                       LemmaParameters(nu=Fraction(1, 4), m=3), HALF)
+    # mu_m(B) of the hereditary Forb(F) comes from the vertex extension.
+    assert spaces == [full]
+    hist = _edge_histogram(EdgePredicate.forb(FAM_K3), 3, 2, block, 1)
+    assert rep.mu_mB == value_from_histogram(hist, HALF, block)
 
 
 @given(small_systems(), predicates6(), st.sampled_from([HALF, THIRD]))
