@@ -250,10 +250,9 @@ def _contains_rows(n: int, r: int, fam: ForbiddenFamily, vsets,
 
 
 def _contains_columns(masks: np.ndarray, n: int, r: int, fam: ForbiddenFamily,
-                      vsets, through: int | None = None) -> np.ndarray:
-    """Row i: 'some member is induced inside vsets[i]', one entry per mask;
-    with `through`, only copies containing that vertex count."""
-    return _contains_rows(n, r, fam, vsets, through)(masks)
+                      vsets) -> np.ndarray:
+    """Row i: 'some member is induced inside vsets[i]', one entry per mask."""
+    return _contains_rows(n, r, fam, vsets)(masks)
 
 
 def batch_contains(masks: np.ndarray, n: int, r: int, fam: ForbiddenFamily,

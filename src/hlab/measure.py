@@ -6,8 +6,9 @@ rational arithmetic; p is a rational input throughout.  Entropy
 constants c_n = -log2(mu_n)/C(n,r) are computed in 96-bit mpmath
 arithmetic (round-to-nearest), well above the 50-bit contract.
 
-A hereditary class (a predicate kind with an extension rule: `forb`,
-`max_edges`, and intersections of those) is built one vertex at a time.
+A hereditary class that tests a forbidden family (`forb`, and
+intersections of `forb` and `max_edges` with a `forb` part) is built one
+vertex at a time.
 In the colex layout the low C(k-1,r) bits of a k-vertex mask are
 G[0..k-2], so the level-k candidates are the level-(k-1) survivors ORed
 with every choice of edges through vertex k-1, and only the copies
@@ -192,7 +193,7 @@ def _extension_histograms(rules: list, r: int, workers: int) -> list:
     n = len(rules) - 1
     hists = [np.zeros(comb(k, r) + 1, dtype=np.int64) for k in range(n + 1)]
     budget = max(1, (1 << _BLOCK_BITS) // (n + 1))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         apply = pool.map if workers > 1 else map
 
         def survivors(k: int, cand: np.ndarray) -> np.ndarray:
@@ -251,8 +252,21 @@ def _extension_rule(pred, k: int, r: int):
     return None if extend is None else extend(pred, k, r)
 
 
+def _tests_family(pred) -> bool:
+    """Whether pred, or a part of its intersection, is a `forb` test."""
+    return pred.kind == "forb" or any(map(_tests_family, pred.parts))
+
+
 def _extension_rules(pred, n: int, r: int) -> list | None:
-    """Rules for levels 0..n, each built once; None when pred has none."""
+    """Rules for levels 0..n, each built once; None when pred has none.
+
+    Only a class that tests a forbidden family is extended: a bare edge
+    bound costs one popcount per mask, which the full scan pays with no
+    gather, so max_edges alone, or an intersection of edge bounds, keeps
+    the scan.
+    """
+    if not _tests_family(pred):
+        return None
     rules = [_extension_rule(pred, k, r) for k in range(n + 1)]
     return None if rules[0] is None else rules
 
@@ -264,8 +278,8 @@ def _exact_result(hist, p: Fraction, nbits: int) -> MeasureResult:
 
 def exact_measure(n: int, r: int, p, pred, cap_bits: int | None = None,
                   workers: int = 1) -> MeasureResult:
-    """Exact mu_n(pred); deterministic.  A hereditary pred is built vertex
-    by vertex, any other by full mask enumeration."""
+    """Exact mu_n(pred); deterministic.  A pred with extension rules is
+    built vertex by vertex, any other by full mask enumeration."""
     p = _validate_p(p)
     nbits = check_exact_feasible(n, r, cap_bits)
     rules = _extension_rules(pred, n, r)

@@ -335,6 +335,19 @@ def test_cn_workers_identical(files, capsys):
     assert a[1] == b[1]
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_run_serially(files, capsys, workers):
+    # A worker count below one schedules the blocks on the calling thread.
+    for base in (["cn", "--family", files["fam_k3"], "--p", "1/2",
+                  "--n-list", "2,3,4,5"],
+                 ["measure", "--n", "5", "--r", "2", "--p", "1/3",
+                  "--forb", files["c4"]],
+                 ["lemma", "--instance", files["instance"]]):
+        serial = run(capsys, base + ["--workers", "1"])
+        assert serial[0] == 0
+        assert run(capsys, base + ["--workers", workers]) == serial
+
+
 def test_console_script_entry_point(files):
     import subprocess
     import sys as _sys

@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hlab.errors import ConstructionError, ParameterError, SizeLimitError
-from hlab.family import (_compare_kernel, _contains_columns, _gather_kernel,
-                         batch_contains, contains_induced, count_induced,
-                         family_orbit, family_orbit_lookup, normalize_family)
+from hlab.family import (_compare_kernel, _contains_columns, _contains_rows,
+                         _gather_kernel, batch_contains, contains_induced,
+                         count_induced, family_orbit, family_orbit_lookup,
+                         normalize_family)
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph, random_graph)
 from hlab.rng import Rng
@@ -253,7 +254,7 @@ def test_row_kernels_match_oracle(members, r, ns, max_size, data):
         dtype=np.uint64)
     through = data.draw(st.integers(0, n - 1))
     cols = _contains_columns(masks, n, r, fam, vsets)
-    cols_through = _contains_columns(masks, n, r, fam, vsets, through=through)
+    cols_through = _contains_rows(n, r, fam, vsets, through)(masks)
     for k, mask in enumerate(masks.tolist()):
         G = RUniformGraph(n=n, r=r, edge_mask=int(mask))
         for i, vset in enumerate(vsets):

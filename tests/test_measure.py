@@ -13,7 +13,8 @@ from hlab.family import normalize_family
 from hlab.hypergraph import RUniformGraph, complete_graph, graph_from_edges
 from hlab.measure import (HARD_EXACT_CAP_BITS, EdgePredicate,
                           _edge_histogram, _extension_histograms,
-                          _extension_rules, check_exact_feasible,
+                          _extension_rule, _extension_rules,
+                          check_exact_feasible,
                           clopper_pearson, cn_from_measure, cn_sequence,
                           exact_measure, fraction_str, log2_fraction,
                           mc_measure, predicate_from_json_obj,
@@ -488,8 +489,10 @@ def test_extension_edge_cases_match_naive_measure(p):
         (5, 3, EdgePredicate.forb(normalize_family([K4_3]))),
         (0, 2, FORB_K3),
         (1, 2, FORB_K3),
-        (4, 2, EdgePredicate.intersection([])),
-        (4, 2, EdgePredicate.max_edges(-1)),  # empty from level 0 on
+        (4, 2, EdgePredicate.intersection([EdgePredicate.intersection([]),
+                                           FORB_K3])),
+        (4, 2, EdgePredicate.intersection(  # empty from level 0 on
+            [FORB_K3, EdgePredicate.max_edges(-1)])),
         (4, 2, EdgePredicate.intersection([FORB_K3, EdgePredicate.max_edges(3)])),
         (4, 2, EdgePredicate.intersection(
             [EdgePredicate.intersection([FORB_K3]),
@@ -508,22 +511,25 @@ def test_weight_powers_are_mask_probabilities():
 
 
 def test_extension_memory_within_one_scan_chunk():
-    # r = 1 doubles every level, and max_edges(22) keeps all 2^22 masks at
-    # n = 22: the widest frontiers an extension can meet.  Its peak must
-    # stay within the full scan's (min_edges(0), the same class).
+    # r = 1 doubles every level, and the max_edges(22) rules keep all 2^22
+    # masks at n = 22: the widest frontiers an extension can meet.  Its
+    # peak must stay within the full scan's of the same class.
     import tracemalloc
 
-    def traced(pred):
+    def traced(run):
         tracemalloc.start()
         try:
-            value = exact_measure(22, 1, HALF, pred, cap_bits=22).value
-            return value, tracemalloc.get_traced_memory()[1]
+            return run(), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    ext_value, ext_peak = traced(EdgePredicate.max_edges(22))
-    scan_value, scan_peak = traced(EdgePredicate.min_edges(0))
-    assert ext_value == scan_value == 1
+    cap = EdgePredicate.max_edges(22)
+    rules = [_extension_rule(cap, k, 1) for k in range(23)]
+    ext_hists, ext_peak = traced(lambda: _extension_histograms(rules, 1, 1))
+    scan_value, scan_peak = traced(
+        lambda: exact_measure(22, 1, HALF, cap, cap_bits=22).value)
+    assert [sum(h) for h in ext_hists] == [1 << k for k in range(23)]
+    assert scan_value == 1
     assert ext_peak <= scan_peak
 
 
@@ -569,13 +575,18 @@ def test_hereditary_predicates_skip_the_full_scan(monkeypatch):
 
     monkeypatch.setattr(hlab.measure, "mask_chunks", counted)
     cap = EdgePredicate.max_edges(3)
-    for pred in (FORB_K3, cap, EdgePredicate.intersection([FORB_K3, cap]),
-                 EdgePredicate.intersection([])):
+    for pred in (FORB_K3, EdgePredicate.intersection([FORB_K3, cap]),
+                 EdgePredicate.intersection(
+                     [cap, EdgePredicate.intersection([FORB_K3])])):
         exact_measure(5, 2, HALF, pred)
     cn_sequence(normalize_family([K3]), HALF, [2, 5, 4])
     assert spaces == []
+    # Not hereditary, or an edge bound with no forbidden family to test:
+    # the full scan is cheaper than the extension for the latter.
     for pred in (EdgePredicate.min_edges(3), EdgePredicate.complement(FORB_K3),
                  EdgePredicate.intersection([FORB_K3,
-                                             EdgePredicate.min_edges(3)])):
+                                             EdgePredicate.min_edges(3)]),
+                 cap, EdgePredicate.intersection([cap, cap]),
+                 EdgePredicate.intersection([])):
         exact_measure(5, 2, HALF, pred)
-    assert spaces == [10, 10, 10]
+    assert spaces == [10] * 6
