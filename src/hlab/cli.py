@@ -137,7 +137,7 @@ def _load_family(path: str):
 _PREDICATE_FLAGS = {
     "forb": lambda a: EdgePredicate.forb(_load_family(a.forb)),
     "contains": lambda a: EdgePredicate.contains(_load_family(a.contains),
-                                                 within=a.within or None),
+                                                 within=a.within),
     "min_edges": lambda a: EdgePredicate.min_edges(a.min_edges),
     "max_edges": lambda a: EdgePredicate.max_edges(a.max_edges),
     "predicate": lambda a: predicate_from_json_obj(load_json(a.predicate)),
@@ -163,6 +163,8 @@ def _cmd_measure(a: argparse.Namespace) -> list:
 
 
 def _cmd_cn(a: argparse.Namespace) -> list:
+    if not a.n_list:
+        raise _UsageError("--n-list names no n")
     fam = _load_family(a.family)
     points = cn_sequence(fam, a.p, a.n_list,
                          cap_bits=a.cap, workers=a.workers)

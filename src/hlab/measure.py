@@ -18,6 +18,12 @@ level up to n.  Every other predicate is evaluated on each of the
 extension walks its frontiers in fixed slices that together hold at
 most 2^20 masks.  Worker count only schedules chunks and slices, and
 histograms add, so results are bit-identical for any worker count.
+
+Monte-Carlo sampling uses the same extension rules: `mc_measure` draws
+the edges through vertex k-1 only for the samples still in the class at
+level k-1, so a sample that has left the class draws no further bits.
+Every bit is a closed form of (sample, column), so the survivors are
+exactly the samples whose full G(n,p) draw lies in the class.
 """
 
 from __future__ import annotations
@@ -35,14 +41,16 @@ import numpy as np
 from concurrent.futures import ThreadPoolExecutor
 
 from .codec import _json_int, graph_from_json_obj, graph_to_json_obj
-from .errors import FeasibilityError, ParameterError, ParseError
+from .errors import (FeasibilityError, ParameterError, ParseError,
+                     SizeLimitError)
 from .family import (_BLOCK_MASKS, ForbiddenFamily, _contains_rows,
                      batch_contains, normalize_family)
-from .rng import bernoulli_masks, bernoulli_threshold
+from .rng import (bernoulli_columns, bernoulli_masks, bernoulli_threshold,
+                  stream_keys)
 
 DEFAULT_EXACT_CAP_BITS = 24
 HARD_EXACT_CAP_BITS = 30
-# sample_masks holds one sampled graph in one uint64
+# a sampled graph is held in one uint64
 _SAMPLE_MAX_BITS = 63
 _BLOCK_BITS = 20
 _LOG_PREC_BITS = 96
@@ -263,11 +271,18 @@ def _extension_rules(pred, n: int, r: int) -> list | None:
     Only a class that tests a forbidden family is extended: a bare edge
     bound costs one popcount per mask, which the full scan pays with no
     gather, so max_edges alone, or an intersection of edge bounds, keeps
-    the scan.
+    the scan.  None too when a level's rule cannot be built, so the batch
+    rule over the full space gives the value or the error: a level's
+    kernel may pick the gather, whose orbit lookup can be too large, where
+    the wider full space picks the compare, and a part's operands may be
+    refused before an earlier part's batch error.
     """
     if not _tests_family(pred):
         return None
-    rules = [_extension_rule(pred, k, r) for k in range(n + 1)]
+    try:
+        rules = [_extension_rule(pred, k, r) for k in range(n + 1)]
+    except (ParameterError, SizeLimitError):
+        return None
     return None if rules[0] is None else rules
 
 
@@ -288,21 +303,29 @@ def exact_measure(n: int, r: int, p, pred, cap_bits: int | None = None,
     return _exact_result(hist, p, nbits)
 
 
-def sample_masks(n: int, r: int, p, seed: int, count: int,
-                 first_stream: int = 0) -> np.ndarray:
-    """Masks of `count` G(n,p) draws; sample i uses substream first_stream+i.
-
-    Identical to random_graph(n, r, p, Rng(seed, stream=first_stream+i))
-    for each i, so results never depend on how batches are partitioned.
-    """
-    p = _validate_p(p)
+def _sample_bits(n: int, r: int) -> int:
+    """C(n, r) when one uint64 holds a sampled mask of the (n, r) space."""
     nbits = _space_bits(n, r)
     if nbits > _SAMPLE_MAX_BITS:
         raise FeasibilityError(
             f"vectorized sampling limited to C(n,r) <= {_SAMPLE_MAX_BITS} bits, "
             f"got {nbits}"
         )
-    return bernoulli_masks(seed, first_stream, count, nbits,
+    return nbits
+
+
+def sample_masks(n: int, r: int, p, seed: int, count: int,
+                 first_stream: int = 0) -> np.ndarray:
+    """Masks of `count` G(n,p) draws; sample i uses substream first_stream+i.
+
+    Identical to random_graph(n, r, p, Rng(seed, stream=first_stream+i))
+    for each i, so results never depend on how batches are partitioned.
+    Bit j of sample i is output j+1 of its substream, whichever column
+    range draws it: the masks `mc_measure` builds level by level agree
+    with these on every bit they draw.
+    """
+    p = _validate_p(p)
+    return bernoulli_masks(seed, first_stream, count, _sample_bits(n, r),
                            bernoulli_threshold(p))
 
 
@@ -325,19 +348,42 @@ def clopper_pearson(hits: int, samples: int, level: float) -> tuple:
 
 def mc_measure(n: int, r: int, p, pred, samples: int, seed: int,
                ci_level: float = 0.95, workers: int = 1) -> MeasureResult:
-    """Monte-Carlo mu_n(pred) with a Clopper-Pearson interval."""
+    """Monte-Carlo mu_n(pred) with a Clopper-Pearson interval.
+
+    Sample i is G(n,p) on substream i, as in `sample_masks`.  A pred with
+    extension rules is drawn one vertex at a time: level k draws only the
+    edges through vertex k-1, the colex bits C(k-1,r) .. C(k,r)-1, for the
+    samples still in the class, and keeps those whose level-k rule holds.
+    Any other pred is one level drawing all C(n,r) bits and applying its
+    batch rule.  hits counts the samples that pass every level; a survivor's
+    mask equals its sample_masks mask bit for bit.  Chunks of 2^16 samples
+    are fixed, so the result does not depend on `workers`.
+    """
     p = _validate_p(p)
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     if not 0 < ci_level < 1:
         raise ParameterError("ci_level must be in (0, 1)")
+    nbits = _sample_bits(n, r)
+    threshold = bernoulli_threshold(p)
+    rules = _extension_rules(pred, n, r)
+    if rules is None:
+        levels = [(0, nbits, lambda masks: pred.batch(masks, n, r))]
+    else:
+        bounds = [0] + [comb(k, r) for k in range(n + 1)]
+        levels = list(zip(bounds, bounds[1:], rules))
     step = 1 << 16
     chunks = [(i, min(i + step, samples)) for i in range(0, samples, step)]
 
     def one(chunk):
         lo, hi = chunk
-        masks = sample_masks(n, r, p, seed, hi - lo, first_stream=lo)
-        return int(pred.batch(masks, n, r).sum())
+        keys = stream_keys(seed, np.arange(lo, hi))
+        masks = np.zeros(hi - lo, dtype=np.uint64)
+        for first, end, keep in levels:
+            bernoulli_columns(keys, masks, first, end, threshold)
+            alive = np.flatnonzero(keep(masks))
+            masks, keys = masks[alive], keys[alive]
+        return masks.shape[0]
 
     hits = sum(map_chunks(one, chunks, workers))
     est = hits / samples

@@ -18,9 +18,11 @@ fixed seed the map stream -> key is injective, so two substreams never
 share a state: substreams are non-overlapping by construction.  Every
 output is a closed form of (key, counter), so the vectorised APIs are
 bit-identical to repeated scalar calls: ``raw_u64_block`` evaluates one
-stream at a run of counters, and ``bernoulli_masks`` evaluates counter j
-across many streams at once, one bit column of the sampled masks at a
-time, without materialising the (streams x draws) output matrix.
+stream at a run of counters, and ``bernoulli_columns`` evaluates counters
+lo+1 .. hi across many streams at once, one bit column of the sampled
+masks at a time, without materialising the (streams x draws) output
+matrix.  A caller may draw a mask's columns in several ranges, on fewer
+streams each time, and get the same bits as in one pass.
 """
 
 from __future__ import annotations
@@ -79,30 +81,42 @@ def raw_u64_block(key: int, first_counter: int, count: int) -> np.ndarray:
     return _mix64_np(np.uint64(key) ^ _mix64_np(ctr * np.uint64(GAMMA_COUNTER)))
 
 
-def bernoulli_masks(seed: int, first_stream: int, count: int, draws: int,
-                    threshold: int) -> np.ndarray:
-    """Bit j of mask i: output j+1 of substream first_stream + i is below
-    `threshold`, for j < draws <= 64.
+def bernoulli_columns(keys: np.ndarray, masks: np.ndarray, lo: int, hi: int,
+                      threshold: int) -> np.ndarray:
+    """OR bits lo .. hi-1 into masks, in place, and return masks: bit j of
+    masks[i] is set when output j+1 of the substream keyed keys[i] is
+    below `threshold`, for 0 <= lo <= hi <= 64.
 
-    Bit-identical to comparing count separate Rng(seed, stream) blocks,
-    so batch consumers are independent of how work is split.  Works
-    column by column on length-`count` buffers.
+    Works column by column on length-len(keys) buffers; a threshold of
+    2**64 or more sets every bit without drawing.
     """
     if threshold >= 1 << 64:
-        return np.full(count, (1 << draws) - 1, dtype=np.uint64)
-    keys = stream_keys(seed, np.arange(first_stream, first_stream + count))
+        masks |= np.uint64(((1 << hi) - 1) ^ ((1 << lo) - 1))
+        return masks
     thr = np.uint64(threshold)
-    masks = np.zeros(count, dtype=np.uint64)
-    z = np.empty_like(masks)
-    tmp = np.empty_like(masks)
-    below = np.empty(count, dtype=bool)
-    for j in range(draws):
+    z = np.empty_like(keys)
+    tmp = np.empty_like(keys)
+    below = np.empty(keys.shape, dtype=bool)
+    for j in range(lo, hi):
         np.bitwise_xor(keys, np.uint64(mix64((j + 1) * GAMMA_COUNTER)), out=z)
         np.less(_mix64_np(z, tmp), thr, out=below)
         tmp[:] = below
         np.left_shift(tmp, np.uint64(j), out=tmp)
         np.bitwise_or(masks, tmp, out=masks)
     return masks
+
+
+def bernoulli_masks(seed: int, first_stream: int, count: int, draws: int,
+                    threshold: int) -> np.ndarray:
+    """Bit j of mask i: output j+1 of substream first_stream + i is below
+    `threshold`, for j < draws <= 64.
+
+    Bit-identical to comparing count separate Rng(seed, stream) blocks,
+    so batch consumers are independent of how work is split.
+    """
+    keys = stream_keys(seed, np.arange(first_stream, first_stream + count))
+    return bernoulli_columns(keys, np.zeros(count, dtype=np.uint64), 0, draws,
+                             threshold)
 
 
 def bernoulli_threshold(p) -> int:

@@ -498,6 +498,9 @@ def _instance(p="1/2", **params):
     (_EXPLICIT, '{"kind":"explicit","masks":[1.5]}', 1),
     (_EXPLICIT, "{bad", 1),
     (["cn", "--family", "{k3}", "--p", "1/2", "--n-list", "2,x"], None, 2),
+    (["cn", "--family", "{k3}", "--p", "1/2", "--n-list", ""], None, 2),
+    (["cn", "--family", "{k3}", "--p", "1/2", "--n-list", "",
+      "--format", "csv"], None, 2),
     (["measure", "--n", "4", "--r", "2", "--p", "1/2", "--contains", "{k3}",
       "--within", "0,x"], None, 2),
     (["witness", "--n", "4", "--graph", "{k3}", "--e", "0-x"], None, 2),
@@ -528,7 +531,8 @@ def _instance(p="1/2", **params):
     (_LEMMA, _instance(nu="1/0"), 1),
 ], ids=["explicit-negative", "explicit-2^64", "explicit-9999",
         "explicit-2^64-1", "explicit-float", "predicate-bad-json",
-        "cn-n-list", "measure-within", "witness-e", "measure-n-negative",
+        "cn-n-list", "cn-n-list-empty", "cn-n-list-empty-csv",
+        "measure-within", "witness-e", "measure-n-negative",
         "measure-r-negative", "mc-r-negative", "cn-n-negative",
         "within-without-contains", "min-edges-float", "within-float",
         "codec-float", "steiner-block-float", "steiner-r-negative",
@@ -549,6 +553,21 @@ def test_rejected_input_one_error_line(files, capsys, tmp_path, argv, pred,
     assert "Traceback" not in captured.err
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: " if code == 1 else "usage error: ")
+
+
+def test_empty_within_is_an_empty_scope(files, capsys, tmp_path):
+    # No vertex set of size 3 lies inside no vertices, so nothing contains K3.
+    (tmp_path / "pred.json").write_text(json.dumps(
+        {"kind": "contains", "within": [],
+         "family": [{"n": 3, "r": 2, "edges": [[0, 1], [0, 2], [1, 2]]}]}))
+    space = ["--n", "4", "--r", "2", "--p", "1/2"]
+    sampled = ["--samples", "500", "--seed", "3"]
+    for scope in (["--contains", files["k3"], "--within", ""],
+                  ["--predicate", str(tmp_path / "pred.json")]):
+        assert run_json(capsys, ["measure", *space, *scope])["value"] == "0/1"
+        assert run_json(capsys, ["mc", *space, *sampled, *scope])["hits"] == 0
+    full = run_json(capsys, ["measure", *space, "--contains", files["k3"]])
+    assert full["value"] == "23/64"
 
 
 def test_steiner_verifies_only_the_winner(files, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import mpmath
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hlab.errors import FeasibilityError, ParameterError, ParseError
+from hlab.errors import (FeasibilityError, ParameterError, ParseError,
+                         SizeLimitError)
 from hlab.family import normalize_family
 from hlab.hypergraph import RUniformGraph, complete_graph, graph_from_edges
 from hlab.measure import (HARD_EXACT_CAP_BITS, EdgePredicate,
@@ -348,16 +350,129 @@ def test_sample_masks_bitwise_oracles(n, r, p, count):
         assert int(masks[i]) == g.edge_mask
 
 
+def _forb(*members):
+    return EdgePredicate.forb(normalize_family(members))
+
+
+# The forb cases are sampled vertex by vertex; at p = 1/2 only about
+# 0.007% of the samples are still triangle-free at n = 11.
 @pytest.mark.parametrize("p,pred", [(Fraction(1, 8), FORB_K3),
-                                    (HALF, EdgePredicate.max_edges(27))])
+                                    (HALF, EdgePredicate.max_edges(27)),
+                                    (HALF, FORB_K3), (THIRD, _forb(P5))])
 def test_mc_hits_past_one_chunk(p, pred):
     samples = (1 << 16) + 3
     runs = [mc_measure(11, 2, p, pred, samples=samples, seed=4, workers=w)
-            for w in (1, 2)]
+            for w in (1, 2, 0)]
     want = int(pred.batch(_oracle_masks(11, 2, p, 4, samples, 0), 11, 2).sum())
     assert 0 < want < samples
-    assert [res.hits for res in runs] == [want, want]
-    assert runs[0] == runs[1]
+    assert [res.hits for res in runs] == [want] * 3
+    assert runs[0] == runs[1] == runs[2]
+
+
+# A 7-vertex 3-graph with an orbit of 2520 labellings: its lookup table
+# (2^35 entries) is refused wherever the gather kernel is chosen.
+SPARSE7_3 = graph_from_edges(7, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 4),
+                                    (1, 3, 5), (2, 5, 6), (3, 4, 6)])
+# K5^(3) plus two isolated vertices, an orbit of 21: the gather at n = 7
+# (4 slices) but the compare at n = 8 (6 slices), so only the full space
+# can test it.
+K5_3_PLUS_2 = graph_from_edges(7, 3, list(combinations(range(5), 3)))
+
+# (n, r, p, pred, samples)
+HEREDITARY_CASES = {
+    "K3-n11": (11, 2, HALF, FORB_K3, 30_000),
+    "P5-gather": (9, 2, THIRD, _forb(P5), 20_000),
+    "K4^(3)-n8-r3": (8, 3, HALF, _forb(K4_3), 20_000),
+    "max-edges-and-C4": (10, 2, Fraction(1, 4), EdgePredicate.intersection(
+        [EdgePredicate.max_edges(12), _forb(C4)]), 20_000),
+    "p0": (11, 2, Fraction(0), FORB_K3, 1000),
+    "p1-dies": (11, 2, Fraction(1), FORB_K3, 1000),
+    "p1-survives": (11, 2, Fraction(1), _forb(P5), 1000),
+    "member-above-n": (4, 2, HALF, _forb(P5), 1000),
+    "n-below-r": (2, 3, HALF, _forb(K4_3), 1000),
+    "n0": (0, 2, HALF, FORB_K3, 1000),
+    "lookup-only-below-n": (8, 3, HALF, _forb(K5_3_PLUS_2), 3000),
+}
+
+
+@pytest.mark.parametrize("n,r,p,pred,samples", HEREDITARY_CASES.values(),
+                         ids=list(HEREDITARY_CASES))
+def test_mc_hereditary_hits_match_row_oracle(n, r, p, pred, samples):
+    want = int(pred.batch(_oracle_masks(n, r, p, 3, samples, 0), n, r).sum())
+    res = mc_measure(n, r, p, pred, samples=samples, seed=3)
+    assert res.hits == want
+    assert res.value == want / samples
+
+
+def test_mc_draws_edges_only_for_samples_in_the_class(monkeypatch):
+    import hlab.measure as measure
+    drawn = []
+    real = measure.bernoulli_columns
+
+    def counting(keys, masks, lo, hi, threshold):
+        drawn.append(keys.shape[0] * (hi - lo))
+        return real(keys, masks, lo, hi, threshold)
+
+    monkeypatch.setattr(measure, "bernoulli_columns", counting)
+    samples, nbits = 20_000, comb(11, 2)
+    mc_measure(11, 2, HALF, FORB_K3, samples=samples, seed=1)
+    # mu_k(Forb K3) falls to 6.4% at k = 7: about 21% of the columns
+    assert sum(drawn) < 0.25 * samples * nbits
+    for pred in (EdgePredicate.contains(normalize_family([K3])),
+                 EdgePredicate.min_edges(3)):
+        drawn.clear()
+        mc_measure(11, 2, HALF, pred, samples=samples, seed=1)
+        assert sum(drawn) == samples * nbits
+
+
+_OUTSIDE = EdgePredicate.explicit([3, 1 << 6])
+_MISMATCH = _forb(K4_3)
+_SAMPLE_BITS_66 = "vectorized sampling limited to C(n,r) <= 63 bits, got 66"
+_LOOKUP_35 = ("orbit lookup table for the order-7 members needs 2^35 "
+              "entries, above the limit 2^28")
+
+# (n, r, p, pred, samples, ci_level) -> the one error mc_measure raises
+MC_ERRORS = {
+    "p-first": ((4, 2, Fraction(3, 2), FORB_K3, 0, 1.5),
+                ParameterError, "edge probability 3/2 outside [0, 1]"),
+    "samples-before-ci": ((12, 2, HALF, FORB_K3, 0, 1.5),
+                          ParameterError, "samples must be >= 1"),
+    "ci-before-bits": ((12, 2, HALF, FORB_K3, 10, 1.5),
+                       ParameterError, "ci_level must be in (0, 1)"),
+    "n-negative": ((-1, 2, HALF, FORB_K3, 10, 0.95),
+                   ParameterError, "need n >= 0 and r >= 1, got n=-1, r=2"),
+    "bits-before-uniformity": ((12, 2, HALF, _MISMATCH, 10, 0.95),
+                               FeasibilityError, _SAMPLE_BITS_66),
+    "bits-before-explicit": ((12, 2, HALF, _OUTSIDE, 10, 0.95),
+                             FeasibilityError, _SAMPLE_BITS_66),
+    "bits-before-lookup": ((9, 3, HALF, _forb(SPARSE7_3), 10, 0.95),
+                           FeasibilityError, "vectorized sampling limited "
+                           "to C(n,r) <= 63 bits, got 84"),
+    "uniformity": ((4, 2, HALF, _MISMATCH, 10, 0.95),
+                   ParameterError, "uniformity mismatch: space r=2, family r=3"),
+    "explicit": ((4, 2, HALF, _OUTSIDE, 10, 0.95), ParameterError,
+                 "explicit mask 64 lies outside the C(4,2) = 6-bit layout"),
+    "explicit-part-first": ((4, 2, HALF, EdgePredicate.intersection(
+        [_OUTSIDE, _MISMATCH]), 10, 0.95), ParameterError,
+        "explicit mask 64 lies outside the C(4,2) = 6-bit layout"),
+    "uniformity-part-first": ((4, 2, HALF, EdgePredicate.intersection(
+        [_MISMATCH, _OUTSIDE]), 10, 0.95), ParameterError,
+        "uniformity mismatch: space r=2, family r=3"),
+    "lookup": ((8, 3, HALF, _forb(SPARSE7_3), 10, 0.95),
+               SizeLimitError, _LOOKUP_35),
+    "lookup-part-first": ((8, 3, HALF, EdgePredicate.intersection(
+        [_forb(SPARSE7_3), FORB_K3]), 10, 0.95), SizeLimitError, _LOOKUP_35),
+}
+
+
+@pytest.mark.parametrize("args,error,message", MC_ERRORS.values(),
+                         ids=list(MC_ERRORS))
+def test_mc_error_order_and_text(args, error, message):
+    n, r, p, pred, samples, level = args
+    with pytest.raises(error) as exc:
+        mc_measure(n, r, p, pred, samples=samples, seed=0, ci_level=level)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 @given(SPACES)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import hlab.rng as rng_module
 from hlab.errors import ParameterError
-from hlab.rng import (Rng, bernoulli_masks, bernoulli_threshold, raw_u64,
-                      raw_u64_block, stream_key)
+from hlab.rng import (Rng, bernoulli_columns, bernoulli_masks,
+                      bernoulli_threshold, raw_u64, raw_u64_block, stream_key,
+                      stream_keys)
 
 from oracles import shuffle_scalar, substream_blocks
 
@@ -55,6 +56,29 @@ def test_bernoulli_masks_match_row_oracle(draws, threshold):
             for row in rows.tolist()]
     assert masks.dtype == np.uint64
     assert masks.tolist() == want
+
+
+@pytest.mark.parametrize("threshold", [0, 1 << 62, (1 << 64) - 1, 1 << 64])
+def test_bernoulli_columns_by_range_match_one_pass(threshold):
+    # Columns drawn range by range, on fewer streams each time, give the
+    # one-pass bits, and bits outside a range stay as they were.
+    whole = bernoulli_masks(99, 10, 300, 64, threshold)
+    keys = stream_keys(99, np.arange(10, 310))
+    masks = np.zeros(300, dtype=np.uint64)
+    alive = np.arange(300)
+    for lo, hi in [(0, 0), (0, 1), (1, 5), (5, 5), (5, 28), (28, 64)]:
+        sub = masks[alive]
+        bernoulli_columns(keys[alive], sub, lo, hi, threshold)
+        masks[alive] = sub
+        low = np.uint64((1 << hi) - 1)
+        assert (masks[alive] == whole[alive] & low).all()
+        alive = alive[::2]
+    outside = np.uint64(0xF0F0F0F0F0F0F0F0 & ~(((1 << 40) - 1) ^ 0xFF))
+    masks = np.full(300, outside, dtype=np.uint64)
+    got = bernoulli_columns(keys, masks, 8, 40, threshold)
+    assert got is masks
+    assert masks.tolist() == (
+        outside | (whole & np.uint64(((1 << 40) - 1) ^ 0xFF))).tolist()
 
 
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32), st.integers(0, 2**32))
