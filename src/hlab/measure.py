@@ -6,24 +6,24 @@ rational arithmetic; p is a rational input throughout.  Entropy
 constants c_n = -log2(mu_n)/C(n,r) are computed in 96-bit mpmath
 arithmetic (round-to-nearest), well above the 50-bit contract.
 
-A hereditary class that tests a forbidden family (`forb`, and
-intersections of `forb` and `max_edges` with a `forb` part) is built one
-vertex at a time.
-In the colex layout the low C(k-1,r) bits of a k-vertex mask are
-G[0..k-2], so the level-k candidates are the level-(k-1) survivors ORed
-with every choice of edges through vertex k-1, and only the copies
-through that vertex are tested.  One pass yields the histogram of every
-level up to n.  Every other predicate is evaluated on each of the
-2^C(n,r) masks, chunked on a fixed grid of at most 2^20 masks.  The
-extension walks its frontiers in fixed slices that together hold at
-most 2^20 masks.  Worker count only schedules chunks and slices, and
-histograms add, so results are bit-identical for any worker count.
+Every measure runs over a list of levels (lo, hi, keep): a level's
+candidates are the survivors of the level before ORed with every choice
+of bits lo .. hi-1, and keep picks the survivors.  A hereditary class
+that tests a forbidden family (`forb`, and intersections of `forb` and
+`max_edges` with a `forb` part) has a level per vertex: in the colex
+layout the low C(k-1,r) bits of a k-vertex mask are G[0..k-2], so level
+k adds the edges through vertex k-1 and tests only the copies through
+it.  Every other predicate is one level: all C(n,r) bits, then its
+batch rule.  The exact path enumerates the choices in one depth-first
+walk, in slices that together hold at most 2^20 masks, and runs keep and
+the caller's reduction on blocks of 2^16 masks; worker count only
+schedules blocks, and reductions add, so results do not depend on it.
 
-Monte-Carlo sampling uses the same extension rules: `mc_measure` draws
-the edges through vertex k-1 only for the samples still in the class at
-level k-1, so a sample that has left the class draws no further bits.
-Every bit is a closed form of (sample, column), so the survivors are
-exactly the samples whose full G(n,p) draw lies in the class.
+`mc_measure` draws the choices instead: level k's bits only for the
+samples still in the class, so a sample that has left it draws no
+further bits.  Every bit is a closed form of (sample, column), so the
+survivors are exactly the samples whose full G(n,p) draw lies in the
+class.
 """
 
 from __future__ import annotations
@@ -45,14 +45,17 @@ from .errors import (FeasibilityError, ParameterError, ParseError,
                      SizeLimitError)
 from .family import (_BLOCK_MASKS, ForbiddenFamily, _contains_rows,
                      batch_contains, normalize_family)
-from .rng import (bernoulli_columns, bernoulli_masks, bernoulli_threshold,
-                  stream_keys)
+from .rng import bernoulli_columns, bernoulli_threshold, stream_keys
 
 DEFAULT_EXACT_CAP_BITS = 24
 HARD_EXACT_CAP_BITS = 30
 # a sampled graph is held in one uint64
 _SAMPLE_MAX_BITS = 63
-_BLOCK_BITS = 20
+# Largest sample count of one mc run.  The worker pool takes every chunk of
+# _BLOCK_MASKS samples before it samples one; this keeps them at 2^16.
+_MAX_SAMPLES = 1 << 32
+# The exact walk's stack holds at most this many masks.
+_SLICE_MASKS = 1 << 20
 _LOG_PREC_BITS = 96
 
 
@@ -160,71 +163,56 @@ def _validate_p(p) -> Fraction:
     return p
 
 
-def mask_chunks(nbits: int):
-    """Fixed chunk grid over the 2^nbits mask space (worker-independent)."""
-    step = 1 << min(_BLOCK_BITS, nbits)
-    total = 1 << nbits
-    return [(start, min(start + step, total)) for start in range(0, total, step)]
+def _walk(levels: list, workers: int, per_block: Callable):
+    """Enumerate the levels; yield (k, per_block(k, masks)) for every block
+    of level-k survivors.
 
-
-def map_chunks(fn, chunks, workers: int = 1) -> list:
-    """Apply fn over chunks, preserving chunk order in the result list."""
-    if workers <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
-
-
-def _edge_histogram(pred, n: int, r: int, nbits: int, workers: int) -> list:
-    def one(chunk):
-        start, end = chunk
-        masks = np.arange(start, end, dtype=np.uint64)
-        sat = pred.batch(masks, n, r)
-        pops = np.bitwise_count(masks[sat])
-        return np.bincount(pops, minlength=nbits + 1)
-
-    hist = [0] * (nbits + 1)
-    for part in map_chunks(one, mask_chunks(nbits), workers):
-        for e, c in enumerate(part):
-            hist[e] += int(c)
-    return hist
-
-
-def _extension_histograms(rules: list, r: int, workers: int) -> list:
-    """Edge histogram of the class at every level k = 0..len(rules)-1.
-
-    rules[k] maps level-k candidates (whose first k-1 vertices induce a
-    member of the class) to a keep column.  The frontiers are walked
-    depth first in slices of at most `budget` candidates, so the stack
-    holds one slice's survivors per level: at most 2^20 masks in all.
+    The first level extends the empty mask.  The walk is depth first, in
+    slices of at most _SLICE_MASKS // len(levels) candidates, so the stack
+    holds one slice's survivors per level: at most 2^20 masks in all.  Each
+    slice is cut into blocks of at most 2^16 candidates, and one task per
+    block, on `workers` threads, applies keep and hands the survivors to
+    per_block.  The last level's survivors are not kept.
     """
-    n = len(rules) - 1
-    hists = [np.zeros(comb(k, r) + 1, dtype=np.int64) for k in range(n + 1)]
-    budget = max(1, (1 << _BLOCK_BITS) // (n + 1))
+    last = len(levels) - 1
+    budget = max(1, _SLICE_MASKS // len(levels))
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         apply = pool.map if workers > 1 else map
-
-        def survivors(k: int, cand: np.ndarray) -> np.ndarray:
-            blocks = [cand[i:i + _BLOCK_MASKS]
-                      for i in range(0, cand.shape[0], _BLOCK_MASKS)]
-            surv = cand[np.concatenate(list(apply(rules[k], blocks)))]
-            hists[k] += np.bincount(np.bitwise_count(surv),
-                                    minlength=hists[k].shape[0])
-            return surv
-
-        stack = [(0, survivors(0, np.zeros(1, dtype=np.uint64)), 0)]
+        stack = [(0, np.zeros(1, dtype=np.uint64), 0)]
         while stack:
             k, front, pos = stack.pop()
-            if k == n or front.shape[0] == 0:
-                continue
-            width = comb(k, r - 1)  # edges through vertex k, from bit C(k, r)
-            end = min(pos + budget, front.shape[0] << width)
-            if end < front.shape[0] << width:
+            lo, hi, keep = levels[k]
+            total = front.shape[0] << (hi - lo)
+            end = min(pos + budget, total)
+            if end < total:
                 stack.append((k, front, end))
-            idx = np.arange(pos, end, dtype=np.uint64)
-            choice = (idx & np.uint64((1 << width) - 1)) << np.uint64(comb(k, r))
-            cand = front[idx >> np.uint64(width)] | choice
-            stack.append((k + 1, survivors(k + 1, cand), 0))
+            cand = np.arange(pos, end, dtype=np.uint64)
+            if lo:  # else the front is the empty mask alone
+                width = hi - lo
+                cand = front[cand >> np.uint64(width)] | (
+                    cand & np.uint64((1 << width) - 1)) << np.uint64(lo)
+
+            def one(i):
+                block = cand[i:i + _BLOCK_MASKS]
+                masks = block[keep(block)]
+                return (masks if k < last else None), per_block(k, masks)
+
+            done = list(apply(one, range(0, cand.shape[0], _BLOCK_MASKS)))
+            del cand
+            for _, part in done:
+                yield k, part
+            if k < last:
+                front = np.concatenate([masks for masks, _ in done])
+                if front.shape[0]:
+                    stack.append((k + 1, front, 0))
+
+
+def _histograms(levels: list, workers: int) -> list:
+    """Edge histogram of the survivors of every level."""
+    hists = [np.zeros(hi + 1, dtype=np.int64) for _, hi, _ in levels]
+    for k, part in _walk(levels, workers, lambda k, masks: np.bincount(
+            np.bitwise_count(masks), minlength=hists[k].shape[0])):
+        hists[k] += part
     return [h.tolist() for h in hists]
 
 
@@ -286,6 +274,20 @@ def _extension_rules(pred, n: int, r: int) -> list | None:
     return None if rules[0] is None else rules
 
 
+def _levels(pred, n: int, r: int) -> list:
+    """(lo, hi, keep) levels of pred on the (n, r) space.
+
+    With extension rules, level k adds the edges through vertex k-1, the
+    colex bits C(k-1,r) .. C(k,r)-1, and keeps rules[k]; any other pred is
+    one level over all C(n,r) bits with its batch rule.
+    """
+    rules = _extension_rules(pred, n, r)
+    if rules is None:
+        return [(0, comb(n, r), lambda masks: pred.batch(masks, n, r))]
+    bounds = [0] + [comb(k, r) for k in range(n + 1)]
+    return list(zip(bounds, bounds[1:], rules))
+
+
 def _exact_result(hist, p: Fraction, nbits: int) -> MeasureResult:
     value = value_from_histogram(hist, p, nbits)
     return MeasureResult(value=value, method="exact", log2_value=log2_fraction(value))
@@ -293,14 +295,13 @@ def _exact_result(hist, p: Fraction, nbits: int) -> MeasureResult:
 
 def exact_measure(n: int, r: int, p, pred, cap_bits: int | None = None,
                   workers: int = 1) -> MeasureResult:
-    """Exact mu_n(pred); deterministic.  A pred with extension rules is
-    built vertex by vertex, any other by full mask enumeration."""
+    """Exact mu_n(pred); deterministic.  The histogram of the last of
+    pred's levels, from one walk: vertex by vertex for a pred with
+    extension rules, one level over all 2^C(n,r) masks for any other."""
     p = _validate_p(p)
     nbits = check_exact_feasible(n, r, cap_bits)
-    rules = _extension_rules(pred, n, r)
-    hist = (_edge_histogram(pred, n, r, nbits, workers) if rules is None
-            else _extension_histograms(rules, r, workers)[n])
-    return _exact_result(hist, p, nbits)
+    return _exact_result(_histograms(_levels(pred, n, r), workers)[-1], p,
+                         nbits)
 
 
 def _sample_bits(n: int, r: int) -> int:
@@ -312,21 +313,6 @@ def _sample_bits(n: int, r: int) -> int:
             f"got {nbits}"
         )
     return nbits
-
-
-def sample_masks(n: int, r: int, p, seed: int, count: int,
-                 first_stream: int = 0) -> np.ndarray:
-    """Masks of `count` G(n,p) draws; sample i uses substream first_stream+i.
-
-    Identical to random_graph(n, r, p, Rng(seed, stream=first_stream+i))
-    for each i, so results never depend on how batches are partitioned.
-    Bit j of sample i is output j+1 of its substream, whichever column
-    range draws it: the masks `mc_measure` builds level by level agree
-    with these on every bit they draw.
-    """
-    p = _validate_p(p)
-    return bernoulli_masks(seed, first_stream, count, _sample_bits(n, r),
-                           bernoulli_threshold(p))
 
 
 def clopper_pearson(hits: int, samples: int, level: float) -> tuple:
@@ -350,33 +336,30 @@ def mc_measure(n: int, r: int, p, pred, samples: int, seed: int,
                ci_level: float = 0.95, workers: int = 1) -> MeasureResult:
     """Monte-Carlo mu_n(pred) with a Clopper-Pearson interval.
 
-    Sample i is G(n,p) on substream i, as in `sample_masks`.  A pred with
-    extension rules is drawn one vertex at a time: level k draws only the
-    edges through vertex k-1, the colex bits C(k-1,r) .. C(k,r)-1, for the
-    samples still in the class, and keeps those whose level-k rule holds.
-    Any other pred is one level drawing all C(n,r) bits and applying its
-    batch rule.  hits counts the samples that pass every level; a survivor's
-    mask equals its sample_masks mask bit for bit.  Chunks of 2^16 samples
-    are fixed, so the result does not depend on `workers`.
+    Sample i is G(n,p) on substream i: bit j of its mask is output j+1 of
+    the substream, compared with the `bernoulli_threshold` of p.  The
+    samples walk pred's levels, as the exact path does, but draw each
+    level's bits instead of enumerating them: level k draws its columns
+    only for the samples still in the class and keeps those whose level-k
+    rule holds.  hits counts the samples that pass every level; a
+    survivor's mask equals its full draw bit for bit.  Chunks of 2^16
+    samples are fixed, so the result does not depend on `workers`; at
+    most _MAX_SAMPLES samples are taken.
     """
     p = _validate_p(p)
     if samples < 1:
         raise ParameterError("samples must be >= 1")
+    if samples > _MAX_SAMPLES:
+        raise ParameterError(
+            f"samples must be <= {_MAX_SAMPLES}, got {samples}")
     if not 0 < ci_level < 1:
         raise ParameterError("ci_level must be in (0, 1)")
-    nbits = _sample_bits(n, r)
+    _sample_bits(n, r)  # refuses masks wider than one uint64
     threshold = bernoulli_threshold(p)
-    rules = _extension_rules(pred, n, r)
-    if rules is None:
-        levels = [(0, nbits, lambda masks: pred.batch(masks, n, r))]
-    else:
-        bounds = [0] + [comb(k, r) for k in range(n + 1)]
-        levels = list(zip(bounds, bounds[1:], rules))
-    step = 1 << 16
-    chunks = [(i, min(i + step, samples)) for i in range(0, samples, step)]
+    levels = _levels(pred, n, r)
 
-    def one(chunk):
-        lo, hi = chunk
+    def one(lo):
+        hi = min(lo + _BLOCK_MASKS, samples)
         keys = stream_keys(seed, np.arange(lo, hi))
         masks = np.zeros(hi - lo, dtype=np.uint64)
         for first, end, keep in levels:
@@ -385,7 +368,9 @@ def mc_measure(n: int, r: int, p, pred, samples: int, seed: int,
             masks, keys = masks[alive], keys[alive]
         return masks.shape[0]
 
-    hits = sum(map_chunks(one, chunks, workers))
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        hits = sum((pool.map if workers > 1 else map)(
+            one, range(0, samples, _BLOCK_MASKS)))
     est = hits / samples
     lo, hi = clopper_pearson(hits, samples, ci_level)
     log2v = mpmath.mpf("-inf") if est == 0 else mpmath.mpf(float(np.log2(est)))
@@ -408,7 +393,7 @@ def cn_sequence(fam: ForbiddenFamily, p, n_list, cap_bits: int | None = None,
                 workers: int = 1) -> list:
     """Entropy points c_n = -log2(mu_n(Forb(fam)))/C(n,r), exact input only.
 
-    One vertex-extension pass up to the largest n yields every point.
+    One walk of the vertex levels up to the largest n yields every point.
     Errors come in list order, as if each n were measured on its own.
     """
     r = fam.r
@@ -423,11 +408,14 @@ def cn_sequence(fam: ForbiddenFamily, p, n_list, cap_bits: int | None = None,
             break
     out = []
     if sizes:
-        rules = _extension_rules(EdgePredicate.forb(fam),
-                                 max(n for n, _ in sizes), r)
-        hists = _extension_histograms(rules, r, workers)
+        forb = EdgePredicate.forb(fam)
+        top = max(n for n, _ in sizes)
+        hists = _histograms(_levels(forb, top, r), workers)
         for n, nbits in sizes:
-            res = _exact_result(hists[n], p, nbits)
+            # one level only when a level's rule could not be built
+            hist = (hists[n] if len(hists) > top
+                    else _histograms(_levels(forb, n, r), workers)[-1])
+            res = _exact_result(hist, p, nbits)
             out.append(EntropyPoint(n=n, measure=res,
                                     c_n=cn_from_measure(n, r, res.value)))
     if failure is not None:

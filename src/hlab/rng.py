@@ -106,19 +106,6 @@ def bernoulli_columns(keys: np.ndarray, masks: np.ndarray, lo: int, hi: int,
     return masks
 
 
-def bernoulli_masks(seed: int, first_stream: int, count: int, draws: int,
-                    threshold: int) -> np.ndarray:
-    """Bit j of mask i: output j+1 of substream first_stream + i is below
-    `threshold`, for j < draws <= 64.
-
-    Bit-identical to comparing count separate Rng(seed, stream) blocks,
-    so batch consumers are independent of how work is split.
-    """
-    keys = stream_keys(seed, np.arange(first_stream, first_stream + count))
-    return bernoulli_columns(keys, np.zeros(count, dtype=np.uint64), 0, draws,
-                             threshold)
-
-
 def bernoulli_threshold(p) -> int:
     """Integer threshold T with Pr[u64 < T] = p up to 2**-64 quantisation.
 

@@ -5,9 +5,10 @@ partial Steiner system with blocks D_1..D_d, this module computes the
 per-block measures theta_i, the threshold index set I, the partition of
 A by containment pattern S, the projection and tail bounds, the set X
 of dense m-subsets, and the final counting floor.  All quantities are
-exact rationals from full mask enumeration; every identity the
-arguments rely on is recomputed through two separate code paths and
-compared for exact equality.
+exact rationals from one enumeration of the masks of A (the measure
+module's level walk, vertex by vertex for a hereditary A); every
+identity the arguments rely on is recomputed through two separate code
+paths and compared for exact equality.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ import numpy as np
 from .codec import _json_fraction, _json_int, load_json
 from .errors import (ConstructionError, FeasibilityError, ParameterError,
                      ParseError)
-from .family import ForbiddenFamily, _contains_columns, count_induced
+from .family import ForbiddenFamily, _contains_rows, count_induced
 from .hypergraph import RUniformGraph, subsets_colex
-from .measure import (EdgePredicate, MeasureResult, _validate_p,
-                      check_exact_feasible, exact_measure,
+from .measure import (EdgePredicate, MeasureResult, _levels, _validate_p,
+                      _walk, check_exact_feasible, exact_measure,
                       family_from_json_obj, family_to_json_obj, fraction_str,
-                      log2_fraction, map_chunks, mask_chunks,
-                      predicate_from_json_obj, predicate_to_json_obj,
-                      value_from_histogram, weight_powers)
+                      log2_fraction, predicate_from_json_obj,
+                      predicate_to_json_obj, value_from_histogram,
+                      weight_powers)
 from .steiner import SteinerSystem, system_from_json_obj, system_to_json_obj
 
 MAX_PARTITION_BLOCKS = 20
@@ -55,9 +56,30 @@ class LemmaParameters:
             raise ParameterError(f"block order m must be >= 2, got {self.m}")
 
 
+def _scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, vsets,
+          workers: int, per_block):
+    """Yield per_block(masks, pops, cols) for every block of the masks of A.
+
+    The blocks come from one walk of A's levels and are reduced on the
+    workers; pops holds each mask's edge count, and cols[i] whether some
+    member of fam is induced inside vsets[i].
+    """
+    r = fam.r
+    levels = _levels(A, n, r)
+    last = len(levels) - 1
+    rows = _contains_rows(n, r, fam, vsets)
+
+    def one(k, masks):
+        if k == last:
+            return per_block(masks, np.bitwise_count(masks).astype(np.intp),
+                             rows(masks))
+
+    return (part for k, part in _walk(levels, workers, one) if k == last)
+
+
 def _theta_scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int,
                 p: Fraction, vsets, workers: int) -> tuple:
-    """One pass over the 2^nbits masks, shared by lemma_report and x_set.
+    """One pass over the masks of A, shared by lemma_report and x_set.
 
     Returns mu(A); theta_S = mu(A and some member induced inside S) for
     each vertex set S; the measure of A weighted by the number of sets
@@ -65,15 +87,9 @@ def _theta_scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int,
     (count, mask) for the satisfying mask with the most such sets
     (smallest mask on ties), None when A is empty.
     """
-    r = fam.r
     width = nbits + 1
 
-    def one(chunk):
-        start, end = chunk
-        masks = np.arange(start, end, dtype=np.uint64)
-        masks = masks[A.batch(masks, n, r)]
-        pops = np.bitwise_count(masks).astype(np.intp)
-        cols = _contains_columns(masks, n, r, fam, vsets)
+    def one(masks, pops, cols):
         hists = np.zeros((len(vsets), width), dtype=np.int64)
         for i, col in enumerate(cols):
             hists[i] = np.bincount(pops[col], minlength=width)
@@ -82,16 +98,16 @@ def _theta_scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int,
         np.add.at(whist, pops, mcount)
         best = None
         if mcount.size:
-            bi = int(np.argmax(mcount))  # first max: smallest mask wins ties
-            best = (int(mcount[bi]), int(masks[bi]))
+            top = mcount.max()
+            best = (int(top), int(masks[mcount == top].min()))
         return np.bincount(pops, minlength=width), hists, whist, best
 
     a_hist = np.zeros(width, dtype=np.int64)
     hists = np.zeros((len(vsets), width), dtype=np.int64)
     whist = np.zeros(width, dtype=np.int64)
     best = None
-    for part_a, part_h, part_w, part_best in map_chunks(one, mask_chunks(nbits),
-                                                        workers):
+    for part_a, part_h, part_w, part_best in _scan(A, fam, n, vsets, workers,
+                                                   one):
         a_hist += part_a
         hists += part_h
         whist += part_w
@@ -153,27 +169,23 @@ def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
     r = fam.r
     nbits = check_exact_feasible(n, r, cap_bits)
     blocks = sys.blocks
-    in_block = [EdgePredicate.contains(fam, within=b) for b in blocks]
+    # each block's own kernel, as EdgePredicate.contains(fam, within=b)
+    # runs it, built once for the scan
+    in_block = [_contains_rows(n, r, fam, [b]) for b in blocks]
 
-    def one(chunk):
-        start, end = chunk
-        masks = np.arange(start, end, dtype=np.uint64)
-        masks = masks[A.batch(masks, n, r)]
-        pops = np.bitwise_count(masks).astype(np.int64)
-        cols = _contains_columns(masks, n, r, fam, blocks)
+    def one(masks, pops, cols):
         pattern = np.zeros(masks.shape, dtype=np.int64)
         for i in range(d):
             pattern |= cols[i].astype(np.int64) << i
         key = pattern * (nbits + 1) + pops
         hists = np.zeros((d, nbits + 1), dtype=np.int64)
-        for i, pred in enumerate(in_block):
-            hists[i] = np.bincount(pops[pred.batch(masks, n, r)],
-                                   minlength=nbits + 1)
+        for i, run in enumerate(in_block):
+            hists[i] = np.bincount(pops[run(masks)[0]], minlength=nbits + 1)
         return np.unique(key, return_counts=True), hists
 
     agg: dict = {}
     theta_hists = np.zeros((d, nbits + 1), dtype=np.int64)
-    for (uniq, counts), hists in map_chunks(one, mask_chunks(nbits), workers):
+    for (uniq, counts), hists in _scan(A, fam, n, blocks, workers, one):
         for k, c in zip(uniq.tolist(), counts.tolist()):
             agg[k] = agg.get(k, 0) + c
         theta_hists += hists

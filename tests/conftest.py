@@ -31,3 +31,21 @@ def c4():
 @pytest.fixture
 def p3():
     return graph_from_edges(3, 2, [(0, 1), (1, 2)])
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The (lo, hi) levels of every level walk run during the test."""
+    import hlab.measure
+    import hlab.supersat
+
+    seen = []
+    original = hlab.measure._walk
+
+    def recorded(levels, workers, per_block):
+        seen.append([(lo, hi) for lo, hi, _ in levels])
+        return original(levels, workers, per_block)
+
+    for mod in (hlab.measure, hlab.supersat):
+        monkeypatch.setattr(mod, "_walk", recorded)
+    return seen

@@ -3,7 +3,12 @@
 Everything here is deliberately naive and self-contained: direct
 definitions, permutation scans, full enumerations.  Nothing reuses the
 library's vectorized machinery beyond the RUniformGraph container, so
-agreement is meaningful.
+agreement is meaningful.  The exceptions say so: `full_scan_histogram`
+runs a predicate's batch rule over the whole mask space, the route apart
+from the level walk's extension rules, and `bernoulli_masks` and
+`sample_masks` give whole-mask views of `rng.bernoulli_columns`, the
+sampler `mc_measure` draws its levels with, for the tests that check it
+against `oracle_masks`.
 """
 
 from fractions import Fraction
@@ -14,6 +19,7 @@ import mpmath
 import numpy as np
 
 from hlab.hypergraph import RUniformGraph
+from hlab.rng import bernoulli_columns, bernoulli_threshold, stream_keys
 
 
 def colex_less(a: tuple, b: tuple) -> bool:
@@ -165,6 +171,53 @@ def substream_blocks(seed: int, first_stream: int, count: int,
     keys = mix(np.uint64(seed) ^ mix(streams * np.uint64(0x9E3779B97F4A7C15)))
     ctr = np.arange(1, draws + 1, dtype=np.uint64) * np.uint64(0xD1B54A32D192ED03)
     return mix(keys[:, None] ^ mix(ctr)[None, :])
+
+
+def oracle_masks(n: int, r: int, p, seed: int, count: int,
+                 first_stream: int) -> np.ndarray:
+    """G(n,p) masks built from the whole substream_blocks matrix: bit j of
+    mask i is output j+1 of substream first_stream + i, below p * 2^64."""
+    draws = substream_blocks(seed, first_stream, count, comb(n, r))
+    bits = draws < np.uint64(p * 2**64 // 1) if p < 1 else (
+        np.ones(draws.shape, dtype=bool))
+    shifts = np.arange(draws.shape[1], dtype=np.uint64)
+    return (bits.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
+
+
+def bernoulli_masks(seed: int, first_stream: int, count: int, draws: int,
+                    threshold: int) -> np.ndarray:
+    """rng.bernoulli_columns over columns [0, draws) of count new masks,
+    mask i on substream first_stream + i."""
+    keys = stream_keys(seed, np.arange(first_stream, first_stream + count))
+    return bernoulli_columns(keys, np.zeros(count, dtype=np.uint64), 0, draws,
+                             threshold)
+
+
+def sample_masks(n: int, r: int, p, seed: int, count: int,
+                 first_stream: int = 0) -> np.ndarray:
+    """Masks of count G(n,p) draws by rng.bernoulli_columns, sample i on
+    substream first_stream + i: every bit mc_measure draws for it."""
+    return bernoulli_masks(seed, first_stream, count, comb(n, r),
+                           bernoulli_threshold(p))
+
+
+def full_scan_histogram(pred, n: int, r: int) -> list:
+    """hist[e]: masks of the (n, r) space with e edges that pred's batch
+    rule accepts, all 2^C(n,r) masks in one array."""
+    masks = np.arange(1 << comb(n, r), dtype=np.uint64)
+    pops = np.bitwise_count(masks[pred.batch(masks, n, r)])
+    return np.bincount(pops, minlength=comb(n, r) + 1).tolist()
+
+
+def vertex_levels(n: int, r: int) -> list:
+    """(lo, hi) per vertex level k = 0..n: the colex bits of the edges
+    through vertex k-1, listed one by one; the empty range at k = 0."""
+    levels, lo = [(0, 0)], 0
+    for k in range(1, n + 1):
+        width = sum(1 for t in combinations(range(k), r) if k - 1 in t)
+        levels.append((lo, lo + width))
+        lo += width
+    return levels
 
 
 def shuffle_scalar(rng, items: list) -> None:

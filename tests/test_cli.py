@@ -476,6 +476,26 @@ def test_extension_byte_identical_across_workers(files, capsys, tmp_path):
         assert pt["mu"] == alone["value"]
 
 
+def test_hereditary_instance_byte_identical_across_workers(files, capsys,
+                                                          tmp_path):
+    # A forb class takes the vertex levels in partition and xset too.
+    from hlab.family import normalize_family
+
+    sys6 = SteinerSystem(r=2, m=3, n=6,
+                         blocks=((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)))
+    inst = Instance(n=6, r=2, p=Fraction(1, 3),
+                    predicate=EdgePredicate.forb(normalize_family([C4])),
+                    family=normalize_family([K3]), system=sys6,
+                    params=LemmaParameters(nu=Fraction(1, 4), m=3))
+    path = str(tmp_path / "forb.json")
+    save_instance(inst, path)
+    for base in (["partition", "--instance", path],
+                 ["xset", "--instance", path, "--gamma", "1/8"]):
+        outs = [run(capsys, base + ["--workers", w]) for w in ("1", "2")]
+        assert outs[0][0] == 0
+        assert outs[0] == outs[1]
+
+
 _EXPLICIT = ["measure", "--n", "4", "--r", "2", "--p", "1/2",
              "--predicate", "{pred}"]
 _LEMMA = ["lemma", "--instance", "{pred}"]
@@ -510,6 +530,8 @@ def _instance(p="1/2", **params):
      None, 1),
     (["mc", "--n", "4", "--r", "-2", "--p", "1/2", "--samples", "10",
       "--seed", "0", "--min-edges", "0"], None, 1),
+    (["mc", "--n", "4", "--r", "2", "--p", "1/2", "--min-edges", "0",
+      "--samples", "100000000000000", "--seed", "0"], None, 1),
     (["cn", "--family", "{k3}", "--p", "1/2", "--n-list", "-1"], None, 1),
     (["measure", "--n", "3", "--r", "2", "--p", "1/2", "--forb", "{k3}",
       "--within", "0,1"], None, 2),
@@ -533,7 +555,8 @@ def _instance(p="1/2", **params):
         "explicit-2^64-1", "explicit-float", "predicate-bad-json",
         "cn-n-list", "cn-n-list-empty", "cn-n-list-empty-csv",
         "measure-within", "witness-e", "measure-n-negative",
-        "measure-r-negative", "mc-r-negative", "cn-n-negative",
+        "measure-r-negative", "mc-r-negative", "mc-samples-huge",
+        "cn-n-negative",
         "within-without-contains", "min-edges-float", "within-float",
         "codec-float", "steiner-block-float", "steiner-r-negative",
         "instance-p-float", "instance-p-bool", "instance-gamma-bool",

@@ -13,18 +13,17 @@ from hlab.errors import (FeasibilityError, ParameterError, ParseError,
                          SizeLimitError)
 from hlab.family import normalize_family
 from hlab.hypergraph import RUniformGraph, complete_graph, graph_from_edges
-from hlab.measure import (HARD_EXACT_CAP_BITS, EdgePredicate,
-                          _edge_histogram, _extension_histograms,
-                          _extension_rule, _extension_rules,
-                          check_exact_feasible,
+from hlab.measure import (HARD_EXACT_CAP_BITS, EdgePredicate, _extension_rule,
+                          _histograms, _levels, check_exact_feasible,
                           clopper_pearson, cn_from_measure, cn_sequence,
                           exact_measure, fraction_str, log2_fraction,
                           mc_measure, predicate_from_json_obj,
-                          predicate_to_json_obj, sample_masks, weight_powers)
+                          predicate_to_json_obj, weight_powers)
 
-from oracles import (clopper_pearson_bisect, naive_level_histograms,
-                     naive_measure, naive_satisfies, substream_blocks,
-                     triangle_free_measure)
+from oracles import (clopper_pearson_bisect, full_scan_histogram,
+                     naive_level_histograms, naive_measure, naive_satisfies,
+                     oracle_masks, sample_masks, triangle_free_measure,
+                     vertex_levels)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -308,6 +307,8 @@ def test_mc_rejects_bad_arguments():
         mc_measure(4, 2, HALF, FORB_K3, samples=0, seed=0)
     with pytest.raises(ParameterError):
         mc_measure(4, 2, HALF, FORB_K3, samples=10, seed=0, ci_level=1.5)
+    with pytest.raises(ParameterError, match=r"samples must be <= 4294967296"):
+        mc_measure(4, 2, HALF, FORB_K3, samples=(1 << 32) + 1, seed=0)
 
 
 def test_sample_masks_matches_scalar_rng():
@@ -326,14 +327,6 @@ def test_sample_masks_extreme_p():
     assert set(sample_masks(4, 2, Fraction(0), seed=0, count=5).tolist()) == {0}
 
 
-def _oracle_masks(n, r, p, seed, count, first_stream):
-    draws = substream_blocks(seed, first_stream, count, comb(n, r))
-    bits = draws < np.uint64(p * 2**64 // 1) if p < 1 else (
-        np.ones(draws.shape, dtype=bool))
-    shifts = np.arange(draws.shape[1], dtype=np.uint64)
-    return (bits.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
-
-
 @pytest.mark.parametrize("n,r", [(11, 2), (8, 3)])
 @pytest.mark.parametrize("p", [Fraction(0), THIRD, HALF, Fraction(1)])
 @pytest.mark.parametrize("count", [1, (1 << 16) + 3])
@@ -344,7 +337,7 @@ def test_sample_masks_bitwise_oracles(n, r, p, count):
     first = 70_001
     masks = sample_masks(n, r, p, seed=5, count=count, first_stream=first)
     assert masks.dtype == np.uint64
-    assert masks.tolist() == _oracle_masks(n, r, p, 5, count, first).tolist()
+    assert masks.tolist() == oracle_masks(n, r, p, 5, count, first).tolist()
     for i in sorted({0, count // 2, count - 1, min(1 << 16, count - 1)}):
         g = random_graph(n, r, p, Rng(seed=5, stream=first + i))
         assert int(masks[i]) == g.edge_mask
@@ -363,7 +356,7 @@ def test_mc_hits_past_one_chunk(p, pred):
     samples = (1 << 16) + 3
     runs = [mc_measure(11, 2, p, pred, samples=samples, seed=4, workers=w)
             for w in (1, 2, 0)]
-    want = int(pred.batch(_oracle_masks(11, 2, p, 4, samples, 0), 11, 2).sum())
+    want = int(pred.batch(oracle_masks(11, 2, p, 4, samples, 0), 11, 2).sum())
     assert 0 < want < samples
     assert [res.hits for res in runs] == [want] * 3
     assert runs[0] == runs[1] == runs[2]
@@ -398,7 +391,7 @@ HEREDITARY_CASES = {
 @pytest.mark.parametrize("n,r,p,pred,samples", HEREDITARY_CASES.values(),
                          ids=list(HEREDITARY_CASES))
 def test_mc_hereditary_hits_match_row_oracle(n, r, p, pred, samples):
-    want = int(pred.batch(_oracle_masks(n, r, p, 3, samples, 0), n, r).sum())
+    want = int(pred.batch(oracle_masks(n, r, p, 3, samples, 0), n, r).sum())
     res = mc_measure(n, r, p, pred, samples=samples, seed=3)
     assert res.hits == want
     assert res.value == want / samples
@@ -559,7 +552,7 @@ EXTENSION_FAMILIES = {"K3": ([K3], 2), "C4": ([C4], 2), "P4": ([P4], 2),
 
 
 def _level_histograms(pred, n, r, workers=1):
-    return _extension_histograms(_extension_rules(pred, n, r), r, workers)
+    return _histograms(_levels(pred, n, r), workers)
 
 
 def _hereditary(members, k):
@@ -586,7 +579,7 @@ def test_extension_levels_match_full_scan(name):
         hists = _level_histograms(pred, n, r)
         assert len(hists) == n + 1
         for k, hist in enumerate(hists):
-            assert hist == _edge_histogram(pred, k, r, comb(k, r), 1)
+            assert hist == full_scan_histogram(pred, k, r)
 
 
 def test_triangle_free_labelled_counts_from_one_pass():
@@ -639,8 +632,9 @@ def test_extension_memory_within_one_scan_chunk():
             tracemalloc.stop()
 
     cap = EdgePredicate.max_edges(22)
-    rules = [_extension_rule(cap, k, 1) for k in range(23)]
-    ext_hists, ext_peak = traced(lambda: _extension_histograms(rules, 1, 1))
+    levels = [(lo, hi, _extension_rule(cap, k, 1))
+              for k, (lo, hi) in enumerate(vertex_levels(22, 1))]
+    ext_hists, ext_peak = traced(lambda: _histograms(levels, 1))
     scan_value, scan_peak = traced(
         lambda: exact_measure(22, 1, HALF, cap, cap_bits=22).value)
     assert [sum(h) for h in ext_hists] == [1 << k for k in range(23)]
@@ -678,30 +672,34 @@ def test_cn_sequence_points_in_list_order():
         assert pt.measure == exact_measure(pt.n, 2, THIRD, EdgePredicate.forb(fam))
 
 
-def test_hereditary_predicates_skip_the_full_scan(monkeypatch):
+def test_cn_sequence_without_rules_walks_each_n(monkeypatch):
+    # With no extension rules the levels are one full-space level, which
+    # holds the largest n only, so each n is walked on its own.
     import hlab.measure
 
-    spaces = []
-    original = hlab.measure.mask_chunks
+    fam = normalize_family([C4])
+    want = cn_sequence(fam, THIRD, [4, 2, 5])
+    monkeypatch.setattr(hlab.measure, "_extension_rules", lambda *a: None)
+    assert cn_sequence(fam, THIRD, [4, 2, 5]) == want
 
-    def counted(nbits):
-        spaces.append(nbits)
-        return original(nbits)
 
-    monkeypatch.setattr(hlab.measure, "mask_chunks", counted)
+def test_hereditary_predicates_skip_the_full_scan(walks):
     cap = EdgePredicate.max_edges(3)
     for pred in (FORB_K3, EdgePredicate.intersection([FORB_K3, cap]),
                  EdgePredicate.intersection(
                      [cap, EdgePredicate.intersection([FORB_K3])])):
         exact_measure(5, 2, HALF, pred)
     cn_sequence(normalize_family([K3]), HALF, [2, 5, 4])
-    assert spaces == []
+    # One level per vertex, and one walk up to the largest n.
+    assert walks == [vertex_levels(5, 2)] * 4
+    walks.clear()
     # Not hereditary, or an edge bound with no forbidden family to test:
-    # the full scan is cheaper than the extension for the latter.
+    # the full scan is cheaper than the extension for the latter.  Each
+    # is one level over all C(5,2) columns.
     for pred in (EdgePredicate.min_edges(3), EdgePredicate.complement(FORB_K3),
                  EdgePredicate.intersection([FORB_K3,
                                              EdgePredicate.min_edges(3)]),
                  cap, EdgePredicate.intersection([cap, cap]),
                  EdgePredicate.intersection([])):
         exact_measure(5, 2, HALF, pred)
-    assert spaces == [10] * 6
+    assert walks == [[(0, 10)]] * 6

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 import hlab.rng as rng_module
 from hlab.errors import ParameterError
-from hlab.rng import (Rng, bernoulli_columns, bernoulli_masks,
-                      bernoulli_threshold, raw_u64, raw_u64_block, stream_key,
-                      stream_keys)
+from hlab.rng import (Rng, bernoulli_columns, bernoulli_threshold, raw_u64,
+                      raw_u64_block, stream_key, stream_keys)
 
-from oracles import shuffle_scalar, substream_blocks
+from oracles import bernoulli_masks, shuffle_scalar, substream_blocks
 
 
 def test_same_seed_same_sequence():

@@ -10,8 +10,8 @@ from hlab.errors import FeasibilityError, ParameterError, ParseError
 from hlab.family import normalize_family
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph, subsets_colex)
-from hlab.measure import (EdgePredicate, _edge_histogram, exact_measure,
-                          predicate_to_json_obj, value_from_histogram)
+from hlab.measure import (EdgePredicate, exact_measure, predicate_to_json_obj,
+                          value_from_histogram)
 from hlab.steiner import SteinerSystem
 from hlab.supersat import (Instance, LemmaParameters, counting_floor,
                            instance_from_json_obj, instance_to_json_obj,
@@ -20,7 +20,8 @@ from hlab.supersat import (Instance, LemmaParameters, counting_floor,
                            partition_table, projection_bound_check,
                            save_instance, tail_mass, x_set)
 
-from oracles import naive_partition_cells, naive_satisfies
+from oracles import (full_scan_histogram, naive_partition_cells,
+                     naive_satisfies, vertex_levels)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -117,33 +118,21 @@ def test_x_set_builds_mask_weights_once():
     assert info.misses == 1 and info.hits > 20
 
 
-def test_one_enumeration_pass_per_command(monkeypatch):
-    import hlab.measure
-    import hlab.supersat
-
-    spaces = []
-    original = hlab.measure.mask_chunks
-
-    def counted(nbits):
-        spaces.append(nbits)
-        return original(nbits)
-
-    monkeypatch.setattr(hlab.supersat, "mask_chunks", counted)
-    monkeypatch.setattr(hlab.measure, "mask_chunks", counted)
-    full, block = comb(6, 2), comb(3, 2)
+def test_one_enumeration_pass_per_command(walks):
+    full = [(0, comb(6, 2))]
     A = EdgePredicate.min_edges(8)
     partition_table(A, SYS6, FAM_K3, 6, HALF)
-    assert spaces == [full]
-    spaces.clear()
+    assert walks == [full]
+    walks.clear()
     x_set(A, FAM_K3, 3, Fraction(1, 4), 6, HALF)
-    assert spaces == [full]
-    spaces.clear()
+    assert walks == [full]
+    walks.clear()
     rep = lemma_report(A, SYS6, FAM_K3,
                        LemmaParameters(nu=Fraction(1, 4), m=3), HALF)
-    # mu_m(B) of the hereditary Forb(F) comes from the vertex extension.
-    assert spaces == [full]
-    hist = _edge_histogram(EdgePredicate.forb(FAM_K3), 3, 2, block, 1)
-    assert rep.mu_mB == value_from_histogram(hist, HALF, block)
+    # mu_m(B) of the hereditary Forb(F) walks the m + 1 vertex levels.
+    assert walks == [full, vertex_levels(3, 2)]
+    hist = full_scan_histogram(EdgePredicate.forb(FAM_K3), 3, 2)
+    assert rep.mu_mB == value_from_histogram(hist, HALF, comb(3, 2))
 
 
 @given(small_systems(), predicates6(), st.sampled_from([HALF, THIRD]))
@@ -155,15 +144,19 @@ def test_partition_identity_and_total(sys, A, p):
     assert table.total == exact_measure(sys.n, 2, p, A).value
 
 
-def test_partition_cells_match_naive_oracle():
+def test_partition_cells_match_naive_oracle(walks):
     sys = SteinerSystem(r=2, m=3, n=5, blocks=((0, 1, 2), (0, 3, 4)))
-    for A in (ALWAYS, EdgePredicate.min_edges(4), FORB_K3):
+    capped = EdgePredicate.intersection([EdgePredicate.max_edges(4), FORB_K3])
+    for A in (ALWAYS, EdgePredicate.min_edges(4), FORB_K3, capped):
         table = partition_table(A, sys, FAM_K3, 5, THIRD)
         obj = predicate_to_json_obj(A)
         expect = naive_partition_cells(
             5, 2, THIRD, lambda G: naive_satisfies(obj, G), sys.blocks,
             FAM_K3.members)
         assert table.cells == {k: v for k, v in expect.items() if v}
+    # The hereditary classes are built vertex by vertex.
+    full = [(0, comb(5, 2))]
+    assert walks == [full, full, vertex_levels(5, 2), vertex_levels(5, 2)]
 
 
 def test_partition_forbidden_class_single_empty_cell():
