@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -69,8 +70,13 @@ def family_orbit(fam: ForbiddenFamily, h: int) -> frozenset:
 
 
 # Largest orbit lookup table, in bits of its index: 2^28 booleans (256 MB)
-# still takes an 8-vertex graph member.
+# still takes an 8-vertex graph member.  An order with a wider lookup runs
+# the masked compare if its orbit has at most _COMPARE_MAX_ORBIT members,
+# else it is refused.  A compare pass costs about 10 us on a 2^16-mask block
+# (Xeon, 2 vCPUs), so a row takes 0.05 s per block at an orbit of 2,520 (a
+# sparse 7-vertex 3-graph) and 0.09 s at 2^12.  Neither limit depends on n.
 _LOOKUP_MAX_BITS = 28
+_COMPARE_MAX_ORBIT = 1 << 12
 
 
 @lru_cache(maxsize=None)
@@ -208,13 +214,15 @@ def _gather_kernel(n: int, h: int, r: int, lookup: np.ndarray, wanted: list):
 
 def _contains_rows(n: int, r: int, fam: ForbiddenFamily, vsets,
                    through: int | None = None):
-    """Build the row kernels once; run(masks) returns _contains_columns.
+    """Build the row kernels once; run(masks)[i]: 'some member is induced
+    inside vsets[i]', one entry per mask.
 
     Each h-subset's row is evaluated once and its hits are ORed into every
     vertex set containing the subset; with `through`, only the h-subsets
     containing that vertex become rows.  Per order, the masked compare
     costs 1 + 2|orbit| elementwise passes per row and the sliced-table
-    gather 2 * slices + 1 gather passes; the cheaper one runs.
+    gather 2 * slices + 1 gather passes; the cheaper one runs, or the
+    compare when the lookup is too wide (see _LOOKUP_MAX_BITS).
     """
     if fam.r != r:
         raise ParameterError(f"uniformity mismatch: space r={r}, family r={fam.r}")
@@ -231,7 +239,9 @@ def _contains_rows(n: int, r: int, fam: ForbiddenFamily, vsets,
             continue
         wanted = [rank_subset(sub, h) for sub in owners]
         orbit = family_orbit(fam, h)
-        if 1 + 2 * len(orbit) <= _GATHER_PASS_COST * (2 * nslices + 1):
+        if 1 + 2 * len(orbit) <= _GATHER_PASS_COST * (2 * nslices + 1) or (
+                len(orbit) <= _COMPARE_MAX_ORBIT
+                and comb(h, r) > _LOOKUP_MAX_BITS):
             kernel = _compare_kernel(n, h, r, orbit, wanted)
         else:
             kernel = _gather_kernel(n, h, r, family_orbit_lookup(fam, h), wanted)
@@ -249,19 +259,9 @@ def _contains_rows(n: int, r: int, fam: ForbiddenFamily, vsets,
     return run
 
 
-def _contains_columns(masks: np.ndarray, n: int, r: int, fam: ForbiddenFamily,
-                      vsets) -> np.ndarray:
-    """Row i: 'some member is induced inside vsets[i]', one entry per mask."""
-    return _contains_rows(n, r, fam, vsets)(masks)
-
-
 def batch_contains(masks: np.ndarray, n: int, r: int, fam: ForbiddenFamily,
                    within: tuple | None = None) -> np.ndarray:
-    """Vectorized F < G[D] over an array of uint64 edge_masks.
-
-    ``within`` restricts the search to subsets of those vertices (the
-    block-local containment of the partition lemma); None means all of
-    range(n).
-    """
+    """Vectorized F < G[D] over an array of uint64 edge_masks, D the
+    vertices `within` (None: all of range(n)); one call, one kernel build."""
     scope = range(n) if within is None else within
-    return _contains_columns(masks, n, r, fam, [scope])[0]
+    return _contains_rows(n, r, fam, [scope])(masks)[0]

@@ -14,7 +14,7 @@ that tests a forbidden family (`forb`, and intersections of `forb` and
 layout the low C(k-1,r) bits of a k-vertex mask are G[0..k-2], so level
 k adds the edges through vertex k-1 and tests only the copies through
 it.  Every other predicate is one level: all C(n,r) bits, then its
-batch rule.  The exact path enumerates the choices in one depth-first
+rule.  The exact path enumerates the choices in one depth-first
 walk, in slices that together hold at most 2^20 masks, and runs keep and
 the caller's reduction on blocks of 2^16 masks; worker count only
 schedules blocks, and reductions add, so results do not depend on it.
@@ -41,10 +41,9 @@ import numpy as np
 from concurrent.futures import ThreadPoolExecutor
 
 from .codec import _json_int, graph_from_json_obj, graph_to_json_obj
-from .errors import (FeasibilityError, ParameterError, ParseError,
-                     SizeLimitError)
+from .errors import FeasibilityError, ParameterError, ParseError
 from .family import (_BLOCK_MASKS, ForbiddenFamily, _contains_rows,
-                     batch_contains, normalize_family)
+                     normalize_family)
 from .rng import bernoulli_columns, bernoulli_threshold, stream_keys
 
 DEFAULT_EXACT_CAP_BITS = 24
@@ -103,7 +102,7 @@ class EdgePredicate:
 
     def batch(self, masks: np.ndarray, n: int, r: int) -> np.ndarray:
         """Boolean column over an array of uint64 edge_masks of the (n, r) space."""
-        return _KINDS[self.kind].batch(self, masks, n, r)
+        return _rule(self, n, r)(masks)
 
 
 @dataclass(frozen=True)
@@ -242,50 +241,31 @@ def log2_fraction(x: Fraction):
         )
 
 
-def _extension_rule(pred, k: int, r: int):
-    """The keep-column rule of level k for a hereditary pred, else None."""
-    extend = _KINDS[pred.kind].extend
-    return None if extend is None else extend(pred, k, r)
-
-
 def _tests_family(pred) -> bool:
     """Whether pred, or a part of its intersection, is a `forb` test."""
     return pred.kind == "forb" or any(map(_tests_family, pred.parts))
 
 
-def _extension_rules(pred, n: int, r: int) -> list | None:
-    """Rules for levels 0..n, each built once; None when pred has none.
-
-    Only a class that tests a forbidden family is extended: a bare edge
-    bound costs one popcount per mask, which the full scan pays with no
-    gather, so max_edges alone, or an intersection of edge bounds, keeps
-    the scan.  None too when a level's rule cannot be built, so the batch
-    rule over the full space gives the value or the error: a level's
-    kernel may pick the gather, whose orbit lookup can be too large, where
-    the wider full space picks the compare, and a part's operands may be
-    refused before an earlier part's batch error.
-    """
-    if not _tests_family(pred):
-        return None
-    try:
-        rules = [_extension_rule(pred, k, r) for k in range(n + 1)]
-    except (ParameterError, SizeLimitError):
-        return None
-    return None if rules[0] is None else rules
+def _hereditary(pred) -> bool:
+    """Whether pred is closed under induced subgraphs by its kind and parts."""
+    return _KINDS[pred.kind].hereditary and all(map(_hereditary, pred.parts))
 
 
 def _levels(pred, n: int, r: int) -> list:
-    """(lo, hi, keep) levels of pred on the (n, r) space.
+    """(lo, hi, keep) levels of pred on the (n, r) space, each rule built once.
 
-    With extension rules, level k adds the edges through vertex k-1, the
-    colex bits C(k-1,r) .. C(k,r)-1, and keeps rules[k]; any other pred is
-    one level over all C(n,r) bits with its batch rule.
+    A hereditary pred that tests a forbidden family has one level per vertex:
+    level k adds the edges through vertex k-1, the colex bits C(k-1,r) ..
+    C(k,r)-1, and keeps its rule through vertex k-1.  Any other pred, a bare
+    edge bound too (one popcount per mask, cheaper as one scan), is one level
+    over all C(n,r) bits.  Level n, built first, holds every family order the
+    full space holds, so it raises the full-space rule's error, in part order.
     """
-    rules = _extension_rules(pred, n, r)
-    if rules is None:
-        return [(0, comb(n, r), lambda masks: pred.batch(masks, n, r))]
+    if not (_hereditary(pred) and _tests_family(pred)):
+        return [(0, comb(n, r), _rule(pred, n, r))]
+    keeps = [_rule(pred, k, r, through=k - 1) for k in range(n, -1, -1)]
     bounds = [0] + [comb(k, r) for k in range(n + 1)]
-    return list(zip(bounds, bounds[1:], rules))
+    return list(zip(bounds, bounds[1:], reversed(keeps)))
 
 
 def _exact_result(hist, p: Fraction, nbits: int) -> MeasureResult:
@@ -296,8 +276,8 @@ def _exact_result(hist, p: Fraction, nbits: int) -> MeasureResult:
 def exact_measure(n: int, r: int, p, pred, cap_bits: int | None = None,
                   workers: int = 1) -> MeasureResult:
     """Exact mu_n(pred); deterministic.  The histogram of the last of
-    pred's levels, from one walk: vertex by vertex for a pred with
-    extension rules, one level over all 2^C(n,r) masks for any other."""
+    pred's levels, from one walk: vertex by vertex for a hereditary pred
+    with a `forb` test, one level over all 2^C(n,r) masks for any other."""
     p = _validate_p(p)
     nbits = check_exact_feasible(n, r, cap_bits)
     return _exact_result(_histograms(_levels(pred, n, r), workers)[-1], p,
@@ -394,7 +374,9 @@ def cn_sequence(fam: ForbiddenFamily, p, n_list, cap_bits: int | None = None,
     """Entropy points c_n = -log2(mu_n(Forb(fam)))/C(n,r), exact input only.
 
     One walk of the vertex levels up to the largest n yields every point.
-    Errors come in list order, as if each n were measured on its own.
+    Errors come in list order, as if each n were measured on its own,
+    except that a family order the kernel cannot test is refused before
+    any point.
     """
     r = fam.r
     if n_list:
@@ -412,10 +394,7 @@ def cn_sequence(fam: ForbiddenFamily, p, n_list, cap_bits: int | None = None,
         top = max(n for n, _ in sizes)
         hists = _histograms(_levels(forb, top, r), workers)
         for n, nbits in sizes:
-            # one level only when a level's rule could not be built
-            hist = (hists[n] if len(hists) > top
-                    else _histograms(_levels(forb, n, r), workers)[-1])
-            res = _exact_result(hist, p, nbits)
+            res = _exact_result(hists[n], p, nbits)
             out.append(EntropyPoint(n=n, measure=res,
                                     c_n=cn_from_measure(n, r, res.value)))
     if failure is not None:
@@ -451,7 +430,7 @@ def predicate_from_json_obj(obj) -> EdgePredicate:
     raise ParseError(f"unknown predicate kind {kind!r}", 0)
 
 
-def _explicit_batch(pred, masks, n, r):
+def _explicit_rule(pred, n, r, through=None):
     nbits = comb(n, r)
     outside = [m for m in pred.masks if m < 0 or m >> nbits]
     if outside:
@@ -459,59 +438,66 @@ def _explicit_batch(pred, masks, n, r):
             f"explicit mask {min(outside)} lies outside the "
             f"C({n},{r}) = {nbits}-bit layout")
     wanted = np.fromiter(sorted(pred.masks), count=len(pred.masks), dtype=np.uint64)
-    return np.isin(masks, wanted)
+    return lambda masks: np.isin(masks, wanted)
 
 
-def _forb_extension(pred, k: int, r: int):
-    run = _contains_rows(k, r, pred.family, [range(k)], through=k - 1)
-    return lambda masks: ~run(masks)[0]
+def _contains_rule(pred, n, r, through=None):
+    scope = range(n) if pred.within is None else pred.within
+    run = _contains_rows(n, r, pred.family, [scope], through=through)
+    return lambda masks: run(masks)[0]
 
 
-def _intersection_extension(pred, k: int, r: int):
-    rules = []
-    for q in pred.parts:
-        rule = _extension_rule(q, k, r)
-        if rule is None:
-            return None
-        rules.append(rule)
-    return lambda masks: reduce(np.logical_and, (f(masks) for f in rules),
+def _negated(keep):
+    return lambda masks: ~keep(masks)
+
+
+def _intersection_rule(pred, n, r, through=None):
+    keeps = [_rule(q, n, r, through) for q in pred.parts]
+    return lambda masks: reduce(np.logical_and, (f(masks) for f in keeps),
                                 np.ones(masks.shape, dtype=bool))
 
 
 class _Kind(NamedTuple):
-    """One predicate kind: batch rule, JSON operands, their parser, and
-    the extension rule of a hereditary kind."""
+    """One predicate kind: its rule, JSON operands and their parser, and
+    whether it is closed under induced subgraphs (an intersection when its
+    parts are too)."""
 
-    batch: Callable     # (pred, masks, n, r) -> boolean column
+    # (pred, n, r, through=None) -> keep, a boolean column over masks of the
+    # (n, r) space; with `through`, only the copies through that vertex.
+    rule: Callable
     operands: Callable  # pred -> JSON fields after "kind"
     parse: Callable     # JSON object -> EdgePredicate
-    # (pred, k, r) -> keep column over level-k candidates, or None; None
-    # for a kind that is not closed under induced subgraphs
-    extend: Callable | None = None
+    hereditary: bool = False
+
+
+def _rule(pred, n: int, r: int, through: int | None = None):
+    return _KINDS[pred.kind].rule(pred, n, r, through)
 
 
 _KINDS = {
     "min_edges": _Kind(
-        lambda p, masks, n, r: np.bitwise_count(masks) >= p.k,
+        lambda p, n, r, through=None: lambda masks: (
+            np.bitwise_count(masks) >= p.k),
         lambda p: {"k": p.k},
         lambda o: EdgePredicate.min_edges(_json_int(o["k"]))),
     "max_edges": _Kind(
-        lambda p, masks, n, r: np.bitwise_count(masks) <= p.k,
+        lambda p, n, r, through=None: lambda masks: (
+            np.bitwise_count(masks) <= p.k),
         lambda p: {"k": p.k},
         lambda o: EdgePredicate.max_edges(_json_int(o["k"])),
-        lambda p, k, r: lambda masks: p.batch(masks, k, r)),
+        hereditary=True),
     "explicit": _Kind(
-        _explicit_batch,
+        _explicit_rule,
         lambda p: {"masks": sorted(p.masks)},
         lambda o: EdgePredicate.explicit(map(_json_int, o["masks"]))),
     "forb": _Kind(
-        lambda p, masks, n, r: ~batch_contains(masks, n, r, p.family),
+        lambda p, n, r, through=None: _negated(
+            _contains_rule(p, n, r, through)),
         lambda p: {"family": family_to_json_obj(p.family)},
         lambda o: EdgePredicate.forb(family_from_json_obj(o["family"])),
-        _forb_extension),
+        hereditary=True),
     "contains": _Kind(
-        lambda p, masks, n, r: batch_contains(masks, n, r, p.family,
-                                              within=p.within),
+        _contains_rule,
         lambda p: {"family": family_to_json_obj(p.family)} | (
             {} if p.within is None else {"within": list(p.within)}),
         lambda o: EdgePredicate.contains(
@@ -519,15 +505,13 @@ _KINDS = {
             within=None if o.get("within") is None
             else map(_json_int, o["within"]))),
     "intersection": _Kind(
-        lambda p, masks, n, r: reduce(
-            np.logical_and, (q.batch(masks, n, r) for q in p.parts),
-            np.ones(masks.shape, dtype=bool)),
+        _intersection_rule,
         lambda p: {"parts": [predicate_to_json_obj(q) for q in p.parts]},
         lambda o: EdgePredicate.intersection(
             predicate_from_json_obj(q) for q in o["parts"]),
-        _intersection_extension),
+        hereditary=True),
     "complement": _Kind(
-        lambda p, masks, n, r: ~p.inner.batch(masks, n, r),
+        lambda p, n, r, through=None: _negated(_rule(p.inner, n, r)),
         lambda p: {"inner": predicate_to_json_obj(p.inner)},
         lambda o: EdgePredicate.complement(predicate_from_json_obj(o["inner"]))),
 }

@@ -16,12 +16,18 @@ from math import comb
 import numpy as np
 
 from .codec import _json_int, load_json
-from .errors import ConstructionError, ParameterError, ParseError
+from .errors import (ConstructionError, ParameterError, ParseError,
+                     SizeLimitError)
 from .hypergraph import induced_rank_table, subsets_colex
 from .rng import Rng, bernoulli_threshold
 
 DEFAULT_BITE = Fraction(1, 10)
 DEFAULT_ROUNDS = 10
+# Largest table a Steiner command builds, in entries: the r-subsets of a
+# block that verification walks (C(m,r) x r vertices) and a packing's rank
+# rows (C(n,m) x C(m,r) ranks).  A (2,3,200) packing holds 3,940,200 ranks:
+# 14 s and 617 MB; (2,3,300) took 55 s and 2.0 GB.
+_TABLE_MAX_BITS = 22
 
 
 @lru_cache(maxsize=None)
@@ -112,11 +118,18 @@ class SteinerSystem:
         return verify_system(self.r, self.m, self.n, self.blocks)
 
 
+def _check_table(what: str, a: int, b: int, c: int) -> None:
+    if (size := comb(a, b) * c) > 1 << _TABLE_MAX_BITS:
+        raise SizeLimitError(f"{what} of C({a},{b}) x {c} = {size} entries "
+                             f"exceeds the limit 2^{_TABLE_MAX_BITS}")
+
+
 def _check_params(r: int, m: int, n: int) -> None:
     if not r < m <= n:
         raise ParameterError(f"need r < m <= n, got (r={r}, m={m}, n={n})")
     if r < 1:
         raise ParameterError("need r >= 1")
+    _check_table("block layout", m, r, r)
 
 
 def _check_nibble(bite: Fraction, rounds: int) -> None:
@@ -137,6 +150,7 @@ def _packing(r: int, m: int, n: int, seed: int, stream: int = 0,
     completion scans all m-subsets in seeded-shuffle order, adding every
     block whose r-subsets are all uncovered, so the result is maximal.
     """
+    _check_table("packing table", n, m, comb(m, r))
     rng = Rng(seed, stream)
     subs = subsets_colex(n, m)
     rows = _block_rank_rows(n, m, r)

@@ -65,9 +65,9 @@ def _scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, vsets,
     member of fam is induced inside vsets[i].
     """
     r = fam.r
-    levels = _levels(A, n, r)
-    last = len(levels) - 1
     rows = _contains_rows(n, r, fam, vsets)
+    levels = _levels(A, n, r)  # after rows: fam's errors come first
+    last = len(levels) - 1
 
     def one(k, masks):
         if k == last:

@@ -258,21 +258,28 @@ assert "scipy.stats" not in sys.modules, loaded()
 """
 
 
-def test_scipy_loaded_only_by_mc(files):
-    # A fresh interpreter: only mc's interval needs scipy, and only
-    # scipy.special, so every other command starts without it.
-    import subprocess
-    import sys as _sys
+def _source_tree_env() -> dict:
+    """The environment with the imported hlab's source tree on PYTHONPATH,
+    so a fresh interpreter imports the same package."""
     from pathlib import Path
 
     import hlab
 
     src = str(Path(hlab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_scipy_loaded_only_by_mc(files):
+    # A fresh interpreter: only mc's interval needs scipy, and only
+    # scipy.special, so every other command starts without it.
+    import subprocess
+    import sys as _sys
+
     proc = subprocess.run([_sys.executable, "-c", SCIPY_PROBE,
                            files["fam_k3"]],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True,
+                          env=_source_tree_env())
     assert proc.returncode == 0, proc.stderr
 
 
@@ -354,7 +361,7 @@ def test_console_script_entry_point(files):
 
     proc = subprocess.run(
         [_sys.executable, "-m", "hlab.cli", "tau", "--graph", files["c4"]],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_source_tree_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["t"] == 2
 
@@ -546,6 +553,10 @@ def _instance(p="1/2", **params):
      '{"r":2,"m":3,"n":4,"blocks":[[0,1,2.5]]}', 1),
     (["verify-steiner", "--system", "{pred}"],
      '{"r":-1,"m":3,"n":4,"blocks":[[0,1,2]]}', 1),
+    (["steiner", "--r", "2", "--m", "3", "--n", "600", "--seed", "0"],
+     None, 1),
+    (["verify-steiner", "--system", "{pred}"], json.dumps(
+        {"r": 20, "m": 40, "n": 40, "blocks": [list(range(40))]}), 1),
     (_LEMMA, _instance(p=0.1), 1),
     (_LEMMA, _instance(p=True), 1),
     (_LEMMA, _instance(gamma=True), 1),
@@ -559,6 +570,7 @@ def _instance(p="1/2", **params):
         "cn-n-negative",
         "within-without-contains", "min-edges-float", "within-float",
         "codec-float", "steiner-block-float", "steiner-r-negative",
+        "steiner-table-huge", "verify-steiner-block-huge",
         "instance-p-float", "instance-p-bool", "instance-gamma-bool",
         "instance-p-zero-denominator", "instance-nu-zero-denominator"])
 def test_rejected_input_one_error_line(files, capsys, tmp_path, argv, pred,

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hlab.errors import ConstructionError, ParameterError, SizeLimitError
-from hlab.family import (_compare_kernel, _contains_columns, _contains_rows,
+from hlab.family import (_COMPARE_MAX_ORBIT, _compare_kernel, _contains_rows,
                          _gather_kernel, batch_contains, contains_induced,
                          count_induced, family_orbit, family_orbit_lookup,
                          normalize_family)
@@ -220,7 +220,7 @@ def test_contains_columns_shared_subsets(data):
         data.draw(st.lists(st.integers(0, (1 << comb(n, 2)) - 1),
                            min_size=1, max_size=8)),
         dtype=np.uint64)
-    cols = _contains_columns(masks, n, 2, fam, vsets)
+    cols = _contains_rows(n, 2, fam, vsets)(masks)
     assert cols.shape == (len(vsets), len(masks))
     for k, mask in enumerate(masks.tolist()):
         G = RUniformGraph(n=n, r=2, edge_mask=int(mask))
@@ -253,7 +253,7 @@ def test_row_kernels_match_oracle(members, r, ns, max_size, data):
                            min_size=1, max_size=4)),
         dtype=np.uint64)
     through = data.draw(st.integers(0, n - 1))
-    cols = _contains_columns(masks, n, r, fam, vsets)
+    cols = _contains_rows(n, r, fam, vsets)(masks)
     cols_through = _contains_rows(n, r, fam, vsets, through)(masks)
     for k, mask in enumerate(masks.tolist()):
         G = RUniformGraph(n=n, r=r, edge_mask=int(mask))
@@ -280,10 +280,10 @@ def test_contains_columns_across_blocks(members):
     masks = np.random.default_rng(7).integers(
         0, 1 << comb(7, 2), (1 << 16) + 999, dtype=np.uint64)
     vsets = [range(7), (0, 1, 2, 3, 4), (2, 3, 4, 5, 6)]
-    whole = _contains_columns(masks, 7, 2, fam, vsets)
+    whole = _contains_rows(7, 2, fam, vsets)(masks)
     step = 5000
     for lo in range(0, masks.shape[0], step):
-        piece = _contains_columns(masks[lo:lo + step], 7, 2, fam, vsets)
+        piece = _contains_rows(7, 2, fam, vsets)(masks[lo:lo + step])
         assert np.array_equal(whole[:, lo:lo + step], piece)
 
 
@@ -302,11 +302,12 @@ def test_batch_contains_r3():
 
 
 def test_lookup_table_size_limit(monkeypatch):
-    # A 7-vertex 3-graph with a 5040-member orbit takes the gather kernel
-    # at n=8, whose lookup would need 2^C(7,3) = 2^35 booleans (32 GB).
+    # A 7-vertex 3-graph with a 5040-member orbit: its lookup would need
+    # 2^C(7,3) = 2^35 booleans (32 GB), and its orbit is too large for the
+    # masked compare, so it is refused before anything is built.
     seven = RUniformGraph(n=7, r=3, edge_mask=0x123456789)
     fam = normalize_family([seven])
-    assert len(family_orbit(fam, 7)) == 5040
+    assert len(family_orbit(fam, 7)) == 5040 > _COMPARE_MAX_ORBIT
     real = np.zeros
 
     def guarded(shape, *args, **kwargs):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -9,21 +10,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hlab.errors import (FeasibilityError, ParameterError, ParseError,
-                         SizeLimitError)
+from hlab.errors import (FeasibilityError, HlabError, ParameterError,
+                         ParseError, SizeLimitError)
 from hlab.family import normalize_family
 from hlab.hypergraph import RUniformGraph, complete_graph, graph_from_edges
-from hlab.measure import (HARD_EXACT_CAP_BITS, EdgePredicate, _extension_rule,
-                          _histograms, _levels, check_exact_feasible,
+from hlab.measure import (HARD_EXACT_CAP_BITS, EdgePredicate, _histograms,
+                          _levels, _rule, check_exact_feasible,
                           clopper_pearson, cn_from_measure, cn_sequence,
                           exact_measure, fraction_str, log2_fraction,
                           mc_measure, predicate_from_json_obj,
                           predicate_to_json_obj, weight_powers)
 
 from oracles import (clopper_pearson_bisect, full_scan_histogram,
-                     naive_level_histograms, naive_measure, naive_satisfies,
-                     oracle_masks, sample_masks, triangle_free_measure,
-                     vertex_levels)
+                     naive_contains, naive_level_histograms, naive_measure,
+                     naive_satisfies, oracle_masks, sample_masks,
+                     triangle_free_measure, vertex_levels)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -363,13 +364,16 @@ def test_mc_hits_past_one_chunk(p, pred):
 
 
 # A 7-vertex 3-graph with an orbit of 2520 labellings: its lookup table
-# (2^35 entries) is refused wherever the gather kernel is chosen.
+# would need 2^35 entries, so every level runs the masked compare.
 SPARSE7_3 = graph_from_edges(7, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 4),
                                     (1, 3, 5), (2, 5, 6), (3, 4, 6)])
-# K5^(3) plus two isolated vertices, an orbit of 21: the gather at n = 7
-# (4 slices) but the compare at n = 8 (6 slices), so only the full space
-# can test it.
+# K5^(3) plus two isolated vertices, an orbit of 21: by cost the gather at
+# n = 7 (4 slices), whose lookup is too wide, and the compare at n = 8 (6
+# slices); every level runs the compare.
 K5_3_PLUS_2 = graph_from_edges(7, 3, list(combinations(range(5), 3)))
+# A 7-vertex 3-graph with an orbit of 5040: too large for the compare, so
+# it is refused wherever a 7-vertex set is tested.
+SEVEN = RUniformGraph(n=7, r=3, edge_mask=0x123456789)
 
 # (n, r, p, pred, samples)
 HEREDITARY_CASES = {
@@ -438,7 +442,7 @@ MC_ERRORS = {
                                FeasibilityError, _SAMPLE_BITS_66),
     "bits-before-explicit": ((12, 2, HALF, _OUTSIDE, 10, 0.95),
                              FeasibilityError, _SAMPLE_BITS_66),
-    "bits-before-lookup": ((9, 3, HALF, _forb(SPARSE7_3), 10, 0.95),
+    "bits-before-lookup": ((9, 3, HALF, _forb(SEVEN), 10, 0.95),
                            FeasibilityError, "vectorized sampling limited "
                            "to C(n,r) <= 63 bits, got 84"),
     "uniformity": ((4, 2, HALF, _MISMATCH, 10, 0.95),
@@ -451,10 +455,10 @@ MC_ERRORS = {
     "uniformity-part-first": ((4, 2, HALF, EdgePredicate.intersection(
         [_MISMATCH, _OUTSIDE]), 10, 0.95), ParameterError,
         "uniformity mismatch: space r=2, family r=3"),
-    "lookup": ((8, 3, HALF, _forb(SPARSE7_3), 10, 0.95),
+    "lookup": ((8, 3, HALF, _forb(SEVEN), 10, 0.95),
                SizeLimitError, _LOOKUP_35),
     "lookup-part-first": ((8, 3, HALF, EdgePredicate.intersection(
-        [_forb(SPARSE7_3), FORB_K3]), 10, 0.95), SizeLimitError, _LOOKUP_35),
+        [_forb(SEVEN), FORB_K3]), 10, 0.95), SizeLimitError, _LOOKUP_35),
 }
 
 
@@ -466,6 +470,68 @@ def test_mc_error_order_and_text(args, error, message):
         mc_measure(n, r, p, pred, samples=samples, seed=0, ci_level=level)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def _degrees_and_codegrees(edges):
+    """Sorted vertex degrees and pair codegrees of a 3-graph's edges: equal
+    for isomorphic graphs."""
+    deg = Counter(v for e in edges for v in e)
+    codeg = Counter(q for e in edges for q in combinations(e, 2))
+    return sorted(deg.values()), sorted(codeg.values())
+
+
+def test_mc_orbit_above_the_lookup_matches_naive_oracle():
+    # SPARSE7_3's lookup would need 2^35 entries, so every level runs the
+    # compare.  At p = 1/6 a few samples induce it.  naive_contains decides
+    # every 7-set whose degrees and codegrees match SPARSE7_3's; no other
+    # 7-set can induce it.
+    p, samples = Fraction(1, 6), 2000
+    res = mc_measure(8, 3, p, _forb(SPARSE7_3), samples=samples, seed=3)
+    want = _degrees_and_codegrees(SPARSE7_3.edges())
+    left = 0
+    for mask in oracle_masks(8, 3, p, 3, samples, 0).tolist():
+        G = RUniformGraph(n=8, r=3, edge_mask=mask)
+        sets = [tuple(u for u in range(8) if u != v) for v in range(8)
+                if _degrees_and_codegrees(
+                    [e for e in G.edges() if v not in e]) == want]
+        left += any(naive_contains(G, [SPARSE7_3], within=d) for d in sets)
+    assert 0 < left < samples
+    assert res.hits == samples - left
+
+
+RULE_FAMILIES = {"K3": [K3], "P3": [P3], "C4": [C4], "P4": [P4], "P5": [P5],
+                 "K3+C4": [K3, C4], "K3+P5": [K3, P5], "K4_3": [K4_3],
+                 "K3_3": [complete_graph(3, 3)], "SPARSE7_3": [SPARSE7_3],
+                 "K5_3_PLUS_2": [K5_3_PLUS_2], "SEVEN": [SEVEN]}
+
+
+def _build_error(build):
+    """None when build() returns, else the type and text of its error."""
+    try:
+        build()
+    except HlabError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", RULE_FAMILIES)
+def test_level_rules_build_exactly_when_the_full_space_rule_does(name):
+    # Whether a family order can be tested depends on the family alone, so
+    # the vertex levels build exactly when the full-space rule does, and
+    # otherwise raise its error, intersections in part order.
+    forb = _forb(*RULE_FAMILIES[name])
+    preds = [forb]
+    for other in (FORB_K3, _forb(K4_3), _forb(SEVEN)):
+        preds += [EdgePredicate.intersection([forb, other]),
+                  EdgePredicate.intersection([other, forb])]
+    built = set()
+    for r, top in ((2, 9), (3, 8)):
+        for n in range(top + 1):
+            for pred in preds:
+                full = _build_error(lambda: _rule(pred, n, r))
+                assert _build_error(lambda: _levels(pred, n, r)) == full
+                built.add(full is None)
+    assert built == {True, False}
 
 
 @given(SPACES)
@@ -632,7 +698,7 @@ def test_extension_memory_within_one_scan_chunk():
             tracemalloc.stop()
 
     cap = EdgePredicate.max_edges(22)
-    levels = [(lo, hi, _extension_rule(cap, k, 1))
+    levels = [(lo, hi, _rule(cap, k, 1, through=k - 1))
               for k, (lo, hi) in enumerate(vertex_levels(22, 1))]
     ext_hists, ext_peak = traced(lambda: _histograms(levels, 1))
     scan_value, scan_peak = traced(
@@ -670,17 +736,6 @@ def test_cn_sequence_points_in_list_order():
     assert [pt.n for pt in pts] == [6, 2, 6, 4]
     for pt in pts:
         assert pt.measure == exact_measure(pt.n, 2, THIRD, EdgePredicate.forb(fam))
-
-
-def test_cn_sequence_without_rules_walks_each_n(monkeypatch):
-    # With no extension rules the levels are one full-space level, which
-    # holds the largest n only, so each n is walked on its own.
-    import hlab.measure
-
-    fam = normalize_family([C4])
-    want = cn_sequence(fam, THIRD, [4, 2, 5])
-    monkeypatch.setattr(hlab.measure, "_extension_rules", lambda *a: None)
-    assert cn_sequence(fam, THIRD, [4, 2, 5]) == want
 
 
 def test_hereditary_predicates_skip_the_full_scan(walks):

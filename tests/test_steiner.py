@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hlab.codec import load_json
-from hlab.errors import ConstructionError, ParameterError, ParseError
+from hlab.errors import (ConstructionError, ParameterError, ParseError,
+                         SizeLimitError)
 from hlab.steiner import (SteinerSystem, greedy_system, load_system_fields,
                           maximality_report, nibble_system, save_system,
                           search_system, system_from_json_obj,
@@ -183,6 +184,30 @@ def test_search_parameter_validation():
         search_system(2, 3, 9, seed=0, restarts=5, algo="nibble", bite=2)
     # greedy ignores the nibble knobs
     assert search_system(2, 3, 9, seed=0, restarts=5, bite=2).sizes
+
+
+def test_table_size_limit_before_any_table(monkeypatch):
+    # (2,3,300) needs 13,365,300 packing ranks and a 40-vertex block of a
+    # 20-graph C(40,20) r-subsets: both are refused by their sizes alone.
+    import hlab.steiner as steiner
+
+    def unbuilt(*args):
+        raise AssertionError(f"table built for {args}")
+
+    monkeypatch.setattr(steiner, "subsets_colex", unbuilt)
+    monkeypatch.setattr(steiner, "induced_rank_table", unbuilt)
+    for build in (lambda: greedy_system(2, 3, 300, seed=0),
+                  lambda: nibble_system(2, 3, 300, seed=0),
+                  lambda: search_system(2, 3, 300, seed=0, restarts=1)):
+        with pytest.raises(SizeLimitError, match="packing table of "
+                           r"C\(300,3\) x 3 = 13365300 entries"):
+            build()
+    with pytest.raises(SizeLimitError, match=r"block layout of C\(40,20\)"):
+        SteinerSystem(r=20, m=40, n=40, blocks=(tuple(range(40)),))
+    # the limit holds 2^22 entries: C(2048,2) x 2 = 4,192,256 block
+    # entries and C(200,3) x 3 = 3,940,200 packing ranks pass
+    steiner._check_params(2, 2048, 2048)
+    steiner._check_table("packing table", 200, 3, 3)
 
 
 def uncovered_pair_triangles(sys: SteinerSystem) -> int:
