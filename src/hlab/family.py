@@ -7,6 +7,7 @@ embeddings realize it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -79,15 +80,20 @@ _LOOKUP_MAX_BITS = 28
 _COMPARE_MAX_ORBIT = 1 << 12
 
 
-@lru_cache(maxsize=None)
-def family_orbit_lookup(fam: ForbiddenFamily, h: int) -> np.ndarray:
-    """Boolean table over all 2^C(h,r) small masks marking family members."""
-    bits = len(subsets_colex(h, fam.r))
+def _lookup_bits(h: int, r: int) -> int:
+    """C(h, r), the index width of the order-h lookup, when it is allowed."""
+    bits = comb(h, r)
     if bits > _LOOKUP_MAX_BITS:
         raise SizeLimitError(
             f"orbit lookup table for the order-{h} members needs 2^{bits} "
             f"entries, above the limit 2^{_LOOKUP_MAX_BITS}")
-    table = np.zeros(1 << bits, dtype=bool)
+    return bits
+
+
+@lru_cache(maxsize=None)
+def family_orbit_lookup(fam: ForbiddenFamily, h: int) -> np.ndarray:
+    """Boolean table over all 2^C(h,r) small masks marking family members."""
+    table = np.zeros(1 << _lookup_bits(h, fam.r), dtype=bool)
     table[list(family_orbit(fam, h))] = True
     table.setflags(write=False)
     return table
@@ -212,9 +218,109 @@ def _gather_kernel(n: int, h: int, r: int, lookup: np.ndarray, wanted: list):
     return run
 
 
+# A choice table is built at most this many unpacked bits at a time.
+_TABLE_CHUNK_BITS = 1 << 22
+
+
+def _pack_choices(bits: np.ndarray) -> np.ndarray:
+    """bits[..., c] packed little-endian along the last axis, in the widest
+    unsigned words that fit: the layout of a set of choices."""
+    packed = np.ascontiguousarray(np.packbits(bits, axis=-1, bitorder="little"))
+    return packed.view(f"u{min(packed.shape[-1], 8)}")
+
+
+def _no_choices(shape: tuple, width: int) -> np.ndarray:
+    """Empty sets of 2^width choices, one per entry of shape, packed as
+    _pack_choices packs them; bits past 2^width are never read."""
+    nbytes = -(-(1 << width) // 8)
+    size = min(nbytes, 8)
+    return np.zeros(shape + (nbytes // size,), dtype=f"u{size}")
+
+
+def _choice_tables(n: int, h: int, r: int, orbit: frozenset, subs: list,
+                   width: int):
+    """Forbidden choices of the new vertex v = n-1, per row D = S + (v,).
+
+    v is D's top vertex, so in colex order D's local mask is
+    x | y << C(h-1, r): x is the parent's graph on S, read at the bits
+    induced_rank_table(n-1, h-1, r)[S], and y the choice c (the edges
+    through v, one bit per (r-1)-subset of range(n-1), at C(n-1, r) and
+    up) read as an (r-1)-graph on S, at the choice bits
+    induced_rank_table(n-1, h-1, r-1)[S], which increase.  A block leaves
+    the choice bits below `width` open and sets the others in its parents,
+    so y's first f_S bits, those below width, are free and the rest of
+    D's local mask is fixed by the parent: the parent's own local mask on
+    D, as the open bits read 0 in it.
+
+    Returns (find, table): find(parents)[i] picks each parent's row of
+    table for S_i, the row of its fixed part, and that row holds the
+    choices c < 2^width whose free part makes the fixed part a member,
+    packed by _pack_choices; the last row, for fixed parts of no member,
+    is empty.
+    """
+    lo, xbits, hbits = comb(n - 1, r), comb(h - 1, r), comb(h, r)
+    ranks = [rank_subset(s, h - 1) for s in subs]
+    yranks = induced_rank_table(n - 1, h - 1, r - 1)[ranks]
+    where = np.concatenate([induced_rank_table(n - 1, h - 1, r)[ranks],
+                            lo + yranks], axis=1)
+    members = np.fromiter(orbit, dtype=np.uint64, count=len(orbit))
+    choices = np.arange(1 << width, dtype=np.min_scalar_type((1 << width) - 1))
+    step = max(1, _TABLE_CHUNK_BITS >> width)
+    keys, rows = [], []
+    for i, (ys, f) in enumerate(zip(yranks, (yranks < width).sum(axis=1))):
+        free = np.uint64(((1 << int(f)) - 1) << xbits)
+        key, at = np.unique(members & ~free, return_inverse=True)
+        y = ((members & free) >> np.uint64(xbits)).astype(np.intp)
+        yv = np.zeros(1 << width, dtype=choices.dtype)
+        for j, bit in enumerate(ys[:f].tolist()):
+            yv |= (choices >> bit & 1) << j
+        for a in range(0, len(key), step):
+            member = np.zeros((min(step, len(key) - a), 1 << int(f)),
+                              dtype=bool)
+            sel = (at >= a) & (at < a + step)
+            member[at[sel] - a, y[sel]] = True
+            rows.append(_pack_choices(member[:, yv]))
+        keys.append(key | np.uint64(i << hbits))
+    # (row, fixed part) keys, in the narrowest integers that hold them
+    dtype = np.min_scalar_type((len(subs) << hbits) - 1)
+    keys = np.concatenate(keys).astype(dtype)
+    table = np.concatenate(rows + [_no_choices((1,), width)])
+    # a parent's fixed parts are assembled from one bit plane per bit a
+    # row fixes; a bit that a row leaves open reads 0 in the parents
+    slots = [j for j in range(hbits)
+             if j < xbits or (yranks[:, j - xbits] >= width).any()]
+    pos, plane = np.unique(where[:, slots], return_inverse=True)
+    pos = pos.astype(np.uint64)[:, None]
+    plane = plane.reshape(len(subs), len(slots)).T
+    prefix = (np.arange(len(subs), dtype=np.uint64) << np.uint64(hbits)
+              ).astype(dtype)[:, None]
+
+    def find(parents: np.ndarray) -> np.ndarray:
+        planes = (parents >> pos & np.uint64(1)).astype(dtype)
+        q = np.repeat(prefix, parents.shape[0], axis=1)
+        for j, col in zip(slots, plane):
+            q |= planes[col] << j
+        at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+        return np.where(keys[at] == q, at, len(keys))
+    return find, table
+
+
+def _memo(build):
+    """build(*key), run once per key from any thread and then remembered."""
+    lock = threading.Lock()
+    done: dict = {}
+
+    def get(*key):
+        with lock:
+            if key not in done:
+                done[key] = build(*key)
+        return done[key]
+    return get
+
+
 def _contains_rows(n: int, r: int, fam: ForbiddenFamily, vsets,
                    through: int | None = None):
-    """Build the row kernels once; run(masks)[i]: 'some member is induced
+    """Build the row kernels; run(masks)[i]: 'some member is induced
     inside vsets[i]', one entry per mask.
 
     Each h-subset's row is evaluated once and its hits are ORed into every
@@ -223,6 +329,17 @@ def _contains_rows(n: int, r: int, fam: ForbiddenFamily, vsets,
     costs 1 + 2|orbit| elementwise passes per row and the sliced-table
     gather 2 * slices + 1 gather passes; the cheaper one runs, or the
     compare when the lookup is too wide (see _LOOKUP_MAX_BITS).
+
+    With through = n-1, run(parents, width) answers for the children
+    parents[j] | c << C(n-1, r) of every open choice c < 2^width of the
+    new vertex's edges instead: run(parents, width)[i, j] is the set of
+    the c whose child has a member inside vsets[i], packed by
+    _pack_choices.  The parents carry no open bit; choice bits at width
+    and above may be set in them.  A row D = S + (n-1,) splits each local
+    mask as x | y << C(h-1, r) (see _choice_tables), so a parent's fixed
+    part on S picks one set of member-making choices: the rows cost one
+    lookup per parent, not one test per child.  The kernels, and the
+    tables of each width, are built on their first call.
     """
     if fam.r != r:
         raise ParameterError(f"uniformity mismatch: space r={r}, family r={fam.r}")
@@ -237,25 +354,64 @@ def _contains_rows(n: int, r: int, fam: ForbiddenFamily, vsets,
                     owners.setdefault(sub, []).append(i)
         if not owners:
             continue
-        wanted = [rank_subset(sub, h) for sub in owners]
         orbit = family_orbit(fam, h)
-        if 1 + 2 * len(orbit) <= _GATHER_PASS_COST * (2 * nslices + 1) or (
-                len(orbit) <= _COMPARE_MAX_ORBIT
-                and comb(h, r) > _LOOKUP_MAX_BITS):
-            kernel = _compare_kernel(n, h, r, orbit, wanted)
-        else:
-            kernel = _gather_kernel(n, h, r, family_orbit_lookup(fam, h), wanted)
-        orders.append((kernel, list(owners.values())))
+        cheap = 1 + 2 * len(orbit) <= _GATHER_PASS_COST * (2 * nslices + 1)
+        compare = cheap or (len(orbit) <= _COMPARE_MAX_ORBIT
+                            and comb(h, r) > _LOOKUP_MAX_BITS)
+        if not compare:
+            _lookup_bits(h, r)  # refuses the order before anything is built
+        orders.append((h, orbit, compare, owners))
 
-    def run(masks: np.ndarray) -> np.ndarray:
+    def build_kernels():
+        out = []
+        for h, orbit, compare, owners in orders:
+            wanted = [rank_subset(sub, h) for sub in owners]
+            kernel = (_compare_kernel(n, h, r, orbit, wanted) if compare else
+                      _gather_kernel(n, h, r, family_orbit_lookup(fam, h),
+                                     wanted))
+            out.append((kernel, list(owners.values())))
+        return out
+
+    kernels = _memo(build_kernels)
+
+    def build_tables(width):
+        out = []
+        for h, orbit, _, owners in orders:
+            sets = list(owners.values())
+            rows_of = [[row for row, s in enumerate(sets) if i in s]
+                       for i in range(len(vsets))]
+            out.append((_choice_tables(n, h, r, orbit,
+                                       [sub[:-1] for sub in owners], width),
+                        rows_of))
+        return out
+
+    tables = _memo(build_tables)
+
+    def run_masks(masks: np.ndarray) -> np.ndarray:
         cols = np.zeros((len(vsets), masks.shape[0]), dtype=bool)
         for lo in range(0, masks.shape[0], _BLOCK_MASKS):
             block = masks[lo:lo + _BLOCK_MASKS]
-            for kernel, owner_sets in orders:
+            for kernel, owner_sets in kernels():
                 for hit, sets in zip(kernel(block), owner_sets):
                     for i in sets:
                         cols[i, lo:lo + _BLOCK_MASKS] |= hit
         return cols
+
+    def run_parents(parents: np.ndarray, width: int) -> np.ndarray:
+        if through != n - 1:
+            raise ParameterError(
+                f"a block of parents extends vertex {n - 1}, "
+                f"not through={through}")
+        cols = _no_choices((len(vsets), parents.shape[0]), width)
+        for (find, table), rows_of in tables(width):
+            hits = table[find(parents)]
+            for col, rows in zip(cols, rows_of):
+                if rows:
+                    col |= np.bitwise_or.reduce(hits[rows], axis=0)
+        return cols
+
+    def run(masks: np.ndarray, width: int | None = None) -> np.ndarray:
+        return run_masks(masks) if width is None else run_parents(masks, width)
     return run
 
 

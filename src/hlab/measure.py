@@ -14,10 +14,20 @@ that tests a forbidden family (`forb`, and intersections of `forb` and
 layout the low C(k-1,r) bits of a k-vertex mask are G[0..k-2], so level
 k adds the edges through vertex k-1 and tests only the copies through
 it.  Every other predicate is one level: all C(n,r) bits, then its
-rule.  The exact path enumerates the choices in one depth-first
-walk, in slices that together hold at most 2^20 masks, and runs keep and
-the caller's reduction on blocks of 2^16 masks; worker count only
+rule.  The exact path enumerates the choices in one depth-first walk,
+in slices that together hold at most 2^20 candidates, and runs keep and
+the caller's reduction on blocks of 2^16 candidates; worker count only
 schedules blocks, and reductions add, so results do not depend on it.
+
+At a vertex level keep tests parents, not candidates.  The new vertex
+v = k-1 is the top vertex of every row D = S + {v} through it, so D's
+colex local mask splits as x_S(parent) | y_S(choice) << C(h-1, r): the
+parent's graph on S, and the choice read as an (r-1)-graph on S.  The
+`forb` rows then cost one table lookup per parent and row, not one test
+per candidate (see family._contains_rows); keep returns each parent's
+allowed choices as a bitset, and the level's histogram is counted from
+it, hist[e(parent) + j] += popcount(allowed & W_j) with W_j the choices
+of j edges, so the last level builds no survivor masks.
 
 `mc_measure` draws the choices instead: level k's bits only for the
 samples still in the class, so a sample that has left it draws no
@@ -43,7 +53,7 @@ from concurrent.futures import ThreadPoolExecutor
 from .codec import _json_int, graph_from_json_obj, graph_to_json_obj
 from .errors import FeasibilityError, ParameterError, ParseError
 from .family import (_BLOCK_MASKS, ForbiddenFamily, _contains_rows,
-                     normalize_family)
+                     _no_choices, _pack_choices, normalize_family)
 from .rng import bernoulli_columns, bernoulli_threshold, stream_keys
 
 DEFAULT_EXACT_CAP_BITS = 24
@@ -55,6 +65,10 @@ _SAMPLE_MAX_BITS = 63
 _MAX_SAMPLES = 1 << 32
 # The exact walk's stack holds at most this many masks.
 _SLICE_MASKS = 1 << 20
+# A vertex level's rule sees at most this many of the new vertex's choice
+# bits at a time, one block's worth; the walk sets the higher ones in the
+# parents.
+_OPEN_BITS = _BLOCK_MASKS.bit_length() - 1
 _LOG_PREC_BITS = 96
 
 
@@ -139,6 +153,8 @@ def check_exact_feasible(n: int, r: int, cap_bits: int | None = None) -> int:
     DEFAULT_EXACT_CAP_BITS when None; no cap may exceed HARD_EXACT_CAP_BITS."""
     nbits = _space_bits(n, r)
     cap = DEFAULT_EXACT_CAP_BITS if cap_bits is None else cap_bits
+    if cap < 0:
+        raise ParameterError(f"exact cap must be >= 0, got {cap}")
     if cap > HARD_EXACT_CAP_BITS:
         raise ParameterError(
             f"exact cap {cap} exceeds hard cap {HARD_EXACT_CAP_BITS} bits"
@@ -162,16 +178,47 @@ def _validate_p(p) -> Fraction:
     return p
 
 
-def _walk(levels: list, workers: int, per_block: Callable):
-    """Enumerate the levels; yield (k, per_block(k, masks)) for every block
-    of level-k survivors.
+class _Level(NamedTuple):
+    """Level bits lo .. hi-1 and the rule that picks its survivors."""
 
-    The first level extends the empty mask.  The walk is depth first, in
-    slices of at most _SLICE_MASKS // len(levels) candidates, so the stack
-    holds one slice's survivors per level: at most 2^20 masks in all.  Each
-    slice is cut into blocks of at most 2^16 candidates, and one task per
-    block, on `workers` threads, applies keep and hands the survivors to
-    per_block.  The last level's survivors are not kept.
+    lo: int
+    hi: int
+    keep: Callable
+
+
+def _children(parents: np.ndarray, allowed: np.ndarray, lo: int,
+              width: int) -> np.ndarray:
+    """The masks parents[i] | c << lo of every choice c in allowed[i], in
+    that order."""
+    if not width:
+        return parents[allowed[:, 0] & 1 == 1]
+    idx = np.flatnonzero(np.unpackbits(
+        allowed.view(np.uint8), axis=1, count=1 << width,
+        bitorder="little")).astype(np.uint64)
+    return parents[idx >> np.uint64(width)] | (
+        idx & np.uint64((1 << width) - 1)) << np.uint64(lo)
+
+
+def _walk(levels: list, workers: int, per_block: Callable):
+    """Enumerate the levels; yield (k, per_block(k, parents, allowed,
+    width)) for every block of level k: allowed[i] is the set of the
+    choices c < 2^width for which parents[i] | c << lo passes keep, packed
+    by family._pack_choices.
+
+    The first level extends the empty mask.  In a walk of more than one
+    level, one per vertex, keep(parents, width) tests whole parents: the
+    low width = min(hi - lo, 16) bits of the level are open, and each
+    survivor of the level before is a parent once per value of the
+    level's higher bits, which are set in it.  A single level, a full
+    scan, has width 0: its parents are its candidates, and keep(parents)
+    their boolean column.
+    The walk is depth first, in slices of at most _SLICE_MASKS // len(levels)
+    candidates, so the stack holds one slice's survivors per level: at
+    most 2^20 masks in all.  A slice is cut into blocks of at most 2^16
+    candidates, whole parents, and one task per block, on `workers`
+    threads, applies keep and hands the block to per_block.  The
+    survivors of every level but the last become the next level's
+    parents.
     """
     last = len(levels) - 1
     budget = max(1, _SLICE_MASKS // len(levels))
@@ -181,23 +228,34 @@ def _walk(levels: list, workers: int, per_block: Callable):
         while stack:
             k, front, pos = stack.pop()
             lo, hi, keep = levels[k]
-            total = front.shape[0] << (hi - lo)
-            end = min(pos + budget, total)
+            width = min(hi - lo, _OPEN_BITS) if last else 0
+            fold = hi - lo - width
+            total = front.shape[0] << fold
+            end = min(pos + max(1, budget >> width), total)
             if end < total:
                 stack.append((k, front, end))
-            cand = np.arange(pos, end, dtype=np.uint64)
-            if lo:  # else the front is the empty mask alone
-                width = hi - lo
-                cand = front[cand >> np.uint64(width)] | (
-                    cand & np.uint64((1 << width) - 1)) << np.uint64(lo)
+            step = max(1, _BLOCK_MASKS >> width)
+            # a full scan's parents are its candidates; a vertex level's
+            # parent t is survivor t >> fold with the choice bits from
+            # width up set to t's low fold bits
+            parents = np.arange(pos, end, dtype=np.uint64)
+            if last:
+                parents = front[parents >> np.uint64(fold)] | (
+                    parents & np.uint64((1 << fold) - 1)) << np.uint64(
+                        lo + width)
 
             def one(i):
-                block = cand[i:i + _BLOCK_MASKS]
-                masks = block[keep(block)]
-                return (masks if k < last else None), per_block(k, masks)
+                cut = parents[i:i + step]
+                allowed = (keep(cut, width) if last else
+                           keep(cut).view(np.uint8)[:, None])
+                return (_children(cut, allowed, lo, width)
+                        if k < last else None,
+                        per_block(k, cut, allowed, width))
 
-            done = list(apply(one, range(0, cand.shape[0], _BLOCK_MASKS)))
-            del cand
+            blocks = range(0, parents.shape[0], step)
+            # a slice of one block runs here: a thread would only wait
+            done = list((apply if len(blocks) > 1 else map)(one, blocks))
+            del parents
             for _, part in done:
                 yield k, part
             if k < last:
@@ -206,11 +264,47 @@ def _walk(levels: list, workers: int, per_block: Callable):
                     stack.append((k + 1, front, 0))
 
 
+@lru_cache(maxsize=None)
+def _choice_classes(width: int) -> np.ndarray:
+    """classes[j]: the choices of `width` bits with j of them set, packed
+    by family._pack_choices."""
+    pops = np.bitwise_count(np.arange(1 << width, dtype=np.uint64))
+    classes = _pack_choices(pops == np.arange(width + 1)[:, None])
+    classes.setflags(write=False)
+    return classes
+
+
+@lru_cache(maxsize=None)
+def _at_most(width: int) -> np.ndarray:
+    """Row j + 1: the choices of `width` bits with at most j set; row 0
+    is empty."""
+    at_most = np.concatenate([_no_choices((1,), width),
+                              np.bitwise_or.accumulate(_choice_classes(width),
+                                                       axis=0)])
+    at_most.setflags(write=False)
+    return at_most
+
+
+def _edge_histogram(parents, allowed, width: int, length: int) -> np.ndarray:
+    """Edge histogram of a block's survivors, from the parents: a parent
+    with e edges adds popcount(allowed row & classes[j]) at e + j, and
+    with one choice (width 0) its survivors are the parents themselves."""
+    if not width:
+        return np.bincount(np.bitwise_count(_children(parents, allowed, 0, 0)),
+                           minlength=length)
+    counts = np.bitwise_count(
+        allowed[:, None, :] & _choice_classes(width)).sum(axis=2)
+    at = np.bitwise_count(parents)[:, None] + np.arange(width + 1)
+    # float weights are exact: a block holds far fewer than 2^53 masks
+    return np.bincount(at.ravel(), weights=counts.ravel(),
+                       minlength=length).astype(np.int64)
+
+
 def _histograms(levels: list, workers: int) -> list:
     """Edge histogram of the survivors of every level."""
     hists = [np.zeros(hi + 1, dtype=np.int64) for _, hi, _ in levels]
-    for k, part in _walk(levels, workers, lambda k, masks: np.bincount(
-            np.bitwise_count(masks), minlength=hists[k].shape[0])):
+    for k, part in _walk(levels, workers, lambda k, parents, allowed, width: (
+            _edge_histogram(parents, allowed, width, hists[k].shape[0]))):
         hists[k] += part
     return [h.tolist() for h in hists]
 
@@ -262,10 +356,10 @@ def _levels(pred, n: int, r: int) -> list:
     full space holds, so it raises the full-space rule's error, in part order.
     """
     if not (_hereditary(pred) and _tests_family(pred)):
-        return [(0, comb(n, r), _rule(pred, n, r))]
+        return [_Level(0, comb(n, r), _rule(pred, n, r))]
     keeps = [_rule(pred, k, r, through=k - 1) for k in range(n, -1, -1)]
     bounds = [0] + [comb(k, r) for k in range(n + 1)]
-    return list(zip(bounds, bounds[1:], reversed(keeps)))
+    return list(map(_Level, bounds, bounds[1:], reversed(keeps)))
 
 
 def _exact_result(hist, p: Fraction, nbits: int) -> MeasureResult:
@@ -444,17 +538,33 @@ def _explicit_rule(pred, n, r, through=None):
 def _contains_rule(pred, n, r, through=None):
     scope = range(n) if pred.within is None else pred.within
     run = _contains_rows(n, r, pred.family, [scope], through=through)
-    return lambda masks: run(masks)[0]
+    return lambda masks, *width: run(masks, *width)[0]
+
+
+def _max_edges_rule(pred, n, r, through=None):
+    def keep(masks, width=None):
+        edges = np.bitwise_count(masks)
+        if width is None:
+            return edges <= pred.k
+        # row j + 1 of _at_most: the choices with at most j edges
+        return _at_most(width)[
+            np.clip(pred.k - edges.astype(np.int64), -1, width) + 1]
+    return keep
 
 
 def _negated(keep):
-    return lambda masks: ~keep(masks)
+    # a negated choice set may set its unread bits past 2^width
+    return lambda masks, *width: ~keep(masks, *width)
 
 
 def _intersection_rule(pred, n, r, through=None):
     keeps = [_rule(q, n, r, through) for q in pred.parts]
-    return lambda masks: reduce(np.logical_and, (f(masks) for f in keeps),
-                                np.ones(masks.shape, dtype=bool))
+
+    def keep(masks, *width):
+        every = (~_no_choices(masks.shape, *width) if width
+                 else np.ones(masks.shape, dtype=bool))
+        return reduce(np.bitwise_and, (f(masks, *width) for f in keeps), every)
+    return keep
 
 
 class _Kind(NamedTuple):
@@ -464,6 +574,9 @@ class _Kind(NamedTuple):
 
     # (pred, n, r, through=None) -> keep, a boolean column over masks of the
     # (n, r) space; with `through`, only the copies through that vertex.
+    # A hereditary kind's keep, built with through = n-1, also takes
+    # (parents, width) and returns the allowed choices of each parent, as
+    # _walk describes.
     rule: Callable
     operands: Callable  # pred -> JSON fields after "kind"
     parse: Callable     # JSON object -> EdgePredicate
@@ -481,8 +594,7 @@ _KINDS = {
         lambda p: {"k": p.k},
         lambda o: EdgePredicate.min_edges(_json_int(o["k"]))),
     "max_edges": _Kind(
-        lambda p, n, r, through=None: lambda masks: (
-            np.bitwise_count(masks) <= p.k),
+        _max_edges_rule,
         lambda p: {"k": p.k},
         lambda o: EdgePredicate.max_edges(_json_int(o["k"])),
         hereditary=True),

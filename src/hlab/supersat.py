@@ -25,8 +25,8 @@ from .errors import (ConstructionError, FeasibilityError, ParameterError,
                      ParseError)
 from .family import ForbiddenFamily, _contains_rows, count_induced
 from .hypergraph import RUniformGraph, subsets_colex
-from .measure import (EdgePredicate, MeasureResult, _levels, _validate_p,
-                      _walk, check_exact_feasible, exact_measure,
+from .measure import (EdgePredicate, MeasureResult, _children, _levels,
+                      _validate_p, _walk, check_exact_feasible, exact_measure,
                       family_from_json_obj, family_to_json_obj, fraction_str,
                       log2_fraction, predicate_from_json_obj,
                       predicate_to_json_obj, value_from_histogram,
@@ -69,8 +69,9 @@ def _scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, vsets,
     levels = _levels(A, n, r)  # after rows: fam's errors come first
     last = len(levels) - 1
 
-    def one(k, masks):
+    def one(k, parents, allowed, width):
         if k == last:
+            masks = _children(parents, allowed, levels[k].lo, width)
             return per_block(masks, np.bitwise_count(masks).astype(np.intp),
                              rows(masks))
 

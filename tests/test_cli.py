@@ -540,6 +540,8 @@ def _instance(p="1/2", **params):
     (["mc", "--n", "4", "--r", "2", "--p", "1/2", "--min-edges", "0",
       "--samples", "100000000000000", "--seed", "0"], None, 1),
     (["cn", "--family", "{k3}", "--p", "1/2", "--n-list", "-1"], None, 1),
+    (["measure", "--n", "4", "--r", "2", "--p", "1/2", "--forb", "{k3}",
+      "--cap", "-1"], None, 1),
     (["measure", "--n", "3", "--r", "2", "--p", "1/2", "--forb", "{k3}",
       "--within", "0,1"], None, 2),
     (["measure", "--n", "3", "--r", "2", "--p", "1/2", "--predicate",
@@ -567,7 +569,7 @@ def _instance(p="1/2", **params):
         "cn-n-list", "cn-n-list-empty", "cn-n-list-empty-csv",
         "measure-within", "witness-e", "measure-n-negative",
         "measure-r-negative", "mc-r-negative", "mc-samples-huge",
-        "cn-n-negative",
+        "cn-n-negative", "measure-cap-negative",
         "within-without-contains", "min-edges-float", "within-float",
         "codec-float", "steiner-block-float", "steiner-r-negative",
         "steiner-table-huge", "verify-steiner-block-huge",

@@ -3,7 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlab.errors import ConstructionError, ParameterError, SizeLimitError
@@ -13,6 +13,7 @@ from hlab.family import (_COMPARE_MAX_ORBIT, _compare_kernel, _contains_rows,
                          normalize_family)
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph, random_graph)
+from hlab.measure import EdgePredicate, _rule
 from hlab.rng import Rng
 
 from oracles import induced_subgraph, naive_contains, naive_count_induced
@@ -285,6 +286,101 @@ def test_contains_columns_across_blocks(members):
     for lo in range(0, masks.shape[0], step):
         piece = _contains_rows(7, 2, fam, vsets)(masks[lo:lo + step])
         assert np.array_equal(whole[:, lo:lo + step], piece)
+
+
+# A sparse 7-vertex 3-graph with an orbit of 2,520: its lookup is too wide,
+# so its rows always run the masked compare.
+SPARSE7_3 = graph_from_edges(7, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 4),
+                                    (1, 3, 5), (2, 5, 6), (3, 4, 6)])
+
+
+@st.composite
+def random_families(draw):
+    """r in 1..3 and one or two random members of orders r .. r+3 (r+2 at
+    r = 3, so an orbit takes at most 5! relabelings)."""
+    r = draw(st.sampled_from([1, 2, 3]))
+    members = []
+    for _ in range(draw(st.integers(1, 2))):
+        h = draw(st.integers(r, r + (2 if r == 3 else 3)))
+        members.append(RUniformGraph(
+            h, r, draw(st.integers(0, (1 << comb(h, r)) - 1))))
+    return normalize_family(members), r
+
+
+def _unpack(packed, width):
+    """The 2^width bits of choice sets packed by _pack_choices."""
+    return np.unpackbits(packed.view(np.uint8), axis=-1, count=1 << width,
+                         bitorder="little").view(bool)
+
+
+def _check_parent_block(fam, r, k, vsets, cap, data, max_parents=4):
+    """A parent's choice sets equal the 1-D through rule on every child,
+    with the choice bits at `width` and up set in the parents."""
+    lo, w = comb(k - 1, r), comb(k - 1, r - 1)
+    width = data.draw(st.integers(0, w))
+    parents = np.array(data.draw(st.lists(
+        st.integers(0, (1 << (lo + w)) - 1),
+        min_size=1, max_size=max_parents)), dtype=np.uint64)
+    parents &= ~np.uint64(((1 << width) - 1) << lo)  # the open bits
+    choices = np.arange(1 << width, dtype=np.uint64) << np.uint64(lo)
+    children = (parents[:, None] | choices).ravel()
+    cols = _contains_rows(k, r, fam, vsets, through=k - 1)(parents, width)
+    flat = _contains_rows(k, r, fam, vsets, through=k - 1)(children)
+    assert cols.shape[:2] == (len(vsets), len(parents))
+    assert np.array_equal(_unpack(cols, width).reshape(flat.shape), flat)
+    forb = EdgePredicate.forb(fam)
+    for pred in (forb, EdgePredicate.intersection(
+            [forb, EdgePredicate.max_edges(cap)])):
+        keep = _rule(pred, k, r, through=k - 1)
+        assert np.array_equal(_unpack(keep(parents, width), width).ravel(),
+                              keep(children))
+
+
+@given(random_families(), st.data())
+def test_parent_blocks_match_the_sampled_rule(case, data):
+    # Orders below, at and above k, in spaces of r = 1, 2 and 3; scopes
+    # with and without the new vertex.
+    fam, r = case
+    orders = fam.orders()
+    k = data.draw(st.integers(max(1, orders[0] - 1), orders[-1] + 1))
+    vsets = [range(k)] + data.draw(st.lists(
+        st.sets(st.integers(0, k - 1)).map(tuple), max_size=2))
+    cap = data.draw(st.integers(-1, comb(k, r)))
+    _check_parent_block(fam, r, k, vsets, cap, data)
+
+
+# K3 and C4 take the masked compare at every n, P5 the gather up to n = 7
+# (also inside K3+P5).
+@pytest.mark.parametrize("members, r, ks", [
+    ([K3], 2, (3, 5, 7)),
+    ([C4], 2, (3, 5, 7)),
+    ([path(5)], 2, (4, 5, 7)),
+    ([K3, path(5)], 2, (4, 6, 7)),
+    ([complete_graph(4, 3)], 3, (3, 4, 6)),
+], ids=["K3", "C4", "P5", "K3+P5", "K4_3"])
+@given(data=st.data())
+def test_parent_blocks_match_the_sampled_rule_by_kernel(members, r, ks, data):
+    fam = normalize_family(members)
+    k = data.draw(st.sampled_from(ks))
+    cap = data.draw(st.integers(0, comb(k, r)))
+    _check_parent_block(fam, r, k, [range(k)], cap, data)
+
+
+@settings(max_examples=4)
+@given(data=st.data())
+def test_parent_blocks_match_the_sampled_rule_sparse7_3(data):
+    # The compare of a 2,520-member orbit on one parent's (up to) 2^15
+    # children, about 0.5 s an example on the 1-D side.
+    fam = normalize_family([SPARSE7_3])
+    cap = data.draw(st.integers(0, comb(7, 3)))
+    _check_parent_block(fam, 3, 7, [range(7)], cap, data, max_parents=1)
+
+
+def test_parent_block_needs_the_top_vertex():
+    fam = normalize_family([K3])
+    parents = np.zeros(2, dtype=np.uint64)
+    with pytest.raises(ParameterError, match="extends vertex 4"):
+        _contains_rows(5, 2, fam, [range(5)], through=3)(parents, 4)
 
 
 def test_batch_contains_r3():

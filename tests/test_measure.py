@@ -14,8 +14,8 @@ from hlab.errors import (FeasibilityError, HlabError, ParameterError,
                          ParseError, SizeLimitError)
 from hlab.family import normalize_family
 from hlab.hypergraph import RUniformGraph, complete_graph, graph_from_edges
-from hlab.measure import (HARD_EXACT_CAP_BITS, EdgePredicate, _histograms,
-                          _levels, _rule, check_exact_feasible,
+from hlab.measure import (_SLICE_MASKS, HARD_EXACT_CAP_BITS, EdgePredicate,
+                          _histograms, _levels, _rule, check_exact_feasible,
                           clopper_pearson, cn_from_measure, cn_sequence,
                           exact_measure, fraction_str, log2_fraction,
                           mc_measure, predicate_from_json_obj,
@@ -166,6 +166,10 @@ def test_feasibility_cap():
         exact_measure(9, 2, HALF, FORB_K3, cap_bits=20)
     with pytest.raises(ParameterError):
         exact_measure(3, 2, HALF, FORB_K3, cap_bits=HARD_EXACT_CAP_BITS + 1)
+    with pytest.raises(ParameterError) as exc:
+        check_exact_feasible(4, 2, -1)
+    assert str(exc.value) == "exact cap must be >= 0, got -1"
+    assert check_exact_feasible(0, 2, 0) == 0
 
 
 def test_feasibility_names_only_a_working_fallback():
@@ -652,6 +656,50 @@ def test_triangle_free_labelled_counts_from_one_pass():
     # OEIS A006785: labelled triangle-free graphs on 0..7 vertices.
     hists = _level_histograms(FORB_K3, 7, 2)
     assert [sum(h) for h in hists] == [1, 1, 2, 7, 41, 388, 5789, 133501]
+
+
+def test_triangle_free_labelled_count_at_eight_vertices():
+    # OEIS A006785: 4,682,270 labelled triangle-free graphs on 8 vertices,
+    # each of probability 2^-28 at p = 1/2.
+    assert exact_measure(8, 2, HALF, FORB_K3, cap_bits=28).value == Fraction(
+        4682270, 1 << 28)
+
+
+def test_parent_with_more_choices_than_a_block():
+    # Forbidding the one-edge 6-graph on 6 vertices leaves the empty graph
+    # alone.  At n = 8 the new vertex has C(7,5) = 21 edges, so the one
+    # parent of the last level has 2^21 choices, above a 2^16-mask block;
+    # the walk still holds at most 2^20 masks.
+    import tracemalloc
+
+    edge = graph_from_edges(6, 6, [tuple(range(6))])
+    pred = EdgePredicate.forb(normalize_family([edge]))
+    tracemalloc.start()
+    try:
+        value = exact_measure(8, 6, THIRD, pred, cap_bits=28).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == (1 - THIRD) ** 28
+    assert peak <= _SLICE_MASKS * np.dtype(np.uint64).itemsize
+
+
+@pytest.mark.parametrize("n, r, pred", [
+    (6, 2, FORB_K3),
+    (6, 2, EdgePredicate.forb(normalize_family([C4, P5]))),
+    (6, 2, EdgePredicate.intersection([EdgePredicate.forb(normalize_family(
+        [P4])), EdgePredicate.max_edges(6)])),
+    (6, 3, EdgePredicate.forb(normalize_family([K4_3]))),
+    (6, 4, EdgePredicate.forb(normalize_family([complete_graph(5, 4)]))),
+], ids=["K3", "C4+P5", "P4-and-max-edges", "K4_3", "K5_4"])
+def test_levels_with_closed_choice_bits_match_whole_parents(
+        monkeypatch, n, r, pred):
+    # With 2 open bits, every level of more than 2 choice bits sets the
+    # higher ones in its parents; the walk must count the same classes.
+    whole = _histograms(_levels(pred, n, r), 1)
+    monkeypatch.setattr("hlab.measure._OPEN_BITS", 2)
+    assert _histograms(_levels(pred, n, r), 1) == whole
+    assert _histograms(_levels(pred, n, r), 2) == whole
 
 
 @pytest.mark.parametrize("p", [Fraction(0), THIRD, HALF, Fraction(1)])
