@@ -438,8 +438,10 @@ def mc_measure(n: int, r: int, p, pred, samples: int, seed: int,
         masks = np.zeros(hi - lo, dtype=np.uint64)
         for first, end, keep in levels:
             bernoulli_columns(keys, masks, first, end, threshold)
-            alive = np.flatnonzero(keep(masks))
-            masks, keys = masks[alive], keys[alive]
+            ok = keep(masks)
+            if not ok.all():
+                alive = np.flatnonzero(ok)
+                masks, keys = masks[alive], keys[alive]
         return masks.shape[0]
 
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:

@@ -17,12 +17,17 @@ The full generator state is the triple (seed, stream, counter).  For a
 fixed seed the map stream -> key is injective, so two substreams never
 share a state: substreams are non-overlapping by construction.  Every
 output is a closed form of (key, counter), so the vectorised APIs are
-bit-identical to repeated scalar calls: ``raw_u64_block`` evaluates one
-stream at a run of counters, and ``bernoulli_columns`` evaluates counters
-lo+1 .. hi across many streams at once, one bit column of the sampled
-masks at a time, without materialising the (streams x draws) output
-matrix.  A caller may draw a mask's columns in several ranges, on fewer
-streams each time, and get the same bits as in one pass.
+bit-identical to repeated scalar calls: ``raw_u64_rows`` evaluates many
+streams at one run of counters (``raw_u64_block`` is its one-stream
+case), ``shuffle_targets`` draws the Fisher-Yates swap targets of many
+streams at once, and ``bernoulli_columns`` evaluates counters lo+1 .. hi
+across many streams at once, one bit column of the sampled masks at a
+time, without materialising the (streams x draws) output matrix.  A
+caller may draw a mask's columns in several ranges, on fewer streams
+each time, and get the same bits as in one pass.  A Steiner search
+(``steiner.search_system``) draws a chunk of restarts in one pass, one
+stream per seed (``seed_keys``); every stream's targets equal those of
+``Rng.shuffle``, which draws one stream, bit for bit.
 """
 
 from __future__ import annotations
@@ -48,16 +53,21 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+_MIX_STEPS = tuple((np.uint64(shift), np.uint64(mult))
+                   for shift, mult in ((30, _MIX_A), (27, _MIX_B)))
+_LAST_SHIFT = np.uint64(31)
+
+
 def _mix64_np(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     """``mix64`` of each element of the uint64 array z, in place; tmp is
     scratch space of z's shape."""
     if tmp is None:
         tmp = np.empty_like(z)
-    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
-        np.right_shift(z, np.uint64(shift), out=tmp)
+    for shift, mult in _MIX_STEPS:
+        np.right_shift(z, shift, out=tmp)
         np.bitwise_xor(z, tmp, out=z)
-        np.multiply(z, np.uint64(mult), out=z)
-    np.right_shift(z, np.uint64(31), out=tmp)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, _LAST_SHIFT, out=tmp)
     return np.bitwise_xor(z, tmp, out=z)
 
 
@@ -71,14 +81,63 @@ def stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
     return _mix64_np(np.uint64(seed & _M64) ^ _mix64_np(s))
 
 
+def seed_keys(seed: int, count: int, stream: int) -> np.ndarray:
+    """``stream_key(seed + i, stream)`` for i = 0 .. count-1, vectorised."""
+    seeds = np.arange(count, dtype=np.uint64) + np.uint64(seed & _M64)
+    return _mix64_np(seeds ^ np.uint64(mix64((stream * GAMMA_STREAM) & _M64)))
+
+
 def raw_u64(key: int, counter: int) -> int:
     return mix64(key ^ mix64((counter * GAMMA_COUNTER) & _M64))
 
 
+def raw_u64_rows(keys: np.ndarray, first_counter: int, count: int) -> np.ndarray:
+    """Row i: outputs of the stream keyed keys[i] for counters
+    first_counter .. first_counter+count-1."""
+    ctr = np.arange(first_counter, first_counter + count, dtype=np.uint64)
+    ctr *= np.uint64(GAMMA_COUNTER)
+    out = keys[:, None] ^ _mix64_np(ctr)
+    del ctr  # one block fewer at the peak of a long draw
+    return _mix64_np(out)
+
+
 def raw_u64_block(key: int, first_counter: int, count: int) -> np.ndarray:
     """Outputs for counters first_counter .. first_counter+count-1."""
-    ctr = np.arange(first_counter, first_counter + count, dtype=np.uint64)
-    return _mix64_np(np.uint64(key) ^ _mix64_np(ctr * np.uint64(GAMMA_COUNTER)))
+    return raw_u64_rows(np.array([key], dtype=np.uint64), first_counter, count)[0]
+
+
+def shuffle_targets(keys: np.ndarray, counter: int, count: int) -> tuple:
+    """Fisher-Yates swap targets of `count` items for each stream keyed
+    keys[i], every stream at `counter` (its next draw is output counter+1).
+
+    Returns (targets, ends): targets[i, t] is the index swapped with
+    position count-1-t, drawn as ``Rng.random_below(count - t)`` draws
+    it, and ends[i] is row i's counter after its last draw.  All rows
+    are drawn in one block; a row whose draw is rejected is redrawn
+    alone from the counter just past the rejected one.
+    """
+    width = max(count - 1, 0)
+    u = raw_u64_rows(keys, counter + 1, width)
+    bounds = np.arange(count, 1, -1, dtype=np.uint64)
+    # A draw u for bound m is rejected when u >= 2^64 - (2^64 mod m); as
+    # 2^64 mod m < m, only a draw with 2^64 - 1 - u < m can be.
+    first_rejected: dict = {}
+    for i, t in zip(*(a.tolist() for a in np.nonzero(~u < bounds))):
+        m = count - t
+        if i not in first_rejected and int(u[i, t]) >= (1 << 64) // m * m:
+            first_rejected[i] = t
+    targets = np.remainder(u, bounds, out=u)
+    ends = [counter + width] * len(keys)
+    for i, t in first_rejected.items():
+        rest, end = shuffle_targets(keys[i:i + 1], counter + t + 1, count - t)
+        targets[i, t:], ends[i] = rest[0], end[0]
+    return targets, ends
+
+
+def _swap(items: list, targets) -> None:
+    """Apply one row of ``shuffle_targets`` to items, in place."""
+    for pos, j in zip(range(len(items) - 1, 0, -1), targets.tolist()):
+        items[pos], items[j] = items[j], items[pos]
 
 
 def bernoulli_columns(keys: np.ndarray, masks: np.ndarray, lo: int, hi: int,
@@ -150,19 +209,10 @@ class Rng:
                 return u % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by this stream.
-
-        Same permutation and counter as drawing each swap index with
-        ``random_below``: the draws for positions i..1 come in one block,
-        and a rejected draw restarts the block just past it.
-        """
-        pos = len(items) - 1
-        while pos > 0:
-            for u in raw_u64_block(self._key, self._counter + 1, pos).tolist():
-                self._counter += 1
-                m = pos + 1
-                if u >= ((1 << 64) // m) * m:
-                    break
-                j = u % m
-                items[pos], items[j] = items[j], items[pos]
-                pos -= 1
+        """In-place Fisher-Yates shuffle driven by this stream: the same
+        permutation and counter as drawing each swap index with
+        ``random_below``, from the top position down."""
+        key = np.array([self._key], dtype=np.uint64)
+        targets, ends = shuffle_targets(key, self._counter, len(items))
+        _swap(items, targets[0])
+        self._counter = ends[0]

@@ -19,7 +19,8 @@ from .codec import _json_int, load_json
 from .errors import (ConstructionError, ParameterError, ParseError,
                      SizeLimitError)
 from .hypergraph import induced_rank_table, subsets_colex
-from .rng import Rng, bernoulli_threshold
+from .rng import (Rng, _swap, bernoulli_threshold, raw_u64_rows, seed_keys,
+                  shuffle_targets)
 
 DEFAULT_BITE = Fraction(1, 10)
 DEFAULT_ROUNDS = 10
@@ -28,6 +29,8 @@ DEFAULT_ROUNDS = 10
 # rows (C(n,m) x C(m,r) ranks).  A (2,3,200) packing holds 3,940,200 ranks:
 # 14 s and 617 MB; (2,3,300) took 55 s and 2.0 GB.
 _TABLE_MAX_BITS = 22
+# Random outputs a search draws per chunk of seeds (at least one seed).
+_CHUNK_DRAWS = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -139,55 +142,66 @@ def _check_nibble(bite: Fraction, rounds: int) -> None:
         raise ParameterError("rounds must be >= 0")
 
 
-def _packing(r: int, m: int, n: int, seed: int, stream: int = 0,
-             bite: Fraction = DEFAULT_BITE, rounds: int = 0) -> tuple:
-    """Sorted blocks of a packing, unverified: `rounds` random bites, then
-    greedy completion (with rounds=0, greedy alone).
+def _packings(r: int, m: int, n: int, seeds: range, stream: int = 0,
+              bite: Fraction = DEFAULT_BITE, rounds: int = 0):
+    """Sorted blocks of each seed's packing, unverified, in seed order:
+    `rounds` random bites, then greedy completion (with rounds=0, greedy
+    alone), on the stream (seed, stream).
 
     Each round draws one Bernoulli(bite) per m-subset (in colex order);
     sampled candidates are kept when their r-subsets are uncovered and
     do not collide with a candidate kept earlier in the same round.  The
     completion scans all m-subsets in seeded-shuffle order, adding every
     block whose r-subsets are all uncovered, so the result is maximal.
+    The seeds are drawn in chunks of about _CHUNK_DRAWS outputs: each
+    chunk draws one block of bites per round and one of swap targets,
+    bit for bit the draws of each seed's own stream.
     """
     _check_table("packing table", n, m, comb(m, r))
-    rng = Rng(seed, stream)
     subs = subsets_colex(n, m)
     rows = _block_rank_rows(n, m, r)
-    covered = bytearray(comb(n, r))
-    blocks: list = []
+    size = len(subs)
     # Only a round compares draws with the threshold.
     threshold = np.uint64(bernoulli_threshold(bite)) if rounds else None
-    for _ in range(rounds):
-        draws = rng.u64_block(len(subs))
-        sampled = np.nonzero(draws < threshold)[0]
-        round_marks: set = set()
-        for ci in sampled:
-            row = rows[ci]
-            if any(covered[k] for k in row) or any(k in round_marks for k in row):
-                continue
-            round_marks.update(row)
-            blocks.append(subs[ci])
-        for k in round_marks:
-            covered[k] = 1
-    order = list(range(len(subs)))
-    rng.shuffle(order)
-    for ci in order:
-        row = rows[ci]
-        for k in row:
-            if covered[k]:
-                break
-        else:
-            for k in row:
-                covered[k] = 1
-            blocks.append(subs[ci])
-    return tuple(sorted(blocks))
+    chunk = max(1, _CHUNK_DRAWS // max(1, (rounds + 1) * size - 1))
+    for lo in range(seeds.start, seeds.stop, chunk):
+        keys = seed_keys(lo, min(chunk, seeds.stop - lo), stream)
+        bites = [raw_u64_rows(keys, 1 + t * size, size) < threshold
+                 for t in range(rounds)]
+        targets, _ = shuffle_targets(keys, rounds * size, size)
+        for i in range(len(keys)):
+            covered = bytearray(comb(n, r))
+            blocks: list = []
+            for sampled in bites:
+                round_marks: set = set()
+                for ci in np.flatnonzero(sampled[i]).tolist():
+                    row = rows[ci]
+                    if (any(covered[k] for k in row)
+                            or any(k in round_marks for k in row)):
+                        continue
+                    round_marks.update(row)
+                    blocks.append(subs[ci])
+                for k in round_marks:
+                    covered[k] = 1
+            order = list(range(size))
+            _swap(order, targets[i])
+            for ci in order:
+                row = rows[ci]
+                for k in row:
+                    if covered[k]:
+                        break
+                else:
+                    for k in row:
+                        covered[k] = 1
+                    blocks.append(subs[ci])
+            yield tuple(sorted(blocks))
 
 
 def greedy_system(r: int, m: int, n: int, seed: int, stream: int = 0) -> SteinerSystem:
     """Random-order greedy packing; maximal, deterministic in (seed, stream)."""
     _check_params(r, m, n)
-    return SteinerSystem(r=r, m=m, n=n, blocks=_packing(r, m, n, seed, stream))
+    blocks = next(_packings(r, m, n, range(seed, seed + 1), stream))
+    return SteinerSystem(r=r, m=m, n=n, blocks=blocks)
 
 
 def nibble_system(r: int, m: int, n: int, seed: int,
@@ -200,8 +214,8 @@ def nibble_system(r: int, m: int, n: int, seed: int,
     _check_params(r, m, n)
     bite = Fraction(bite)
     _check_nibble(bite, rounds)
-    return SteinerSystem(r=r, m=m, n=n,
-                         blocks=_packing(r, m, n, seed, stream, bite, rounds))
+    blocks = next(_packings(r, m, n, range(seed, seed + 1), stream, bite, rounds))
+    return SteinerSystem(r=r, m=m, n=n, blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -215,7 +229,11 @@ def search_system(r: int, m: int, n: int, seed: int, restarts: int,
                   algo: str = "greedy", bite=DEFAULT_BITE,
                   rounds: int = DEFAULT_ROUNDS) -> SearchResult:
     """Pack seeds seed..seed+restarts-1 with greedy_system or nibble_system
-    and keep the first seed with the most blocks; only that one is verified."""
+    and keep the first seed with the most blocks; only that one is verified.
+
+    The seeds are drawn a chunk at a time, _CHUNK_DRAWS (2^16) random
+    outputs per chunk, and each seed's packing equals greedy_system's or
+    nibble_system's at stream 0, bit for bit."""
     _check_params(r, m, n)
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
@@ -227,8 +245,8 @@ def search_system(r: int, m: int, n: int, seed: int, restarts: int,
     else:
         raise ParameterError(f"algo must be greedy or nibble, got {algo!r}")
     best_seed, best, sizes = seed, None, []
-    for s in range(seed, seed + restarts):
-        blocks = _packing(r, m, n, s, bite=bite, rounds=rounds)
+    for s, blocks in enumerate(_packings(r, m, n, range(seed, seed + restarts),
+                                         bite=bite, rounds=rounds), seed):
         sizes.append(len(blocks))
         if best is None or len(blocks) > len(best):
             best_seed, best = s, blocks

@@ -19,7 +19,7 @@ import mpmath
 import numpy as np
 
 from hlab.hypergraph import RUniformGraph
-from hlab.rng import bernoulli_columns, bernoulli_threshold, stream_keys
+from hlab.rng import Rng, bernoulli_columns, bernoulli_threshold, stream_keys
 
 
 def colex_less(a: tuple, b: tuple) -> bool:
@@ -225,6 +225,35 @@ def shuffle_scalar(rng, items: list) -> None:
     for i in range(len(items) - 1, 0, -1):
         j = rng.random_below(i + 1)
         items[i], items[j] = items[j], items[i]
+
+
+def packing_scalar(r: int, m: int, n: int, seed: int, stream: int = 0,
+                   bite=Fraction(1, 10), rounds: int = 0) -> tuple:
+    """Sorted blocks of one seed's packing on Rng(seed, stream), drawn one
+    output at a time: `rounds` bites of one Bernoulli(bite) draw per
+    m-subset in colex order, each keeping the sampled blocks that meet no
+    covered r-subset and no block kept earlier in the round; then every
+    m-subset in `shuffle_scalar` order that meets no covered r-subset."""
+    rng = Rng(seed, stream)
+    subs = sorted(combinations(range(n), m), key=lambda b: b[::-1])
+    shadows = [set(combinations(b, r)) for b in subs]
+    threshold = Fraction(bite) * 2**64 // 1
+    covered, blocks = set(), []
+    for _ in range(rounds):
+        draws = [rng.next_u64() for _ in subs]
+        marks = set()
+        for ci, u in enumerate(draws):
+            if u < threshold and not shadows[ci] & (covered | marks):
+                marks |= shadows[ci]
+                blocks.append(subs[ci])
+        covered |= marks
+    order = list(range(len(subs)))
+    shuffle_scalar(rng, order)
+    for ci in order:
+        if not shadows[ci] & covered:
+            covered |= shadows[ci]
+            blocks.append(subs[ci])
+    return tuple(sorted(blocks))
 
 
 def naive_measure(n: int, r: int, p, sat) -> Fraction:

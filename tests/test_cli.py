@@ -621,8 +621,8 @@ def test_steiner_verifies_only_the_winner(files, capsys, monkeypatch):
 
 def test_steiner_rejects_invalid_winner(files, capsys, monkeypatch):
     import hlab.steiner as steiner
-    monkeypatch.setattr(steiner, "_packing",
-                        lambda *a, **k: ((0, 1, 2), (0, 1, 3)))
+    monkeypatch.setattr(steiner, "_packings", lambda r, m, n, seeds, **k: (
+        ((0, 1, 2), (0, 1, 3)) for _ in seeds))
     code, out, err = run(capsys, ["steiner", "--r", "2", "--m", "3",
                                   "--n", "7", "--seed", "0",
                                   "--restarts", "5"])

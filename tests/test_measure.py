@@ -405,6 +405,20 @@ def test_mc_hereditary_hits_match_row_oracle(n, r, p, pred, samples):
     assert res.value == want / samples
 
 
+def test_mc_drops_a_lone_failing_sample():
+    # A level that keeps all samples leaves them as they are; one that
+    # keeps all but one must still drop that one, wherever it sits.
+    lone = 0
+    for seed in range(40):
+        for samples in (2, 3):
+            masks = oracle_masks(3, 2, HALF, seed, samples, 0)
+            keep = FORB_K3.batch(masks, 3, 2)
+            lone += int(keep[:-1].all() and not keep[-1])
+            res = mc_measure(3, 2, HALF, FORB_K3, samples=samples, seed=seed)
+            assert res.hits == int(keep.sum())
+    assert lone > 0
+
+
 def test_mc_draws_edges_only_for_samples_in_the_class(monkeypatch):
     import hlab.measure as measure
     drawn = []

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import hlab.rng as rng_module
 from hlab.errors import ParameterError
-from hlab.rng import (Rng, bernoulli_columns, bernoulli_threshold, raw_u64,
-                      raw_u64_block, stream_key, stream_keys)
+from hlab.rng import (Rng, _swap, bernoulli_columns, bernoulli_threshold,
+                      raw_u64, raw_u64_block, raw_u64_rows, seed_keys,
+                      shuffle_targets, stream_key, stream_keys)
 
 from oracles import bernoulli_masks, shuffle_scalar, substream_blocks
 
@@ -38,6 +39,23 @@ def test_raw_matches_generator():
     key = stream_key(42, 6)
     assert raw_u64(key, 1) == Rng(42, 6).next_u64()
     assert raw_u64_block(key, 1, 4).tolist() == Rng(42, 6).u64_block(4).tolist()
+
+
+def test_rows_match_blocks():
+    keys = stream_keys(17, np.arange(5))
+    rows = raw_u64_rows(keys, 9, 40)
+    assert rows.shape == (5, 40)
+    for key, row in zip(keys.tolist(), rows.tolist()):
+        assert row == raw_u64_block(key, 9, 40).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, -40, 2**64 - 20, 2**70 + 3])
+@pytest.mark.parametrize("stream", [0, 5, -1])
+def test_seed_keys_match_stream_key(seed, stream):
+    # Seeds and streams are taken mod 2^64, as Rng takes them.
+    want = [Rng(seed + i, stream)._key for i in range(64)]
+    assert seed_keys(seed, 64, stream).tolist() == want
+    assert want == [stream_key(seed + i, stream) for i in range(64)]
 
 
 def test_substream_blocks_rows():
@@ -121,25 +139,63 @@ def test_shuffle_matches_scalar_oracle(size):
         assert fast.next_u64() == slow.next_u64()
 
 
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 7, 35, 455])
+@pytest.mark.parametrize("seed", [-30, 2**64 - 33, 2**65 + 9])
+def test_shuffle_targets_match_scalar_oracle_by_row(size, seed):
+    # 64 streams, one per seed seed..seed+63, each 3 draws in; the seeds
+    # cross 0 or 2^64 and are taken mod 2^64, as Rng takes them.
+    targets, ends = shuffle_targets(seed_keys(seed, 64, 7), 3, size)
+    assert targets.shape == (64, max(size - 1, 0))
+    for i in range(64):
+        slow = Rng(seed + i, 7)
+        slow.u64_block(3)
+        a, b = list(range(size)), list(range(size))
+        _swap(a, targets[i])
+        shuffle_scalar(slow, b)
+        assert a == b
+        assert ends[i] == slow._counter
+
+
 @pytest.mark.parametrize("bad", [{1}, {1, 2}, {3, 4, 5}, {1, 4, 9}, {6, 11}])
 def test_shuffle_rejections_match_scalar_oracle(monkeypatch, bad):
-    # 2^64 - 1 is rejected for every bound m that is not a power of two;
-    # for m <= 512, real draws land there with probability below 2^-55.
-    top = (1 << 64) - 1
-    raw, block = rng_module.raw_u64, rng_module.raw_u64_block
+    # Counter c of a 10-item shuffle draws for bound m = 11 - c when no
+    # draw before it was rejected; it is set to the least draw that m
+    # rejects, 2^64 - (2^64 mod m), or to 2^64 - 1 when m is a power of
+    # two and rejects none; a real draw is rejected with probability
+    # (2^64 mod m) / 2^64 < 2^-60.  The injections hit rows 0, 3 and 6 of
+    # an 8-stream batch; the other rows draw as they would without them.
+    def least_rejected(c):
+        m = 11 - c
+        return (1 << 64) - (1 << 64) % m if m & (m - 1) else (1 << 64) - 1
+
+    raw, rows = rng_module.raw_u64, rng_module.raw_u64_rows
+    keys = seed_keys(3, 8, 1)
+    hit = set(keys[::3].tolist())
 
     def patched_raw(key, counter):
-        return top if counter in bad else raw(key, counter)
+        if key in hit and counter in bad:
+            return least_rejected(counter)
+        return raw(key, counter)
 
-    def patched_block(key, first, count):
-        out = block(key, first, count)
-        for c in bad:
-            if first <= c < first + count:
-                out[c - first] = np.uint64(top)
+    def patched_rows(keys, first, count):
+        out = rows(keys, first, count)
+        for i, key in enumerate(keys.tolist()):
+            for c in bad:
+                if key in hit and first <= c < first + count:
+                    out[i, c - first] = np.uint64(least_rejected(c))
         return out
 
     monkeypatch.setattr(rng_module, "raw_u64", patched_raw)
-    monkeypatch.setattr(rng_module, "raw_u64_block", patched_block)
+    monkeypatch.setattr(rng_module, "raw_u64_rows", patched_rows)
+    targets, ends = shuffle_targets(keys, 0, 10)
+    for i, key in enumerate(keys.tolist()):
+        slow = Rng(3 + i, 1)
+        a, b = list(range(10)), list(range(10))
+        _swap(a, targets[i])
+        shuffle_scalar(slow, b)
+        assert a == b
+        assert ends[i] == slow._counter
+        assert (slow._counter > 9) == (key in hit)
     fast, slow = Rng(3, 1), Rng(3, 1)
     a, b = list(range(10)), list(range(10))
     fast.shuffle(a)

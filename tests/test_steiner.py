@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hlab.steiner as steiner
 from hlab.codec import load_json
 from hlab.errors import (ConstructionError, ParameterError, ParseError,
                          SizeLimitError)
@@ -13,7 +14,7 @@ from hlab.steiner import (SteinerSystem, greedy_system, load_system_fields,
                           search_system, system_from_json_obj,
                           system_to_json_obj, verify_system)
 
-from oracles import max_packing, uncovered_rsets
+from oracles import max_packing, packing_scalar, uncovered_rsets
 
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
         (2, 4, 5))
@@ -173,6 +174,36 @@ def test_search_keeps_first_seed_with_largest_d(algo):
     assert found.system == systems[found.seed - 5]
 
 
+@pytest.mark.parametrize("n, seed, algo, bite, rounds", [
+    (7, -40, "greedy", Fraction(1, 10), 0),
+    (7, 2**64 - 300, "nibble", Fraction(1, 5), 3),
+])
+def test_search_matches_per_seed_oracle(n, seed, algo, bite, rounds):
+    # Enough restarts for two whole chunks and part of a third; the seeds
+    # cross 0 or 2^64, where they are masked as Rng masks them.
+    per_seed = (rounds + 1) * comb(n, 3) - 1
+    restarts = 2 * (steiner._CHUNK_DRAWS // per_seed) + 5
+    found = search_system(2, 3, n, seed=seed, restarts=restarts, algo=algo,
+                          bite=bite, rounds=rounds)
+    want = [packing_scalar(2, 3, n, s, bite=bite, rounds=rounds)
+            for s in range(seed, seed + restarts)]
+    sizes = tuple(map(len, want))
+    assert found.sizes == sizes
+    assert found.seed == seed + sizes.index(max(sizes))
+    assert found.system.blocks == want[found.seed - seed]
+
+
+def test_single_systems_match_per_seed_oracle():
+    for seed, stream in ((5, 3), (-1, 2**64 + 7), (2**70, 1)):
+        assert (greedy_system(2, 3, 9, seed=seed, stream=stream).blocks
+                == packing_scalar(2, 3, 9, seed, stream))
+        assert (nibble_system(3, 4, 8, seed=seed, bite=Fraction(1, 4),
+                              rounds=2, stream=stream).blocks
+                == packing_scalar(3, 4, 8, seed, stream, Fraction(1, 4), 2))
+        assert (nibble_system(2, 3, 12, seed=seed, stream=stream).blocks
+                == packing_scalar(2, 3, 12, seed, stream, rounds=10))
+
+
 def test_search_parameter_validation():
     with pytest.raises(ParameterError):
         search_system(2, 3, 9, seed=0, restarts=0)
@@ -189,8 +220,6 @@ def test_search_parameter_validation():
 def test_table_size_limit_before_any_table(monkeypatch):
     # (2,3,300) needs 13,365,300 packing ranks and a 40-vertex block of a
     # 20-graph C(40,20) r-subsets: both are refused by their sizes alone.
-    import hlab.steiner as steiner
-
     def unbuilt(*args):
         raise AssertionError(f"table built for {args}")
 
