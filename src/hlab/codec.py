@@ -109,6 +109,8 @@ def _parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", 0) from None
 
 
 def load_json(path: str):

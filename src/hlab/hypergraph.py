@@ -39,22 +39,43 @@ def rank_subset(subset, r: int) -> int:
     return total
 
 
+def _colex_positions(k: int, r: int) -> np.ndarray:
+    """The r-subsets of range(k) in colex order, one row each: those with
+    top element t are the (r-1)-subsets of range(t), then t."""
+    pos = np.zeros((1, 0), dtype=np.min_scalar_type(k))
+    for i in range(1, r + 1):  # the empty piece stands in when r > k
+        pos = np.concatenate([np.zeros((0, i), dtype=pos.dtype)] + [
+            np.column_stack((pos[:comb(t, i - 1)],
+                             np.full(comb(t, i - 1), t, dtype=pos.dtype)))
+            for t in range(i - 1, k - r + i)])
+    return pos
+
+
 @lru_cache(maxsize=None)
 def subsets_colex(n: int, r: int) -> tuple:
     """All r-subsets of range(n) in colex order (index = rank)."""
-    if r == 0:
-        return ((),)
-    if r > n:
-        return ()
-    out = []
-    for top in range(r - 1, n):
-        out.extend(c + (top,) for c in subsets_colex(top, r - 1))
-    return tuple(out)
+    return tuple(zip(*_colex_positions(n, r).T.tolist())) if r else ((),)
 
 
 @lru_cache(maxsize=None)
 def _rank_index(n: int, r: int) -> dict:
     return {s: i for i, s in enumerate(subsets_colex(n, r))}
+
+
+def _colex_ranks(sets: np.ndarray, r: int) -> np.ndarray:
+    """Global colex ranks of the r-subsets of each row of increasing
+    vertices, in local colex order, summed from a C(v, i) table (of Python
+    ints if a rank may pass int64)."""
+    top = int(sets.max(initial=0)) + 1
+    binom = np.array([[comb(v, i) for i in range(1, r + 1)]
+                      for v in range(top)],
+                     dtype=object if comb(top, min(r, top // 2)) >> 63
+                     else np.int64)
+    pos = _colex_positions(sets.shape[1], r)
+    ranks = np.zeros((len(sets), len(pos)), dtype=binom.dtype)
+    for i in range(r):
+        ranks += binom[sets[:, pos[:, i]], i]
+    return ranks
 
 
 @lru_cache(maxsize=None)
@@ -65,11 +86,7 @@ def induced_rank_table(n: int, h: int, r: int) -> np.ndarray:
     local colex order, the global ranks of the C(h,r) r-subsets of D.
     Extracting those bits of an edge_mask yields the induced mask on D.
     """
-    local = subsets_colex(h, r)
-    rows = []
-    for d in subsets_colex(n, h):
-        rows.append([rank_subset(tuple(d[j] for j in loc), r) for loc in local])
-    arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(local))
+    arr = _colex_ranks(_colex_positions(n, h), r)
     arr.setflags(write=False)
     return arr
 

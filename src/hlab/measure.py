@@ -70,6 +70,8 @@ _SLICE_MASKS = 1 << 20
 # parents.
 _OPEN_BITS = _BLOCK_MASKS.bit_length() - 1
 _LOG_PREC_BITS = 96
+# Levels a predicate file may nest (a leaf is one): each is a recursion.
+_PREDICATE_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -516,11 +518,17 @@ def predicate_to_json_obj(pred: EdgePredicate) -> dict:
 
 
 def predicate_from_json_obj(obj) -> EdgePredicate:
+    return _predicate_from(obj, _PREDICATE_DEPTH)
+
+
+def _predicate_from(obj, depth: int) -> EdgePredicate:
+    if depth == 0:  # obj would be level _PREDICATE_DEPTH + 1
+        raise ParseError(f"predicate nests past {_PREDICATE_DEPTH} levels", 0)
     try:
         kind = obj["kind"]
         entry = _KINDS.get(kind)
         if entry is not None:
-            return entry.parse(obj)
+            return entry.parse(obj, depth - 1)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad predicate object: {exc}", 0) from None
     raise ParseError(f"unknown predicate kind {kind!r}", 0)
@@ -581,7 +589,7 @@ class _Kind(NamedTuple):
     # _walk describes.
     rule: Callable
     operands: Callable  # pred -> JSON fields after "kind"
-    parse: Callable     # JSON object -> EdgePredicate
+    parse: Callable     # (JSON object, levels left for parts) -> predicate
     hereditary: bool = False
 
 
@@ -594,38 +602,38 @@ _KINDS = {
         lambda p, n, r, through=None: lambda masks: (
             np.bitwise_count(masks) >= p.k),
         lambda p: {"k": p.k},
-        lambda o: EdgePredicate.min_edges(_json_int(o["k"]))),
+        lambda o, _: EdgePredicate.min_edges(_json_int(o["k"]))),
     "max_edges": _Kind(
         _max_edges_rule,
         lambda p: {"k": p.k},
-        lambda o: EdgePredicate.max_edges(_json_int(o["k"])),
+        lambda o, _: EdgePredicate.max_edges(_json_int(o["k"])),
         hereditary=True),
     "explicit": _Kind(
         _explicit_rule,
         lambda p: {"masks": sorted(p.masks)},
-        lambda o: EdgePredicate.explicit(map(_json_int, o["masks"]))),
+        lambda o, _: EdgePredicate.explicit(map(_json_int, o["masks"]))),
     "forb": _Kind(
         lambda p, n, r, through=None: _negated(
             _contains_rule(p, n, r, through)),
         lambda p: {"family": family_to_json_obj(p.family)},
-        lambda o: EdgePredicate.forb(family_from_json_obj(o["family"])),
+        lambda o, _: EdgePredicate.forb(family_from_json_obj(o["family"])),
         hereditary=True),
     "contains": _Kind(
         _contains_rule,
         lambda p: {"family": family_to_json_obj(p.family)} | (
             {} if p.within is None else {"within": list(p.within)}),
-        lambda o: EdgePredicate.contains(
+        lambda o, _: EdgePredicate.contains(
             family_from_json_obj(o["family"]),
             within=None if o.get("within") is None
             else map(_json_int, o["within"]))),
     "intersection": _Kind(
         _intersection_rule,
         lambda p: {"parts": [predicate_to_json_obj(q) for q in p.parts]},
-        lambda o: EdgePredicate.intersection(
-            predicate_from_json_obj(q) for q in o["parts"]),
+        lambda o, depth: EdgePredicate.intersection(
+            _predicate_from(q, depth) for q in o["parts"]),
         hereditary=True),
     "complement": _Kind(
         lambda p, n, r, through=None: _negated(_rule(p.inner, n, r)),
         lambda p: {"inner": predicate_to_json_obj(p.inner)},
-        lambda o: EdgePredicate.complement(predicate_from_json_obj(o["inner"]))),
+        lambda o, d: EdgePredicate.complement(_predicate_from(o["inner"], d))),
 }

@@ -1,7 +1,8 @@
 """Partial Steiner systems (r,m,n): construction and validation.
 
-Covered r-subsets live in a byte table indexed by colex rank, giving
-O(1) collision checks on the construction hot path.  All constructors
+r-subsets are named by colex rank.  A packing is one greedy scan of
+candidate m-subsets against a byte table of covered ranks; validation
+and the maximality search rank whole blocks at once.  All constructors
 are deterministic functions of (seed, stream, parameters).
 """
 
@@ -11,6 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -18,7 +20,8 @@ import numpy as np
 from .codec import _json_int, load_json
 from .errors import (ConstructionError, ParameterError, ParseError,
                      SizeLimitError)
-from .hypergraph import induced_rank_table, subsets_colex
+from .hypergraph import (_colex_positions, _colex_ranks, induced_rank_table,
+                         subsets_colex)
 from .rng import (Rng, _swap, bernoulli_threshold, raw_u64_rows, seed_keys,
                   shuffle_targets)
 
@@ -50,22 +53,29 @@ class VerifyReport:
 
 
 def verify_system(r: int, m: int, n: int, blocks) -> VerifyReport:
-    """Check the Steiner property on raw blocks; never raises."""
+    """Check the Steiner property on raw blocks; never raises.  Ranks are
+    taken over the used vertices, relabelled 0..u-1 in order, and a rank
+    seen twice is read back from the first block holding it."""
     blocks = [tuple(b) for b in blocks]
-    structural = []
-    counts: dict = {}
+    structural, good = [], []
     for b in blocks:
         if len(b) != m or len(set(b)) != m:
             structural.append(f"block {b} is not an m-set with m={m}")
-            continue
-        if sorted(b) != list(b) or b[0] < 0 or b[-1] >= n:
+        elif (sorted(b) != list(b) or b[0] < 0 or b[-1] >= n
+              or not all(hasattr(v, "__index__") for v in b)):
             structural.append(f"block {b} not a sorted subset of 0..{n - 1}")
-            continue
-        for j, loc in enumerate(subsets_colex(m, r)):
-            sub = tuple(b[i] for i in loc)
-            counts[sub] = counts.get(sub, 0) + 1
-    violations = tuple(sorted(s for s, c in counts.items() if c > 1))
-    covered = len(counts)
+        else:
+            good.append(b)
+    dtype = object if n > 1 << 63 else np.int64  # vertices past int64
+    sets = np.array(good, dtype=dtype).reshape(len(good), m)
+    labels = np.unique(sets, return_inverse=True)[1].reshape(sets.shape)
+    ranks = _colex_ranks(labels, r)
+    seen, first, counts = np.unique(ranks, return_index=True,
+                                    return_counts=True)
+    block, local = np.divmod(first[counts > 1], ranks.shape[1])
+    twice = sets[block[:, None], _colex_positions(m, r)[local]]
+    violations = tuple(sorted(map(tuple, twice.tolist())))
+    covered = len(seen)
     total = comb(n, r)
     return VerifyReport(
         valid=not violations and not structural,
@@ -108,13 +118,11 @@ class SteinerSystem:
         total = comb(self.n, self.r)
         return Fraction(total - self.covered, total)
 
-    def covered_table(self) -> bytearray:
-        table = bytearray(comb(self.n, self.r))
-        rows = _block_rank_rows(self.n, self.m, self.r)
-        index = {s: i for i, s in enumerate(subsets_colex(self.n, self.m))}
-        for b in self.blocks:
-            for k in rows[index[b]]:
-                table[k] = 1
+    def covered_table(self) -> np.ndarray:
+        """Boolean column over the C(n,r) r-subsets: covered by a block."""
+        table = np.zeros(comb(self.n, self.r), dtype=bool)
+        blocks = np.array(self.blocks, dtype=np.int64)
+        table[_colex_ranks(blocks.reshape(self.d, self.m), self.r)] = True
         return table
 
     def verify(self) -> VerifyReport:
@@ -148,11 +156,10 @@ def _packings(r: int, m: int, n: int, seeds: range, stream: int = 0,
     `rounds` random bites, then greedy completion (with rounds=0, greedy
     alone), on the stream (seed, stream).
 
-    Each round draws one Bernoulli(bite) per m-subset (in colex order);
-    sampled candidates are kept when their r-subsets are uncovered and
-    do not collide with a candidate kept earlier in the same round.  The
-    completion scans all m-subsets in seeded-shuffle order, adding every
-    block whose r-subsets are all uncovered, so the result is maximal.
+    Each round draws one Bernoulli(bite) per m-subset.  One greedy scan
+    adds every candidate whose r-subsets are all still uncovered: each
+    round's sampled m-subsets in colex order, then all m-subsets in
+    seeded-shuffle order, so the result is maximal.
     The seeds are drawn in chunks of about _CHUNK_DRAWS outputs: each
     chunk draws one block of bites per round and one of swap targets,
     bit for bit the draws of each seed's own stream.
@@ -172,20 +179,10 @@ def _packings(r: int, m: int, n: int, seeds: range, stream: int = 0,
         for i in range(len(keys)):
             covered = bytearray(comb(n, r))
             blocks: list = []
-            for sampled in bites:
-                round_marks: set = set()
-                for ci in np.flatnonzero(sampled[i]).tolist():
-                    row = rows[ci]
-                    if (any(covered[k] for k in row)
-                            or any(k in round_marks for k in row)):
-                        continue
-                    round_marks.update(row)
-                    blocks.append(subs[ci])
-                for k in round_marks:
-                    covered[k] = 1
             order = list(range(size))
             _swap(order, targets[i])
-            for ci in order:
+            for ci in chain(*(np.flatnonzero(b[i]).tolist() for b in bites),
+                            order):
                 row = rows[ci]
                 for k in row:
                     if covered[k]:
@@ -267,18 +264,19 @@ def maximality_report(sys: SteinerSystem, exhaustive_limit: int = 2_000_000,
     """Search for an addable block: exhaustive when C(n,m) is small,
     seeded sampling (certificate only on refutation) above the limit."""
     covered = sys.covered_table()
-    rows = _block_rank_rows(sys.n, sys.m, sys.r)
+    rows = induced_rank_table(sys.n, sys.m, sys.r)
     subs = subsets_colex(sys.n, sys.m)
     total = comb(sys.n, sys.m)
     if total <= exhaustive_limit:
-        for ci, row in enumerate(rows):
-            if all(not covered[k] for k in row):
-                return MaximalityReport(False, "exhaustive", ci + 1, subs[ci])
+        free = ~covered[rows].any(axis=1)
+        if free.any():
+            ci = int(free.argmax())
+            return MaximalityReport(False, "exhaustive", ci + 1, subs[ci])
         return MaximalityReport(True, "exhaustive", total, None)
     rng = Rng(seed)
     for i in range(samples):
         ci = rng.random_below(total)
-        if all(not covered[k] for k in rows[ci]):
+        if not covered[rows[ci]].any():
             return MaximalityReport(False, "sampled", i + 1, subs[ci])
     return MaximalityReport(None, "sampled", samples, None)
 

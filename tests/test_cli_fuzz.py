@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlab.cli import main
@@ -102,6 +102,13 @@ def broken_files(draw):
     return kind, text
 
 
+# Nesting past what the readers recurse through: 900 complements around a
+# leaf predicate, and an array nested 100,000 deep.
+DEEP_PREDICATE = ('{"kind": "complement", "inner": ' * 900
+                  + '{"kind": "min_edges", "k": 1}' + "}" * 900)
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
+
 def run_cli(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -114,6 +121,9 @@ def run_cli(argv) -> tuple:
 
 @settings(max_examples=150)
 @given(broken_files())
+@example(("predicate", DEEP_PREDICATE))
+@example(("family", DEEP_ARRAY))
+@example(("instance", DEEP_ARRAY))
 def test_malformed_files_fail_cleanly(case):
     kind, text = case
     with tempfile.TemporaryDirectory() as tmp:

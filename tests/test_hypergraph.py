@@ -2,12 +2,14 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hlab.errors import MalformedSubsetError, ParameterError, SizeLimitError
-from hlab.hypergraph import (RUniformGraph, canonical_code, complete_graph,
+from hlab.hypergraph import (RUniformGraph, _colex_ranks, canonical_code,
+                             complete_graph,
                              graph_from_edges, induced_rank_table, orbit_masks,
                              permute_graph, random_graph, rank_subset,
                              subsets_colex)
@@ -62,6 +64,28 @@ def test_subsets_colex_order():
     assert subs == ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
     for k, s in enumerate(subs):
         assert rank_subset(s, 2) == k
+
+
+def test_subsets_colex_all_small_cases():
+    for n in range(9):
+        for r in range(n + 2):
+            want = sorted(combinations(range(n), r), key=lambda s: s[::-1])
+            assert subsets_colex(n, r) == tuple(want)
+
+
+@given(st.integers(0, 12), st.sampled_from([20, 300]), st.data())
+def test_colex_ranks_match_rank_subset(r, top, data):
+    # top 300 with r >= 11 gives ranks past int64 (Python ints).
+    k = data.draw(st.integers(max(0, r - 1), r + 2))
+    rows = data.draw(st.lists(st.lists(st.integers(0, top), min_size=k,
+                                       max_size=k, unique=True).map(sorted),
+                              max_size=3))
+    ranks = _colex_ranks(np.array(rows, dtype=np.int64).reshape(len(rows), k),
+                         r)
+    local = subsets_colex(k, r)
+    assert ranks.shape == (len(rows), len(local))
+    for row, got in zip(rows, ranks.tolist()):
+        assert got == [rank_subset([row[i] for i in loc], r) for loc in local]
 
 
 def test_induced_rank_table_rows():

@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -51,9 +53,106 @@ def test_verify_empty():
 
 
 def test_verify_structural_issues():
-    report = verify_system(2, 3, 5, [(0, 1), (2, 1, 0), (0, 1, 9)])
+    report = verify_system(2, 3, 5, [(0, 1), (2, 1, 0), (0, 1, 9),
+                                     (0, 1, 2.5)])
     assert not report.valid
-    assert len(report.structural) == 3
+    assert len(report.structural) == 4
+
+
+def test_verify_at_the_block_layout_limit():
+    # One (11,21,21) block: C(21,11) x 11 = 3,879,876 entries, just under
+    # 2^22; its 352,716 r-subsets are counted as int64 ranks, not tuples.
+    tracemalloc.start()
+    try:
+        report = verify_system(11, 21, 21, [tuple(range(21))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid
+    assert report.covered == comb(21, 11)
+    assert report.uncovered_fraction == 0
+    assert peak < 40 << 20
+
+
+def test_verify_labels_past_int64():
+    # Ranks are taken over the used vertices, so labels past 2^63 and
+    # 25 disjoint (11,12) blocks, whose 300 vertices give C(300,11) > 2^63
+    # ranks, are counted exactly.
+    big = 2**70
+    report = verify_system(2, 3, big, [(0, 1, 2), (0, 1, big - 1),
+                                       (5, 2**65, big - 1)])
+    assert report.violations == ((0, 1),)
+    assert report.covered == 8
+    assert report.uncovered_fraction == Fraction(comb(big, 2) - 8, comb(big, 2))
+    report = verify_system(2, 3, 2**64, [(0, 1, 2**63), (0, 1, 2**63 + 1),
+                                         (3, 2**63, 2**63 + 1)])
+    assert report.violations == ((0, 1),)
+    assert report.covered == 8
+    blocks = [tuple(range(12 * i, 12 * i + 12)) for i in range(25)]
+    report = verify_system(11, 12, 300, blocks + blocks[-1:])
+    assert report.covered == 25 * 12
+    assert report.violations == tuple(combinations(blocks[-1], 11))
+
+
+@st.composite
+def raw_systems(draw):
+    """(r, m, n, blocks): sorted m-subsets that overlap and repeat, mixed
+    with lists of m-1..m+1 vertices from -1..n, most of them malformed."""
+    r, m, n = draw(parameters())
+    sorted_block = st.lists(st.integers(0, n - 1), min_size=m, max_size=m,
+                            unique=True).map(sorted)
+    any_block = st.lists(st.integers(-1, n), min_size=m - 1, max_size=m + 1)
+    blocks = draw(st.lists(st.one_of(sorted_block, sorted_block, any_block),
+                           max_size=6))
+    if blocks:
+        blocks += draw(st.lists(st.sampled_from(blocks), max_size=2))
+    return r, m, n, [tuple(b) for b in blocks]
+
+
+def well_formed(m, n, b):
+    return (len(b) == len(set(b)) == m and list(b) == sorted(b)
+            and 0 <= b[0] and b[-1] < n)
+
+
+@given(raw_systems())
+def test_verify_matches_set_count(case):
+    r, m, n, blocks = case
+    good = [b for b in blocks if well_formed(m, n, b)]
+    bad = [b for b in blocks if not well_formed(m, n, b)]
+    rsets = [set(combinations(b, r)) for b in good]
+    twice = set().union(*(a & b for i, a in enumerate(rsets)
+                          for b in rsets[i + 1:]))
+    report = verify_system(r, m, n, blocks)
+    assert report.d == len(blocks)
+    assert report.covered == comb(n, r) - len(uncovered_rsets(r, n, good))
+    assert report.violations == tuple(sorted(twice))
+    assert len(report.structural) == len(bad)
+    assert all(msg.startswith(f"block {b} ")
+               for b, msg in zip(bad, report.structural))
+    assert report.valid == (not twice and not bad)
+
+
+@given(raw_systems())
+def test_exhaustive_maximality_matches_first_free_row(case):
+    r, m, n, blocks = case
+    kept, used = [], set()
+    for b in blocks:
+        if well_formed(m, n, b) and used.isdisjoint(combinations(b, r)):
+            kept.append(b)
+            used.update(combinations(b, r))
+    sys = SteinerSystem(r=r, m=m, n=n, blocks=tuple(sorted(kept)))
+    free = set(uncovered_rsets(r, n, kept))
+    colex = sorted(combinations(range(n), m), key=lambda s: s[::-1])
+    first = next((i for i, d in enumerate(colex)
+                  if free.issuperset(combinations(d, r))), None)
+    report = maximality_report(sys)
+    assert report.method == "exhaustive"
+    if first is None:
+        assert (report.maximal, report.checked, report.addable) == (
+            True, len(colex), None)
+    else:
+        assert (report.maximal, report.checked, report.addable) == (
+            False, first + 1, colex[first])
 
 
 def test_system_rejects_invalid():
