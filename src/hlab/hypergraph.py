@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from .errors import MalformedSubsetError, ParameterError, SizeLimitError
-from .rng import Rng, bernoulli_threshold
 
 # Brute-force canonicalization stays exact only while n! enumeration is
 # affordable; these are the documented defaults.
@@ -37,6 +35,24 @@ def rank_subset(subset, r: int) -> int:
         prev = a
         total += comb(a, i)
     return total
+
+
+def unrank_subset(k: int, r: int) -> tuple:
+    """The r-subset of colex rank k >= 0, by the combinatorial number
+    system: from the top down, element i is the largest a with
+    C(a, i) <= what is left of k, found by bisection."""
+    out = []
+    for i in range(r, 0, -1):
+        lo, hi = i - 1, i - 1 + k  # C(lo, i) = 0 <= k < C(hi + 1, i)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if comb(mid, i) <= k:
+                lo = mid
+            else:
+                hi = mid - 1
+        out.append(lo)
+        k -= comb(lo, i)
+    return tuple(reversed(out))
 
 
 def _colex_positions(k: int, r: int) -> np.ndarray:
@@ -202,18 +218,3 @@ def canonical_code(G: RUniformGraph) -> CanonicalCode:
     _check_bound(G, "canonicalization")
     return CanonicalCode(G.n, G.r, min(_orbit_masks(G.n, G.r, G.edge_mask)))
 
-
-def random_graph(n: int, r: int, p, rng: Rng) -> RUniformGraph:
-    """G(n,p) draw: bit k independently present, consuming rng in rank order."""
-    p = Fraction(p)
-    threshold = bernoulli_threshold(p)
-    nbits = comb(n, r)
-    if nbits == 0:
-        return RUniformGraph(n, r, 0)
-    draws = rng.u64_block(nbits)
-    if threshold >= 1 << 64:
-        bits = np.ones(nbits, dtype=bool)
-    else:
-        bits = draws < np.uint64(threshold)
-    packed = np.packbits(bits, bitorder="little").tobytes()
-    return RUniformGraph(n, r, int.from_bytes(packed, "little"))

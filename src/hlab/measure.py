@@ -1,10 +1,12 @@
 """Exact and Monte-Carlo measures of graph classes in G(n,p).
 
 mu_k(C) = Pr[G(k,p) in C].  The exact path histograms the masks of C by
-edge count and evaluates sum_e count_e * p^e * (1-p)^(N-e) in exact
-rational arithmetic; p is a rational input throughout.  Entropy
-constants c_n = -log2(mu_n)/C(n,r) are computed in 96-bit mpmath
-arithmetic (round-to-nearest), well above the 50-bit contract.
+edge count and evaluates sum_e count_e * p^e * (1-p)^(N-e) exactly; p = a/b
+is a rational input throughout, so the sum is one integer dot product of
+the counts with a^e (b-a)^(N-e) over the single denominator b^N, reduced to
+one Fraction.  Entropy constants c_n = -log2(mu_n)/C(n,r) are computed in
+96-bit mpmath arithmetic (round-to-nearest), well above the 50-bit
+contract.
 
 Every measure runs over a list of levels (lo, hi, keep): a level's
 candidates are the survivors of the level before ORed with every choice
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
-from operator import index
+from operator import index, mul
 from typing import NamedTuple
 
 import mpmath
@@ -313,19 +315,22 @@ def _histograms(levels: list, workers: int) -> list:
 
 @lru_cache(maxsize=None)
 def weight_powers(p: Fraction, nbits: int) -> tuple:
-    """w_e = p^e (1-p)^(nbits-e), the probability of one mask with e
-    edges, as exact rationals; cached per (p, nbits)."""
-    q = 1 - p
-    pe, qe = [Fraction(1)], [Fraction(1)]
+    """(w, b^nbits) for p = a/b: w[e] = a^e (b-a)^(nbits-e), so that
+    w[e] / b^nbits = p^e (1-p)^(nbits-e) is the probability of one mask
+    with e edges; integers over one denominator, cached per (p, nbits)."""
+    a, b = p.numerator, p.denominator
+    pe, qe = [1], [1]
     for _ in range(nbits):
-        pe.append(pe[-1] * p)
-        qe.append(qe[-1] * q)
-    return tuple(a * b for a, b in zip(pe, reversed(qe)))
+        pe.append(pe[-1] * a)
+        qe.append(qe[-1] * (b - a))
+    return tuple(map(mul, pe, reversed(qe))), b ** nbits
 
 
 def value_from_histogram(hist, p: Fraction, nbits: int) -> Fraction:
-    return sum((c * w for c, w in zip(hist, weight_powers(p, nbits))),
-               Fraction(0))
+    """sum_e hist[e] p^e (1-p)^(nbits-e) for a list of Python ints: one
+    integer dot product over weight_powers' denominator, one Fraction."""
+    w, den = weight_powers(p, nbits)
+    return Fraction(sum(map(mul, hist, w)), den)
 
 
 def log2_fraction(x: Fraction):

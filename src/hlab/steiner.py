@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -21,7 +21,7 @@ from .codec import _json_int, load_json
 from .errors import (ConstructionError, ParameterError, ParseError,
                      SizeLimitError)
 from .hypergraph import (_colex_positions, _colex_ranks, induced_rank_table,
-                         subsets_colex)
+                         rank_subset, subsets_colex, unrank_subset)
 from .rng import (Rng, _swap, bernoulli_threshold, raw_u64_rows, seed_keys,
                   shuffle_targets)
 
@@ -262,22 +262,24 @@ class MaximalityReport:
 def maximality_report(sys: SteinerSystem, exhaustive_limit: int = 2_000_000,
                       samples: int = 20_000, seed: int = 0) -> MaximalityReport:
     """Search for an addable block: exhaustive when C(n,m) is small,
-    seeded sampling (certificate only on refutation) above the limit."""
+    seeded sampling (certificate only on refutation) above the limit.
+    A sample is a colex index, unranked to its m-subset, and only that
+    subset's r-subsets are ranked."""
     covered = sys.covered_table()
-    rows = induced_rank_table(sys.n, sys.m, sys.r)
-    subs = subsets_colex(sys.n, sys.m)
     total = comb(sys.n, sys.m)
     if total <= exhaustive_limit:
-        free = ~covered[rows].any(axis=1)
+        free = ~covered[induced_rank_table(sys.n, sys.m, sys.r)].any(axis=1)
         if free.any():
             ci = int(free.argmax())
-            return MaximalityReport(False, "exhaustive", ci + 1, subs[ci])
+            return MaximalityReport(False, "exhaustive", ci + 1,
+                                    unrank_subset(ci, sys.m))
         return MaximalityReport(True, "exhaustive", total, None)
     rng = Rng(seed)
     for i in range(samples):
-        ci = rng.random_below(total)
-        if not covered[rows[ci]].any():
-            return MaximalityReport(False, "sampled", i + 1, subs[ci])
+        block = unrank_subset(rng.random_below(total), sys.m)
+        if not any(covered[rank_subset(s, sys.r)]
+                   for s in combinations(block, sys.r)):
+            return MaximalityReport(False, "sampled", i + 1, block)
     return MaximalityReport(None, "sampled", samples, None)
 
 

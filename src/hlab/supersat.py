@@ -23,14 +23,14 @@ import numpy as np
 from .codec import _json_fraction, _json_int, load_json
 from .errors import (ConstructionError, FeasibilityError, ParameterError,
                      ParseError)
-from .family import ForbiddenFamily, _contains_rows, count_induced
+from .family import (_BLOCK_MASKS, ForbiddenFamily, _contains_rows,
+                     count_induced)
 from .hypergraph import RUniformGraph, subsets_colex
 from .measure import (EdgePredicate, MeasureResult, _children, _levels,
                       _validate_p, _walk, check_exact_feasible, exact_measure,
                       family_from_json_obj, family_to_json_obj, fraction_str,
                       log2_fraction, predicate_from_json_obj,
-                      predicate_to_json_obj, value_from_histogram,
-                      weight_powers)
+                      predicate_to_json_obj, value_from_histogram)
 from .steiner import SteinerSystem, system_from_json_obj, system_to_json_obj
 
 MAX_PARTITION_BLOCKS = 20
@@ -56,13 +56,18 @@ class LemmaParameters:
             raise ParameterError(f"block order m must be >= 2, got {self.m}")
 
 
-def _scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, vsets,
+def _scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int, vsets,
           workers: int, per_block):
-    """Yield per_block(masks, pops, cols) for every block of the masks of A.
+    """Yield per_block(masks, pops, cols, by_edges) for every block of the
+    masks of A.
 
     The blocks come from one walk of A's levels and are reduced on the
-    workers; pops holds each mask's edge count, and cols[i] whether some
-    member of fam is induced inside vsets[i].
+    workers.  Each block's masks are sorted by edge count once, so the
+    masks with e edges form one run; pops holds each mask's edge count,
+    and cols[i], in the same order, whether some member of fam is induced
+    inside vsets[i].  by_edges(x) sums x, one entry per mask, over each
+    run: the edge histogram of x, nbits + 1 int64 entries, from one
+    np.add.reduceat.
     """
     r = fam.r
     rows = _contains_rows(n, r, fam, vsets)
@@ -72,8 +77,19 @@ def _scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, vsets,
     def one(k, parents, allowed, width):
         if k == last:
             masks = _children(parents, allowed, levels[k].lo, width)
-            return per_block(masks, np.bitwise_count(masks).astype(np.intp),
-                             rows(masks))
+            pops = np.bitwise_count(masks)
+            order = np.argsort(pops, kind="stable")
+            masks, pops = masks[order], pops[order]
+            counts = np.bincount(pops, minlength=nbits + 1)
+            runs = np.flatnonzero(counts)
+            starts = (np.cumsum(counts) - counts)[runs]
+
+            def by_edges(x):
+                hist = np.zeros(nbits + 1, dtype=np.int64)
+                if runs.size:
+                    hist[runs] = np.add.reduceat(x, starts, dtype=np.int64)
+                return hist
+            return per_block(masks, pops, rows(masks), by_edges)
 
     return (part for k, part in _walk(levels, workers, one) if k == last)
 
@@ -86,29 +102,32 @@ def _theta_scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int,
     each vertex set S; the measure of A weighted by the number of sets
     S that contain a member, a second route to sum_S theta_S; and
     (count, mask) for the satisfying mask with the most such sets
-    (smallest mask on ties), None when A is empty.
+    (smallest mask on ties), None when A is empty.  On each edge-sorted
+    block, theta_S's histogram is one by_edges reduction of S's column,
+    and the weighted one counts the sets per mask first, then reduces
+    those counts.
     """
     width = nbits + 1
+    per_mask = np.min_scalar_type(len(vsets))
 
-    def one(masks, pops, cols):
+    def one(masks, pops, cols, by_edges):
         hists = np.zeros((len(vsets), width), dtype=np.int64)
         for i, col in enumerate(cols):
-            hists[i] = np.bincount(pops[col], minlength=width)
-        mcount = cols.sum(axis=0, dtype=np.int64)
-        whist = np.zeros(width, dtype=np.int64)
-        np.add.at(whist, pops, mcount)
+            hists[i] = by_edges(col)
+        mcount = cols.sum(axis=0, dtype=per_mask)
         best = None
         if mcount.size:
             top = mcount.max()
             best = (int(top), int(masks[mcount == top].min()))
-        return np.bincount(pops, minlength=width), hists, whist, best
+        return (np.bincount(pops, minlength=width), hists, by_edges(mcount),
+                best)
 
     a_hist = np.zeros(width, dtype=np.int64)
     hists = np.zeros((len(vsets), width), dtype=np.int64)
     whist = np.zeros(width, dtype=np.int64)
     best = None
-    for part_a, part_h, part_w, part_best in _scan(A, fam, n, vsets, workers,
-                                                   one):
+    for part_a, part_h, part_w, part_best in _scan(A, fam, n, nbits, vsets,
+                                                   workers, one):
         a_hist += part_a
         hists += part_h
         whist += part_w
@@ -121,6 +140,14 @@ def _theta_scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int,
         return value_from_histogram(hist.tolist(), p, nbits)
 
     return value(a_hist), tuple(value(h) for h in hists), value(whist), best
+
+
+def _merge_counts(keys: list, counts: list) -> tuple:
+    """One (keys, counts) pair, keys sorted and distinct, from several."""
+    keys, at = np.unique(np.concatenate(keys), return_inverse=True)
+    total = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(total, at, np.concatenate(counts))
+    return keys, total
 
 
 @dataclass(frozen=True)
@@ -155,7 +182,10 @@ def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
     The same pass histograms, per block, the masks of A that satisfy
     EdgePredicate.contains(fam, within=block): theta_i by the block
     route, computed apart from the pattern columns so that the identity
-    sum_S |S| mu(A_S) = sum_i theta_i compares two computations.
+    sum_S |S| mu(A_S) = sum_i theta_i compares two computations.  The
+    (pattern, edges) counts are gathered in numpy, and each cell, the
+    total and the weighted sum is one integer dot product over
+    weight_powers' single denominator.
     """
     p = _validate_p(p)
     if fam.r != sys.r:
@@ -170,36 +200,47 @@ def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
     r = fam.r
     nbits = check_exact_feasible(n, r, cap_bits)
     blocks = sys.blocks
+    width = nbits + 1
     # each block's own kernel, as EdgePredicate.contains(fam, within=b)
     # runs it, built once for the scan
     in_block = [_contains_rows(n, r, fam, [b]) for b in blocks]
 
-    def one(masks, pops, cols):
+    def one(masks, pops, cols, by_edges):
         pattern = np.zeros(masks.shape, dtype=np.int64)
         for i in range(d):
             pattern |= cols[i].astype(np.int64) << i
-        key = pattern * (nbits + 1) + pops
-        hists = np.zeros((d, nbits + 1), dtype=np.int64)
+        hists = np.zeros((d, width), dtype=np.int64)
         for i, run in enumerate(in_block):
-            hists[i] = np.bincount(pops[run(masks)[0]], minlength=nbits + 1)
-        return np.unique(key, return_counts=True), hists
+            hists[i] = by_edges(run(masks)[0])
+        return np.unique(pattern * width + pops, return_counts=True), hists
 
-    agg: dict = {}
-    theta_hists = np.zeros((d, nbits + 1), dtype=np.int64)
-    for (uniq, counts), hists in _scan(A, fam, n, blocks, workers, one):
-        for k, c in zip(uniq.tolist(), counts.tolist()):
-            agg[k] = agg.get(k, 0) + c
+    # keys[0], counts[0]: the blocks merged so far; then one pair per block
+    # since.  Merging once those outnumber the merged keys (and a block's
+    # worth) costs O(log) per key and holds a few times the distinct keys.
+    keys, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    theta_hists = np.zeros((d, width), dtype=np.int64)
+    for (uniq, cnt), hists in _scan(A, fam, n, nbits, blocks, workers, one):
+        keys.append(uniq)
+        counts.append(cnt)
+        if sum(map(len, keys[1:])) > max(len(keys[0]), _BLOCK_MASKS):
+            merged = _merge_counts(keys, counts)
+            keys, counts = [merged[0]], [merged[1]]
         theta_hists += hists
-    weight = weight_powers(p, nbits)
-    cells: dict = {}
-    for k in sorted(agg):
-        s, e = divmod(k, nbits + 1)
-        cells[s] = cells.get(s, Fraction(0)) + agg[k] * weight[e]
-    total = sum(cells.values(), Fraction(0))
-    weighted = sum((s.bit_count() * v for s, v in cells.items()), Fraction(0))
-    theta = tuple(value_from_histogram(h.tolist(), p, nbits)
-                  for h in theta_hists)
-    theta_sum = sum(theta, Fraction(0))
+    keys, counts = _merge_counts(keys, counts)
+    # one row of edge counts per nonempty cell, in pattern order
+    patterns, row = np.unique(keys // width, return_inverse=True)
+    table = np.zeros((len(patterns), width), dtype=np.int64)
+    table[row, keys % width] = counts
+    sizes = np.bitwise_count(patterns)
+
+    def value(hist):
+        return value_from_histogram(hist.tolist(), p, nbits)
+
+    cells = dict(zip(patterns.tolist(), map(value, table)))
+    total = value(table.sum(axis=0))
+    weighted = value(sizes @ table)
+    theta = tuple(map(value, theta_hists))
+    theta_sum = value(theta_hists.sum(axis=0))
     if weighted != theta_sum:
         raise ConstructionError(
             f"containment-pattern identity failed: cell route {weighted} "

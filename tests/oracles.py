@@ -8,10 +8,13 @@ runs a predicate's batch rule over the whole mask space, the route apart
 from the level walk's extension rules, and `bernoulli_masks` and
 `sample_masks` give whole-mask views of `rng.bernoulli_columns`, the
 sampler `mc_measure` draws its levels with, for the tests that check it
-against `oracle_masks`.
+against `oracle_masks`.  `random_graph` and `sampled_maximality` draw from
+the library's scalar `Rng`, whose streams define the draws they are
+compared on.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -417,6 +420,68 @@ def max_edges_clique_free(n: int, k: int) -> int:
             continue
         best = max(best, mask.bit_count())
     return best
+
+
+@lru_cache(maxsize=None)
+def _member_sets(n: int, r: int, mask: int, members: tuple,
+                 dsets: tuple) -> tuple:
+    """Whether some member is induced inside each vertex set of dsets."""
+    G = RUniformGraph(n, r, mask)
+    return tuple(naive_contains(G, members, within=d) for d in dsets)
+
+
+def naive_theta_scan(n: int, r: int, p, sat, dsets, members) -> tuple:
+    """Mask by mask: (mu(A), theta_D for each D of dsets, the sum over the
+    masks of A of each mask's probability times its number of member sets,
+    and (count, mask) for the first mask of A with the most member sets,
+    None when A is empty)."""
+    p = Fraction(p)
+    nbits = comb(n, r)
+    mu, weighted = Fraction(0), Fraction(0)
+    theta = [Fraction(0)] * len(dsets)
+    best = None
+    for mask in range(1 << nbits):
+        if not sat(RUniformGraph(n, r, mask)):
+            continue
+        e = mask.bit_count()
+        w = p ** e * (1 - p) ** (nbits - e)
+        hits = _member_sets(n, r, mask, tuple(members), tuple(dsets))
+        mu += w
+        weighted += w * sum(hits)
+        theta = [t + w if hit else t for t, hit in zip(theta, hits)]
+        if best is None or sum(hits) > best[0]:
+            best = (sum(hits), mask)
+    return mu, tuple(theta), weighted, best
+
+
+def sampled_maximality(r: int, m: int, n: int, blocks, samples: int,
+                       seed: int) -> tuple:
+    """(checked, addable) of the seeded search for an m-subset with no
+    covered r-subset: colex indices drawn by Rng(seed).random_below, each
+    unranked by scan; addable is None when no sample is free."""
+    used = {s for b in blocks for s in combinations(b, r)}
+    rng = Rng(seed)
+    for i in range(samples):
+        d = unrank_subset(rng.random_below(comb(n, m)), m)
+        if used.isdisjoint(combinations(d, r)):
+            return i + 1, d
+    return samples, None
+
+
+def random_graph(n: int, r: int, p, rng: Rng) -> RUniformGraph:
+    """G(n,p) draw: bit k independently present, consuming rng in rank order."""
+    p = Fraction(p)
+    threshold = bernoulli_threshold(p)
+    nbits = comb(n, r)
+    if nbits == 0:
+        return RUniformGraph(n, r, 0)
+    draws = rng.u64_block(nbits)
+    if threshold >= 1 << 64:
+        bits = np.ones(nbits, dtype=bool)
+    else:
+        bits = draws < np.uint64(threshold)
+    packed = np.packbits(bits, bitorder="little").tobytes()
+    return RUniformGraph(n, r, int.from_bytes(packed, "little"))
 
 
 def naive_partition_cells(n: int, r: int, p, sat, blocks, members) -> dict:

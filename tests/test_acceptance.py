@@ -17,7 +17,7 @@ from hlab.codec import decode_graph6, encode_graph6
 from hlab.extremal import exstar, predicted_c_half, tau, witness_check
 from hlab.family import count_induced, normalize_family
 from hlab.hypergraph import (RUniformGraph, canonical_code, complete_graph,
-                             graph_from_edges, permute_graph, random_graph)
+                             graph_from_edges, permute_graph)
 from hlab.measure import (EdgePredicate, cn_sequence, exact_measure,
                           fraction_str, mc_measure)
 from hlab.rng import Rng
@@ -25,7 +25,8 @@ from hlab.steiner import SteinerSystem, greedy_system, maximality_report
 from hlab.supersat import (counting_floor, partition_table,
                            projection_bound_check, tail_mass, x_set)
 
-from oracles import exstar_exhaustive, max_packing, triangle_free_measure
+from oracles import (exstar_exhaustive, max_packing, random_graph,
+                     triangle_free_measure)
 
 HALF = Fraction(1, 2)
 K3 = complete_graph(3, 2)

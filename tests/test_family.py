@@ -12,11 +12,12 @@ from hlab.family import (_COMPARE_MAX_ORBIT, _compare_kernel, _contains_rows,
                          count_induced, family_orbit, family_orbit_lookup,
                          normalize_family)
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
-                             permute_graph, random_graph)
+                             permute_graph)
 from hlab.measure import EdgePredicate, _rule
 from hlab.rng import Rng
 
-from oracles import induced_subgraph, naive_contains, naive_count_induced
+from oracles import (induced_subgraph, naive_contains, naive_count_induced,
+                     random_graph)
 
 
 def cycle(n):

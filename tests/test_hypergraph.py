@@ -11,11 +11,11 @@ from hlab.errors import MalformedSubsetError, ParameterError, SizeLimitError
 from hlab.hypergraph import (RUniformGraph, _colex_ranks, canonical_code,
                              complete_graph,
                              graph_from_edges, induced_rank_table, orbit_masks,
-                             permute_graph, random_graph, rank_subset,
-                             subsets_colex)
+                             permute_graph, rank_subset, subsets_colex)
+from hlab.hypergraph import unrank_subset as colex_unrank
 from hlab.rng import Rng
 
-from oracles import induced_subgraph, naive_rank, unrank_subset
+from oracles import induced_subgraph, naive_rank, random_graph, unrank_subset
 
 
 @st.composite
@@ -41,6 +41,19 @@ def test_rank_unrank_inverse_exhaustive():
     for r in range(1, 6):
         for s in combinations(range(21), r):
             assert unrank_subset(rank_subset(s, r), r) == s
+
+
+def test_colex_unrank_inverts_rank():
+    for r in range(1, 6):
+        for s in combinations(range(16), r):
+            assert colex_unrank(rank_subset(s, r), r) == s
+    assert colex_unrank(comb(230, 3) - 1, 3) == (227, 228, 229)
+    assert colex_unrank(comb(2**70, 2), 2) == (0, 2**70)
+
+
+@given(st.integers(1, 4), st.integers(0, 10**5))
+def test_colex_unrank_matches_scan(r, k):
+    assert colex_unrank(k, r) == unrank_subset(k, r)
 
 
 @given(st.integers(1, 4), st.data())

@@ -23,8 +23,8 @@ from hlab.measure import (_SLICE_MASKS, HARD_EXACT_CAP_BITS, EdgePredicate,
 
 from oracles import (clopper_pearson_bisect, full_scan_histogram,
                      naive_contains, naive_level_histograms, naive_measure,
-                     naive_satisfies, oracle_masks, sample_masks,
-                     triangle_free_measure, vertex_levels)
+                     naive_satisfies, oracle_masks, random_graph,
+                     sample_masks, triangle_free_measure, vertex_levels)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -317,7 +317,6 @@ def test_mc_rejects_bad_arguments():
 
 
 def test_sample_masks_matches_scalar_rng():
-    from hlab.hypergraph import random_graph
     from hlab.rng import Rng
 
     masks = sample_masks(4, 2, THIRD, seed=9, count=6, first_stream=3)
@@ -336,7 +335,6 @@ def test_sample_masks_extreme_p():
 @pytest.mark.parametrize("p", [Fraction(0), THIRD, HALF, Fraction(1)])
 @pytest.mark.parametrize("count", [1, (1 << 16) + 3])
 def test_sample_masks_bitwise_oracles(n, r, p, count):
-    from hlab.hypergraph import random_graph
     from hlab.rng import Rng
 
     first = 70_001
@@ -741,9 +739,12 @@ def test_extension_edge_cases_match_naive_measure(p):
 
 
 def test_weight_powers_are_mask_probabilities():
-    for p in (Fraction(0), THIRD, Fraction(1)):
-        assert weight_powers(p, 6) == tuple(p ** e * (1 - p) ** (6 - e)
-                                            for e in range(7))
+    for p in (Fraction(0), THIRD, Fraction(1), Fraction(2, 7)):
+        weights, den = weight_powers(p, 6)
+        assert den == p.denominator ** 6
+        assert all(type(w) is int for w in weights)
+        assert tuple(Fraction(w, den) for w in weights) == tuple(
+            p ** e * (1 - p) ** (6 - e) for e in range(7))
 
 
 def test_extension_memory_within_one_scan_chunk():

@@ -16,7 +16,8 @@ from hlab.steiner import (SteinerSystem, greedy_system, load_system_fields,
                           search_system, system_from_json_obj,
                           system_to_json_obj, verify_system)
 
-from oracles import max_packing, packing_scalar, uncovered_rsets
+from oracles import (max_packing, packing_scalar, sampled_maximality,
+                     uncovered_rsets)
 
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
         (2, 4, 5))
@@ -153,6 +154,37 @@ def test_exhaustive_maximality_matches_first_free_row(case):
     else:
         assert (report.maximal, report.checked, report.addable) == (
             False, first + 1, colex[first])
+
+
+def test_sampled_maximality_matches_oracle():
+    systems = []
+    for n in (12, 20, 31):
+        full = greedy_system(2, 3, n, seed=n)
+        systems += [full, SteinerSystem(2, 3, n, full.blocks[::2])]
+    systems.append(greedy_system(3, 4, 11, seed=2))
+    for sys in systems:
+        for seed in range(3):
+            report = maximality_report(sys, exhaustive_limit=10, samples=400,
+                                       seed=seed)
+            checked, addable = sampled_maximality(sys.r, sys.m, sys.n,
+                                                  sys.blocks, 400, seed)
+            assert (report.maximal, report.method, report.checked,
+                    report.addable) == (None if addable is None else False,
+                                        "sampled", checked, addable)
+
+
+def test_sampled_maximality_builds_no_table():
+    # C(230,3) = 2,001,460 m-subsets: ranking every row took 230 MiB.
+    sys = SteinerSystem(2, 3, 230, ((0, 1, 2),))
+    tracemalloc.start()
+    try:
+        report = maximality_report(sys, exhaustive_limit=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.maximal, report.method, report.checked,
+            report.addable) == (False, "sampled", 1, (33, 37, 41))
+    assert peak < 1 << 20
 
 
 def test_system_rejects_invalid():

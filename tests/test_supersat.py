@@ -13,7 +13,8 @@ from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
 from hlab.measure import (EdgePredicate, exact_measure, predicate_to_json_obj,
                           value_from_histogram)
 from hlab.steiner import SteinerSystem
-from hlab.supersat import (Instance, LemmaParameters, counting_floor,
+from hlab.supersat import (Instance, LemmaParameters, _theta_scan,
+                           counting_floor,
                            instance_from_json_obj, instance_to_json_obj,
                            lemma_report, load_instance,
                            params_from_json_obj, params_to_json_obj,
@@ -21,7 +22,7 @@ from hlab.supersat import (Instance, LemmaParameters, counting_floor,
                            save_instance, tail_mass, x_set)
 
 from oracles import (full_scan_histogram, naive_partition_cells,
-                     naive_satisfies, vertex_levels)
+                     naive_satisfies, naive_theta_scan, vertex_levels)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -116,6 +117,78 @@ def test_x_set_builds_mask_weights_once():
     x_set(EdgePredicate.min_edges(8), FAM_K3, 3, Fraction(1, 4), 6, HALF)
     info = weight_powers.cache_info()
     assert info.misses == 1 and info.hits > 20
+    # one more (p, N), one more miss
+    x_set(EdgePredicate.min_edges(8), FAM_K3, 3, Fraction(1, 4), 6, THIRD)
+    assert weight_powers.cache_info().misses == 2
+
+
+@given(predicates6(), st.sampled_from([HALF, THIRD]), st.sampled_from([3, 4]))
+def test_x_set_matches_per_mask_scan(A, p, m):
+    # n = 5 keeps the naive scan to 2^10 masks; the best graph is the
+    # mask with the most member m-subsets, smallest on ties, however the
+    # blocks order their masks.
+    n, gamma = 5, Fraction(1, 4)
+    dsets = subsets_colex(n, m)
+    obj = predicate_to_json_obj(A)
+    mu, theta, weighted, best = naive_theta_scan(
+        n, 2, p, lambda G: naive_satisfies(obj, G), dsets, FAM_K3.members)
+    assert _theta_scan(A, FAM_K3, n, comb(n, 2), p, dsets, 1) == (
+        mu, theta, weighted, best)
+    rep = x_set(A, FAM_K3, m, gamma, n, p)
+    assert rep.mu_A == mu
+    assert rep.averaging_lhs == weighted == sum(theta, Fraction(0))
+    assert rep.x_members == tuple(d for d, th in zip(dsets, theta)
+                                  if th >= gamma * mu)
+    if best is None:
+        assert (rep.best_graph, rep.best_mset_count) == (None, 0)
+    else:
+        assert rep.best_mset_count == best[0]
+        assert rep.best_graph == RUniformGraph(n, 2, best[1])
+
+
+def test_best_graph_is_smallest_mask_on_ties():
+    # Without the lone triangle 0-1-2 (mask 7), the smallest mask with one
+    # triangle is 0-1-2 plus the edge 0-3 (mask 15, 4 edges), though the
+    # edge-sorted block reaches the 3-edge triangle 0-1-3 (mask 25) first.
+    A = EdgePredicate.intersection([
+        EdgePredicate.max_edges(4),
+        EdgePredicate.complement(EdgePredicate.explicit([7]))])
+    obj = predicate_to_json_obj(A)
+    best = naive_theta_scan(5, 2, HALF, lambda G: naive_satisfies(obj, G),
+                            subsets_colex(5, 3), FAM_K3.members)[3]
+    assert best == (1, 15)
+    rep = x_set(A, FAM_K3, 3, Fraction(1, 4), 5, HALF)
+    assert (rep.best_mset_count, rep.best_graph.edge_mask) == best
+
+
+def test_partition_merges_block_counts_as_it_goes(monkeypatch):
+    # 32 blocks of 2^16 masks at n = 7; with a one-key floor the pairs
+    # are merged after most blocks, not once at the end.
+    import hlab.supersat
+
+    fano = SteinerSystem(r=2, m=3, n=7, blocks=(
+        (0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
+        (2, 4, 5)))
+    A = EdgePredicate.min_edges(12)
+    want = partition_table(A, fano, FAM_K3, 7, THIRD)
+    monkeypatch.setattr(hlab.supersat, "_BLOCK_MASKS", 1)
+    assert partition_table(A, fano, FAM_K3, 7, THIRD) == want
+    assert want.total == exact_measure(7, 2, THIRD, A).value
+
+
+def test_empty_class_through_every_scan():
+    empty = EdgePredicate.min_edges(comb(6, 2) + 1)
+    rep = x_set(empty, FAM_K3, 3, Fraction(1, 4), 6, HALF)
+    assert rep.mu_A == 0 and rep.averaging_lhs == 0
+    assert (rep.best_graph, rep.best_mset_count, rep.distinct_copies) == (
+        None, 0, 0)
+    lemma = lemma_report(empty, SYS6, FAM_K3,
+                         LemmaParameters(nu=Fraction(1, 4), m=3), HALF)
+    assert lemma.mu_A.value == 0 and lemma.theta == (0,) * SYS6.d
+    table = partition_table(empty, SYS6, FAM_K3, 6, HALF)
+    assert table.cells == {}
+    assert table.total == table.weighted_sum == table.theta_sum == 0
+    assert table.theta == (0,) * SYS6.d
 
 
 def test_one_enumeration_pass_per_command(walks):
