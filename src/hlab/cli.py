@@ -15,6 +15,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 import mpmath
 
@@ -326,7 +327,10 @@ _HANDLERS = {
 }
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parse_args keeps no state
+    between calls."""
     top = _Parser(
         prog="hlab",
         description="exact verification lab for measures, designs, and "

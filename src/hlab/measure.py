@@ -16,10 +16,15 @@ that tests a forbidden family (`forb`, and intersections of `forb` and
 layout the low C(k-1,r) bits of a k-vertex mask are G[0..k-2], so level
 k adds the edges through vertex k-1 and tests only the copies through
 it.  Every other predicate is one level: all C(n,r) bits, then its
-rule.  The exact path enumerates the choices in one depth-first walk,
-in slices that together hold at most 2^20 candidates, and runs keep and
-the caller's reduction on blocks of 2^16 candidates; worker count only
-schedules blocks, and reductions add, so results do not depend on it.
+rule.  The exact path runs keep and the caller's reduction on blocks
+of at most 2^16 candidates.  A full scan's block is one value of the
+high bits over every value of the low 16 (or all N) bits in edge-count
+order, so its survivors arrive sorted by edge count; a vertex walk
+enumerates the choices depth first, in slices that together hold at
+most 2^20 candidates, and its blocks come parent by parent, so a
+caller that wants them by edge count sorts them (supersat._scan).
+Worker count only schedules blocks, and reductions add, so results do
+not depend on it.
 
 At a vertex level keep tests parents, not candidates.  The new vertex
 v = k-1 is the top vertex of every row D = S + {v} through it, so D's
@@ -203,62 +208,92 @@ def _children(parents: np.ndarray, allowed: np.ndarray, lo: int,
         idx & np.uint64((1 << width) - 1)) << np.uint64(lo)
 
 
+@lru_cache(maxsize=None)
+def _edge_order(width: int) -> np.ndarray:
+    """The values 0 .. 2^width - 1 by number of set bits, each run of one
+    count in increasing order."""
+    values = np.arange(1 << width, dtype=np.uint64)
+    order = values[np.argsort(np.bitwise_count(values), kind="stable")]
+    order.setflags(write=False)
+    return order
+
+
 def _walk(levels: list, workers: int, per_block: Callable):
     """Enumerate the levels; yield (k, per_block(k, parents, allowed,
     width)) for every block of level k: allowed[i] is the set of the
     choices c < 2^width for which parents[i] | c << lo passes keep, packed
     by family._pack_choices.
 
-    The first level extends the empty mask.  In a walk of more than one
-    level, one per vertex, keep(parents, width) tests whole parents: the
-    low width = min(hi - lo, 16) bits of the level are open, and each
+    A single level, a full scan of N = hi bits, has width 0: its parents
+    are its candidates, and keep(parents) their boolean column.  Block h
+    holds the masks h << b | c, b = min(N, 16), for the low values c in
+    the order of _edge_order(b), so every block of a full scan arrives
+    sorted by edge count.  Each block's task builds its own candidates,
+    and one slice of blocks, at most _SLICE_MASKS candidates, runs at a
+    time.
+    In a walk of more than one level, one per vertex, the first level
+    extends the empty mask and keep(parents, width) tests whole parents:
+    the low width = min(hi - lo, 16) bits of the level are open, and each
     survivor of the level before is a parent once per value of the
-    level's higher bits, which are set in it.  A single level, a full
-    scan, has width 0: its parents are its candidates, and keep(parents)
-    their boolean column.
-    The walk is depth first, in slices of at most _SLICE_MASKS // len(levels)
-    candidates, so the stack holds one slice's survivors per level: at
-    most 2^20 masks in all.  A slice is cut into blocks of at most 2^16
-    candidates, whole parents, and one task per block, on `workers`
-    threads, applies keep and hands the block to per_block.  The
-    survivors of every level but the last become the next level's
-    parents.
+    level's higher bits, which are set in it.  This walk is depth first,
+    in slices of at most _SLICE_MASKS // len(levels) candidates, so the
+    stack holds one slice's survivors per level: at most 2^20 masks in
+    all.  A slice is cut into blocks of at most 2^16 candidates, whole
+    parents, and each block's survivors come parent by parent, not by
+    edge count.  The survivors of every level but the last become the
+    next level's parents.
+    Blocks run one task each on `workers` threads.
     """
     last = len(levels) - 1
     budget = max(1, _SLICE_MASKS // len(levels))
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         apply = pool.map if workers > 1 else map
+
+        def run(one, blocks):
+            # a slice of one block runs here: a thread would only wait
+            return list((apply if len(blocks) > 1 else map)(one, blocks))
+
+        if not last:
+            _, hi, keep = levels[0]
+            low = min(hi, _OPEN_BITS)
+            order = _edge_order(low)
+
+            def scan(h):
+                masks = order | np.uint64(h << low)
+                return per_block(0, masks, keep(masks).view(np.uint8)[:, None],
+                                 0)
+
+            blocks = range(1 << (hi - low))
+            step = max(1, budget >> low)
+            for first in blocks[::step]:
+                for part in run(scan, blocks[first:first + step]):
+                    yield 0, part
+            return
         stack = [(0, np.zeros(1, dtype=np.uint64), 0)]
         while stack:
             k, front, pos = stack.pop()
             lo, hi, keep = levels[k]
-            width = min(hi - lo, _OPEN_BITS) if last else 0
+            width = min(hi - lo, _OPEN_BITS)
             fold = hi - lo - width
             total = front.shape[0] << fold
             end = min(pos + max(1, budget >> width), total)
             if end < total:
                 stack.append((k, front, end))
             step = max(1, _BLOCK_MASKS >> width)
-            # a full scan's parents are its candidates; a vertex level's
             # parent t is survivor t >> fold with the choice bits from
             # width up set to t's low fold bits
             parents = np.arange(pos, end, dtype=np.uint64)
-            if last:
-                parents = front[parents >> np.uint64(fold)] | (
-                    parents & np.uint64((1 << fold) - 1)) << np.uint64(
-                        lo + width)
+            parents = front[parents >> np.uint64(fold)] | (
+                parents & np.uint64((1 << fold) - 1)) << np.uint64(lo + width)
 
             def one(i):
                 cut = parents[i:i + step]
-                allowed = (keep(cut, width) if last else
-                           keep(cut).view(np.uint8)[:, None])
+                allowed = keep(cut, width)
                 return (_children(cut, allowed, lo, width)
                         if k < last else None,
                         per_block(k, cut, allowed, width))
 
-            blocks = range(0, parents.shape[0], step)
-            # a slice of one block runs here: a thread would only wait
-            done = list((apply if len(blocks) > 1 else map)(one, blocks))
+            done = run(one, range(0, parents.shape[0], step))
             del parents
             for _, part in done:
                 yield k, part

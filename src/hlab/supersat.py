@@ -23,8 +23,7 @@ import numpy as np
 from .codec import _json_fraction, _json_int, load_json
 from .errors import (ConstructionError, FeasibilityError, ParameterError,
                      ParseError)
-from .family import (_BLOCK_MASKS, ForbiddenFamily, _contains_rows,
-                     count_induced)
+from .family import ForbiddenFamily, _contains_rows, count_induced
 from .hypergraph import RUniformGraph, subsets_colex
 from .measure import (EdgePredicate, MeasureResult, _children, _levels,
                       _validate_p, _walk, check_exact_feasible, exact_measure,
@@ -33,7 +32,10 @@ from .measure import (EdgePredicate, MeasureResult, _children, _levels,
                       predicate_to_json_obj, value_from_histogram)
 from .steiner import SteinerSystem, system_from_json_obj, system_to_json_obj
 
-MAX_PARTITION_BLOCKS = 20
+# Entries of partition_table's (pattern, edges) count table, 2^d (C(n,r) + 1):
+# the largest that a mask space within HARD_EXACT_CAP_BITS needs, d = 15
+# disjoint pairs at r = 1, n = 30.
+MAX_PARTITION_ENTRIES = 31 << 15
 
 
 @dataclass(frozen=True)
@@ -62,11 +64,13 @@ def _scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int, vsets,
     masks of A.
 
     The blocks come from one walk of A's levels and are reduced on the
-    workers.  Each block's masks are sorted by edge count once, so the
-    masks with e edges form one run; pops holds each mask's edge count,
-    and cols[i], in the same order, whether some member of fam is induced
-    inside vsets[i].  by_edges(x) sums x, one entry per mask, over each
-    run: the edge histogram of x, nbits + 1 int64 entries, from one
+    workers.  Each block's masks are sorted by edge count, so the masks
+    with e edges form one run: a full scan's blocks arrive sorted
+    (measure._walk), and the blocks of a vertex walk's last level are
+    sorted here, once.  pops holds each mask's edge count, and cols[i],
+    in the same order, whether some member of fam is induced inside
+    vsets[i].  by_edges(x) sums x, one entry per mask, over each run: the
+    edge histogram of x, nbits + 1 int64 entries, from one
     np.add.reduceat.
     """
     r = fam.r
@@ -78,8 +82,9 @@ def _scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int, vsets,
         if k == last:
             masks = _children(parents, allowed, levels[k].lo, width)
             pops = np.bitwise_count(masks)
-            order = np.argsort(pops, kind="stable")
-            masks, pops = masks[order], pops[order]
+            if last:  # a vertex walk's block comes parent by parent
+                order = np.argsort(pops, kind="stable")
+                masks, pops = masks[order], pops[order]
             counts = np.bincount(pops, minlength=nbits + 1)
             runs = np.flatnonzero(counts)
             starts = (np.cumsum(counts) - counts)[runs]
@@ -142,14 +147,6 @@ def _theta_scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int,
     return value(a_hist), tuple(value(h) for h in hists), value(whist), best
 
 
-def _merge_counts(keys: list, counts: list) -> tuple:
-    """One (keys, counts) pair, keys sorted and distinct, from several."""
-    keys, at = np.unique(np.concatenate(keys), return_inverse=True)
-    total = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(total, at, np.concatenate(counts))
-    return keys, total
-
-
 @dataclass(frozen=True)
 class PartitionTable:
     """Cell measures mu(A_S), S = containment pattern, nonempty cells only.
@@ -183,9 +180,11 @@ def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
     EdgePredicate.contains(fam, within=block): theta_i by the block
     route, computed apart from the pattern columns so that the identity
     sum_S |S| mu(A_S) = sum_i theta_i compares two computations.  The
-    (pattern, edges) counts are gathered in numpy, and each cell, the
-    total and the weighted sum is one integer dot product over
-    weight_powers' single denominator.
+    masks are counted by (pattern, edges) in one dense table of
+    2^d (nbits + 1) entries, at most MAX_PARTITION_ENTRIES: each block
+    adds one np.bincount of its keys.  Each nonempty cell, the total and
+    the weighted sum is one integer dot product over weight_powers'
+    single denominator.
     """
     p = _validate_p(p)
     if fam.r != sys.r:
@@ -194,49 +193,43 @@ def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
     if sys.n != n:
         raise ParameterError(f"system on {sys.n} vertices, space on {n}")
     d = sys.d
-    if d > MAX_PARTITION_BLOCKS:
-        raise FeasibilityError(
-            f"{d} blocks exceed the 2^{MAX_PARTITION_BLOCKS} cell cap")
     r = fam.r
+    width = comb(n, r) + 1
+    if width << d > MAX_PARTITION_ENTRIES:
+        raise FeasibilityError(
+            f"partition table of 2^{d} patterns x {width} edge counts "
+            f"exceeds the limit of {MAX_PARTITION_ENTRIES} entries")
     nbits = check_exact_feasible(n, r, cap_bits)
     blocks = sys.blocks
-    width = nbits + 1
+    patterns = np.min_scalar_type((1 << d) - 1)
     # each block's own kernel, as EdgePredicate.contains(fam, within=b)
     # runs it, built once for the scan
     in_block = [_contains_rows(n, r, fam, [b]) for b in blocks]
 
     def one(masks, pops, cols, by_edges):
-        pattern = np.zeros(masks.shape, dtype=np.int64)
+        pattern = np.zeros(masks.shape, dtype=patterns)
         for i in range(d):
-            pattern |= cols[i].astype(np.int64) << i
+            pattern |= cols[i].astype(patterns) << patterns.type(i)
         hists = np.zeros((d, width), dtype=np.int64)
         for i, run in enumerate(in_block):
             hists[i] = by_edges(run(masks)[0])
-        return np.unique(pattern * width + pops, return_counts=True), hists
+        return np.bincount(pattern * np.intp(width) + pops), hists
 
-    # keys[0], counts[0]: the blocks merged so far; then one pair per block
-    # since.  Merging once those outnumber the merged keys (and a block's
-    # worth) costs O(log) per key and holds a few times the distinct keys.
-    keys, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    counts = np.zeros(width << d, dtype=np.int64)
     theta_hists = np.zeros((d, width), dtype=np.int64)
-    for (uniq, cnt), hists in _scan(A, fam, n, nbits, blocks, workers, one):
-        keys.append(uniq)
-        counts.append(cnt)
-        if sum(map(len, keys[1:])) > max(len(keys[0]), _BLOCK_MASKS):
-            merged = _merge_counts(keys, counts)
-            keys, counts = [merged[0]], [merged[1]]
+    for part, hists in _scan(A, fam, n, nbits, blocks, workers, one):
+        counts[:part.shape[0]] += part
         theta_hists += hists
-    keys, counts = _merge_counts(keys, counts)
+    table = counts.reshape(1 << d, width)
     # one row of edge counts per nonempty cell, in pattern order
-    patterns, row = np.unique(keys // width, return_inverse=True)
-    table = np.zeros((len(patterns), width), dtype=np.int64)
-    table[row, keys % width] = counts
-    sizes = np.bitwise_count(patterns)
+    filled = np.flatnonzero(table.any(axis=1))
+    table = table[filled]
+    sizes = np.bitwise_count(filled)
 
     def value(hist):
         return value_from_histogram(hist.tolist(), p, nbits)
 
-    cells = dict(zip(patterns.tolist(), map(value, table)))
+    cells = dict(zip(filled.tolist(), map(value, table)))
     total = value(table.sum(axis=0))
     weighted = value(sizes @ table)
     theta = tuple(map(value, theta_hists))

@@ -366,6 +366,43 @@ def test_console_script_entry_point(files):
     assert json.loads(proc.stdout)["t"] == 2
 
 
+def test_commands_in_one_process_match_fresh_runs(files, capsys):
+    # main builds its parser once per process: every command, before and
+    # after a usage error, must print what a fresh interpreter prints.
+    import subprocess
+    import sys as _sys
+
+    cases = [
+        ["measure", "--n", "5", "--r", "2", "--p", "1/3",
+         "--forb", files["c4"]],
+        ["floor", "--n", "10", "--m", "4", "--t", "2", "--gamma", "abc"],
+        ["partition", "--instance", files["instance"], "--format", "csv"],
+        ["tau", "--graph", files["c4"]],
+        ["mc", "--n", "4", "--r", "2", "--p", "1/2", "--samples", "10"],
+        ["xset", "--instance", files["instance"], "--gamma", "1/8",
+         "--workers", "2"],
+        ["witness", "--n", "4", "--graph", files["k3"], "--e", "0-1,1-2"],
+    ]
+    codes = []
+    for argv in cases:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([_sys.executable, "-m", "hlab.cli", *argv],
+                               capture_output=True, text=True,
+                               env=_source_tree_env())
+        assert (code, captured.out) == (fresh.returncode, fresh.stdout)
+        if code == 2:
+            assert captured.out == ""
+            assert captured.err.startswith("usage error: ")
+            assert captured.err.count("\n") == 1
+            assert captured.err == fresh.stderr
+    assert codes == [0, 2, 0, 0, 2, 0, 0]
+
+
 @pytest.mark.parametrize("n, within", [("3", "0,1,9"), ("4", "0,1,1,2")])
 def test_domain_error_bad_within(files, capsys, n, within):
     code, out, err = run(capsys, ["measure", "--n", n, "--r", "2",

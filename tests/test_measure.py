@@ -15,7 +15,7 @@ from hlab.errors import (FeasibilityError, HlabError, ParameterError,
 from hlab.family import normalize_family
 from hlab.hypergraph import RUniformGraph, complete_graph, graph_from_edges
 from hlab.measure import (_SLICE_MASKS, HARD_EXACT_CAP_BITS, EdgePredicate,
-                          _histograms, _levels, _rule, check_exact_feasible,
+                          _children, _histograms, _levels, _rule, check_exact_feasible,
                           clopper_pearson, cn_from_measure, cn_sequence,
                           exact_measure, fraction_str, log2_fraction,
                           mc_measure, predicate_from_json_obj,
@@ -747,10 +747,82 @@ def test_weight_powers_are_mask_probabilities():
             p ** e * (1 - p) ** (6 - e) for e in range(7))
 
 
+# Full scans of N = 10 (one block of 2^10), 15 and 21 bits (32 blocks).
+SCAN_ORDER_PREDICATES = {
+    "min_edges": lambda n, N: EdgePredicate.min_edges(N // 2),
+    "contains": lambda n, N: EdgePredicate.contains(
+        normalize_family([C4]), within=range(1, n)),
+    "explicit": lambda n, N: EdgePredicate.explicit(
+        range(1, 1 << N, (1 << N) // 37)),
+    "complement": lambda n, N: EdgePredicate.complement(
+        EdgePredicate.intersection([EdgePredicate.forb(normalize_family(
+            [K3])), EdgePredicate.max_edges(N // 3)])),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("name", SCAN_ORDER_PREDICATES)
+def test_full_scan_in_edge_order_matches_natural_order(name, n, workers):
+    N = comb(n, 2)
+    pred = SCAN_ORDER_PREDICATES[name](n, N)
+    levels = _levels(pred, n, 2)
+    assert [(lo, hi) for lo, hi, _ in levels] == [(0, N)]
+    masks = np.arange(1 << N, dtype=np.uint64)
+    kept = np.bitwise_count(masks[pred.batch(masks, n, 2)])
+    want = np.bincount(kept, minlength=N + 1).tolist()
+    assert _histograms(levels, workers) == [want]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_reduces_blocks_in_edge_order(monkeypatch, workers):
+    # A full scan's blocks leave the walk sorted by edge count; a vertex
+    # walk's last level comes parent by parent and _scan sorts it.  Each
+    # block the reducer sees is one block of the walk, sorted.
+    import hlab.supersat
+    from hlab.supersat import _scan
+
+    walk, raw, reduced = hlab.supersat._walk, [], []
+
+    def spy(levels, workers, per_block):
+        def seen(k, parents, allowed, width):
+            if k == len(levels) - 1:
+                raw.append(_children(parents, allowed, levels[k].lo, width))
+            return per_block(k, parents, allowed, width)
+        return walk(levels, workers, seen)
+
+    def reducer(masks, pops, cols, by_edges):
+        reduced.append(masks)
+        assert (pops == np.bitwise_count(masks)).all()
+        ones = np.ones(masks.shape, dtype=np.int64)
+        assert by_edges(ones).tolist() == np.bincount(
+            pops, minlength=22).tolist()
+        return pops
+
+    def in_edge_order(masks):
+        return bool((np.diff(np.bitwise_count(masks).astype(int)) >= 0).all())
+
+    def contents(blocks):
+        return sorted(np.sort(m).tobytes() for m in blocks)
+
+    monkeypatch.setattr(hlab.supersat, "_walk", spy)
+    fam = normalize_family([K3])
+    for A, full in ((EdgePredicate.min_edges(9), True), (FORB_K3, False)):
+        raw.clear()
+        reduced.clear()
+        list(_scan(A, fam, 7, 21, [(0, 1, 2), (2, 3, 4, 5)], workers,
+                   reducer))
+        assert len(raw) > 1 and contents(raw) == contents(reduced)
+        assert all(map(in_edge_order, reduced))
+        assert all(map(in_edge_order, raw)) == full
+
+
 def test_extension_memory_within_one_scan_chunk():
     # r = 1 doubles every level, and the max_edges(22) rules keep all 2^22
     # masks at n = 22: the widest frontiers an extension can meet.  Its
-    # peak must stay within the full scan's of the same class.
+    # peak must stay within one scan chunk, _SLICE_MASKS masks, and the
+    # full scan of the same class, which builds its candidates block by
+    # block, within that too.
     import tracemalloc
 
     def traced(run):
@@ -768,7 +840,9 @@ def test_extension_memory_within_one_scan_chunk():
         lambda: exact_measure(22, 1, HALF, cap, cap_bits=22).value)
     assert [sum(h) for h in ext_hists] == [1 << k for k in range(23)]
     assert scan_value == 1
-    assert ext_peak <= scan_peak
+    chunk = _SLICE_MASKS * np.dtype(np.uint64).itemsize
+    assert ext_peak <= chunk
+    assert scan_peak <= chunk
 
 
 def test_extension_errors_unchanged():

@@ -10,8 +10,8 @@ from hlab.errors import FeasibilityError, ParameterError, ParseError
 from hlab.family import normalize_family
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph, subsets_colex)
-from hlab.measure import (EdgePredicate, exact_measure, predicate_to_json_obj,
-                          value_from_histogram)
+from hlab.measure import (HARD_EXACT_CAP_BITS, EdgePredicate, exact_measure,
+                          predicate_to_json_obj, value_from_histogram)
 from hlab.steiner import SteinerSystem
 from hlab.supersat import (Instance, LemmaParameters, _theta_scan,
                            counting_floor,
@@ -161,19 +161,78 @@ def test_best_graph_is_smallest_mask_on_ties():
     assert (rep.best_mset_count, rep.best_graph.edge_mask) == best
 
 
-def test_partition_merges_block_counts_as_it_goes(monkeypatch):
-    # 32 blocks of 2^16 masks at n = 7; with a one-key floor the pairs
-    # are merged after most blocks, not once at the end.
+PAIR_1 = normalize_family([graph_from_edges(2, 1, [(0,), (1,)])])
+
+
+@pytest.mark.parametrize("open_bits", [16, 4])
+@pytest.mark.parametrize("d", [0, 5])
+def test_partition_dense_table_matches_naive_oracle(monkeypatch, d,
+                                                    open_bits):
+    # r = 1, n = 10: d = 0 and d = 5, every vertex in a block, are the
+    # smallest and largest order a (1, 2, 10) system takes, and the limit
+    # set to the d = 5 table admits both.  With 4 open bits the full scan
+    # is 64 blocks of 16 masks, each adding its counts to the table.
+    import hlab.measure
     import hlab.supersat
 
-    fano = SteinerSystem(r=2, m=3, n=7, blocks=(
-        (0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
-        (2, 4, 5)))
-    A = EdgePredicate.min_edges(12)
-    want = partition_table(A, fano, FAM_K3, 7, THIRD)
-    monkeypatch.setattr(hlab.supersat, "_BLOCK_MASKS", 1)
-    assert partition_table(A, fano, FAM_K3, 7, THIRD) == want
-    assert want.total == exact_measure(7, 2, THIRD, A).value
+    sys = SteinerSystem(r=1, m=2, n=10,
+                        blocks=tuple((2 * i, 2 * i + 1) for i in range(d)))
+    monkeypatch.setattr(hlab.supersat, "MAX_PARTITION_ENTRIES", 11 << 5)
+    monkeypatch.setattr(hlab.measure, "_OPEN_BITS", open_bits)
+    for A in (ALWAYS, EdgePredicate.max_edges(6),
+              EdgePredicate.complement(EdgePredicate.explicit([3, 12, 1023]))):
+        table = partition_table(A, sys, PAIR_1, 10, THIRD)
+        obj = predicate_to_json_obj(A)
+        expect = naive_partition_cells(
+            10, 1, THIRD, lambda G: naive_satisfies(obj, G), sys.blocks,
+            PAIR_1.members)
+        assert list(table.cells) == sorted(expect)
+        assert table.cells == expect
+        assert table.total == exact_measure(10, 1, THIRD, A).value
+
+
+def test_partition_table_limit(tmp_path, capsys, monkeypatch, walks):
+    # The (pattern, edges) table of SYS6 holds 2^4 x 16 entries: with the
+    # limit one entry below, the CLI prints one error line and scans
+    # nothing; at the limit the report is built.
+    import hlab.supersat
+    from hlab.cli import main
+
+    path = str(tmp_path / "inst6.json")
+    save_instance(Instance(n=6, r=2, p=HALF,
+                           predicate=EdgePredicate.min_edges(8),
+                           family=FAM_K3, system=SYS6), path)
+    argv = ["partition", "--instance", path]
+    monkeypatch.setattr(hlab.supersat, "MAX_PARTITION_ENTRIES", (16 << 4) - 1)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "2^4 patterns x 16 edge counts" in captured.err
+    assert captured.err.count("\n") == 1
+    assert walks == []
+    monkeypatch.setattr(hlab.supersat, "MAX_PARTITION_ENTRIES", 16 << 4)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["identity_ok"] is True
+
+
+def test_partition_limit_admits_every_capped_space(monkeypatch):
+    # The largest table a mask space within HARD_EXACT_CAP_BITS needs:
+    # 15 disjoint pairs at r = 1, n = 30, 2^15 x 31 entries.  Stop where
+    # the scan would begin.
+    import hlab.supersat
+
+    class Scanned(Exception):
+        pass
+
+    def stop(*args):
+        raise Scanned
+
+    sys = SteinerSystem(r=1, m=2, n=30,
+                        blocks=tuple((2 * i, 2 * i + 1) for i in range(15)))
+    monkeypatch.setattr(hlab.supersat, "_scan", stop)
+    with pytest.raises(Scanned):
+        partition_table(ALWAYS, sys, PAIR_1, 30, HALF,
+                        cap_bits=HARD_EXACT_CAP_BITS)
 
 
 def test_empty_class_through_every_scan():
