@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     for pt in points:
         delta = "" if prev is None else f"{float(pt.c_n - prev):+.6f}"
         print(f"{pt.n:>3} {comb(pt.n, fam.r):>7} "
-              f"{fraction_str(pt.measure.value):>24} {float(pt.c_n):>20.12f} "
+              f"{fraction_str(pt.mu):>24} {float(pt.c_n):>20.12f} "
               f"{delta:>12}")
         prev = pt.c_n
     return 0

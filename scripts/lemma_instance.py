@@ -62,7 +62,7 @@ def main(argv=None) -> int:
 
     rep = lemma_report(inst.predicate, system, inst.family, params, inst.p,
                        workers=a.workers)
-    print(f"mu(A) = {fraction_str(rep.mu_A.value)}")
+    print(f"mu(A) = {fraction_str(rep.mu_A)}")
     for i, th in enumerate(rep.theta):
         mark = "*" if i in rep.index_set else " "
         print(f"  theta_{i + 1} = {fraction_str(th)} {mark}")

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -22,9 +23,9 @@ import mpmath
 from .codec import (encode_graph6, graph_to_json_obj, load_graph,
                     load_graph_list, load_json, save_graph)
 from .errors import HlabError, InputError
-from .extremal import (exstar, exstar_to_json_obj, tau, tau_to_json_obj,
-                       witness_check)
+from .extremal import exstar, exstar_to_json_obj, tau, witness_check
 from .family import contains_induced, count_induced, normalize_family
+from .hypergraph import RUniformGraph
 from .measure import (EdgePredicate, cn_sequence, exact_measure, fraction_str,
                       mc_measure, predicate_from_json_obj)
 from .steiner import (load_system_fields, save_system, search_system,
@@ -58,9 +59,14 @@ def _fmt_float(x) -> str:
 
 
 def _render(x):
-    """Convert a result value into its canonical printed form."""
+    """Convert a result value into its canonical printed form; a report
+    dataclass becomes a row of its fields in declaration order."""
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
         return x
+    if isinstance(x, RUniformGraph):
+        return graph_to_json_obj(x)
+    if is_dataclass(x):
+        return {f.name: _render(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, Fraction):
         return fraction_str(x)
     if isinstance(x, (float, mpmath.mpf)):
@@ -110,11 +116,6 @@ def _edge_list(text: str) -> list:
         pass
     raise argparse.ArgumentTypeError(
         f"{text!r} is not a comma list of a-b edges")
-
-
-def _add_common(sp) -> None:
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--workers", type=int, default=1)
 
 
 def _add_predicate_flags(sp) -> None:
@@ -167,10 +168,7 @@ def _cmd_cn(a: argparse.Namespace) -> list:
     if not a.n_list:
         raise _UsageError("--n-list names no n")
     fam = _load_family(a.family)
-    points = cn_sequence(fam, a.p, a.n_list,
-                         cap_bits=a.cap, workers=a.workers)
-    return [{"n": pt.n, "mu": pt.measure.value, "c_n": pt.c_n}
-            for pt in points]
+    return cn_sequence(fam, a.p, a.n_list, cap_bits=a.cap, workers=a.workers)
 
 
 def _cmd_mc(a: argparse.Namespace) -> list:
@@ -199,11 +197,7 @@ def _cmd_steiner(a: argparse.Namespace) -> list:
 
 
 def _cmd_verify_steiner(a: argparse.Namespace) -> list:
-    rep = verify_system(*load_system_fields(a.system))
-    return [{"valid": rep.valid, "d": rep.d, "covered": rep.covered,
-             "uncovered_fraction": rep.uncovered_fraction,
-             "violations": [list(v) for v in rep.violations],
-             "structural": list(rep.structural)}]
+    return [verify_system(*load_system_fields(a.system))]
 
 
 def _require(inst, field):
@@ -214,21 +208,24 @@ def _require(inst, field):
 
 def _cmd_lemma(a: argparse.Namespace) -> list:
     inst = load_instance(a.instance)
-    rep = lemma_report(inst.predicate, _require(inst, "system"), inst.family,
-                       _require(inst, "params"), inst.p,
-                       cap_bits=a.cap, workers=a.workers)
-    return [{"d": rep.d, "theta": list(rep.theta),
-             "index_set": list(rep.index_set), "eta": rep.eta,
-             "mu_A": rep.mu_A.value, "gamma": rep.gamma, "nu": rep.nu,
-             "mu_mB": rep.mu_mB, "tail": rep.tail,
-             "tail_small": rep.tail_small, "chain_ok": rep.chain_ok}]
+    return [lemma_report(inst.predicate, _require(inst, "system"), inst.family,
+                         _require(inst, "params"), inst.p,
+                         cap_bits=a.cap, workers=a.workers)]
+
+
+def _instance_table(a: argparse.Namespace, d: int | None = None):
+    """The partition table of the --instance file; a given d must be the
+    system's, and is checked before the scan."""
+    inst = load_instance(a.instance)
+    system = _require(inst, "system")
+    if d is not None and d != system.d:
+        raise InputError(f"--d {d} disagrees with instance d={system.d}")
+    return partition_table(inst.predicate, system, inst.family, inst.n,
+                           inst.p, cap_bits=a.cap, workers=a.workers)
 
 
 def _cmd_partition(a: argparse.Namespace) -> list:
-    inst = load_instance(a.instance)
-    table = partition_table(inst.predicate, _require(inst, "system"),
-                            inst.family, inst.n, inst.p,
-                            cap_bits=a.cap, workers=a.workers)
+    table = _instance_table(a)
     cells = [{"pattern": s, "size": s.bit_count(), "mu": table.cells[s]}
              for s in sorted(table.cells)]
     return [{"d": table.d, "cells": cells, "total": table.total,
@@ -241,12 +238,7 @@ def _cmd_tailmass(a: argparse.Namespace) -> list:
     nu, mu = a.nu, a.mu
     row = {"nu": nu, "d": a.d, "mu_mB": mu}
     if a.instance:
-        inst = load_instance(a.instance)
-        table = partition_table(inst.predicate, _require(inst, "system"),
-                                inst.family, inst.n, inst.p,
-                                cap_bits=a.cap, workers=a.workers)
-        if table.d != a.d:
-            raise InputError(f"--d {a.d} disagrees with instance d={table.d}")
+        table = _instance_table(a, a.d)
         value = tail_mass(nu, a.d, mu, table=table)
         cut = (nu * a.d).__floor__()
         row.update(value=value, small_mass=table.small_mass(cut),
@@ -262,31 +254,16 @@ def _cmd_xset(a: argparse.Namespace) -> list:
     m = a.m if a.m is not None else _require(inst, "params").m
     if m is None:
         raise InputError("block order m missing from flags and instance")
-    rep = x_set(inst.predicate, inst.family, m, gamma, inst.n, inst.p,
-                cap_bits=a.cap, workers=a.workers)
-    return [{"n": rep.n, "m": rep.m, "t": rep.t, "gamma": rep.gamma,
-             "mu_A": rep.mu_A, "x_size": rep.x_size,
-             "x_members": [list(d) for d in rep.x_members],
-             "eta_eff": rep.eta_eff,
-             "best_graph": graph_to_json_obj(rep.best_graph)
-             if rep.best_graph else None,
-             "best_mset_count": rep.best_mset_count,
-             "distinct_copies": rep.distinct_copies,
-             "delta_floor": rep.delta_floor,
-             "averaging_lhs": rep.averaging_lhs,
-             "averaging_rhs": rep.averaging_rhs,
-             "averaging_ok": rep.averaging_ok}]
+    return [x_set(inst.predicate, inst.family, m, gamma, inst.n, inst.p,
+                  cap_bits=a.cap, workers=a.workers)]
 
 
 def _cmd_floor(a: argparse.Namespace) -> list:
-    res = counting_floor(a.n, a.m, a.t, a.gamma, a.eta)
-    return [{"n": a.n, "m": a.m, "t": a.t, "ratio": res.ratio,
-             "floor": res.floor, "ok": res.ok,
-             "proviso_met": res.proviso_met}]
+    return [counting_floor(a.n, a.m, a.t, a.gamma, a.eta)]
 
 
 def _cmd_tau(a: argparse.Namespace) -> list:
-    return [tau_to_json_obj(tau(load_graph(a.graph)))]
+    return [tau(load_graph(a.graph))]
 
 
 def _cmd_exstar(a: argparse.Namespace) -> list:
@@ -294,10 +271,7 @@ def _cmd_exstar(a: argparse.Namespace) -> list:
 
 
 def _cmd_witness(a: argparse.Namespace) -> list:
-    res = witness_check(a.n, load_graph(a.graph), a.e, a.e0)
-    return [{"ok": res.ok,
-             "counterexample": [list(e) for e in res.counterexample]
-             if res.counterexample is not None else None}]
+    return [witness_check(a.n, load_graph(a.graph), a.e, a.e0)]
 
 
 def _cmd_count_induced(a: argparse.Namespace) -> list:
@@ -314,7 +288,7 @@ def _cmd_codec(a: argparse.Namespace) -> list:
         return [{"n": G.n, "r": G.r, "edges": G.num_edges, "out": a.out}]
     if a.to == "g6":
         return [{"g6": encode_graph6(G)}]
-    return [graph_to_json_obj(G)]
+    return [G]
 
 
 _HANDLERS = {
@@ -325,6 +299,15 @@ _HANDLERS = {
     "tau": _cmd_tau, "exstar": _cmd_exstar, "witness": _cmd_witness,
     "count-induced": _cmd_count_induced, "codec": _cmd_codec,
 }
+
+
+# The subcommands that take --workers: the seven that schedule blocks on
+# threads, and steiner and exstar, which schedule nothing but keep the flag
+# because perfbench/run.py passes it to every command.  Those of the seven
+# that enumerate a mask space also take its --cap.
+_WORKERS_FLAG = {"measure", "cn", "mc", "lemma", "partition", "tailmass",
+                 "xset", "steiner", "exstar"}
+_CAP_FLAG = {"measure", "cn", "lemma", "partition", "tailmass", "xset"}
 
 
 @cache
@@ -342,13 +325,11 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--p", type=_fraction, required=True)
     _add_predicate_flags(sp)
-    _add_common(sp)
 
     sp = subs.add_parser("cn", help="entropy constants over an n range")
     sp.add_argument("--family", required=True)
     sp.add_argument("--p", type=_fraction, required=True)
     sp.add_argument("--n-list", dest="n_list", type=_int_list, required=True)
-    _add_common(sp)
 
     sp = subs.add_parser("mc", help="Monte-Carlo measure with exact CI")
     sp.add_argument("--n", type=int, required=True)
@@ -358,7 +339,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--ci-level", dest="ci_level", type=float, default=0.95)
     _add_predicate_flags(sp)
-    _add_common(sp)
 
     sp = subs.add_parser("steiner", help="construct a partial Steiner system")
     sp.add_argument("--r", type=int, required=True)
@@ -371,16 +351,13 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=int, default=1,
                     help="try seeds seed..seed+restarts-1, keep largest d")
     sp.add_argument("--out", default=None, help="write the system JSON here")
-    _add_common(sp)
 
     sp = subs.add_parser("verify-steiner", help="verify a system file")
     sp.add_argument("--system", required=True)
-    _add_common(sp)
 
     for name in ("lemma", "partition"):
         sp = subs.add_parser(name, help=f"{name} report for an instance file")
         sp.add_argument("--instance", required=True)
-        _add_common(sp)
 
     sp = subs.add_parser("tailmass", help="closed-form small-cell bound")
     sp.add_argument("--nu", type=_fraction, required=True)
@@ -388,13 +365,11 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", type=_fraction, required=True)
     sp.add_argument("--instance", default=None,
                     help="also check domination of the true small-cell mass")
-    _add_common(sp)
 
     sp = subs.add_parser("xset", help="dense m-subset scan and count floor")
     sp.add_argument("--instance", required=True)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--gamma", type=_fraction, default=None)
-    _add_common(sp)
 
     sp = subs.add_parser("floor", help="ratio versus (2m)^-t n^t floor")
     sp.add_argument("--n", type=int, required=True)
@@ -402,16 +377,13 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--gamma", type=_fraction, default=Fraction(1))
     sp.add_argument("--eta", type=_fraction, default=Fraction(1))
-    _add_common(sp)
 
     sp = subs.add_parser("tau", help="partition parameter of a graph")
     sp.add_argument("--graph", required=True)
-    _add_common(sp)
 
     sp = subs.add_parser("exstar", help="exact ex*(n, F) with witnesses")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--graph", required=True)
-    _add_common(sp)
 
     sp = subs.add_parser("witness", help="check an (E, E0) witness pair")
     sp.add_argument("--n", type=int, required=True)
@@ -419,23 +391,23 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--e", type=_edge_list, default="", help='edges "a-b,c-d"')
     sp.add_argument("--e0", type=_edge_list, default="",
                     help='base edges "a-b,c-d"')
-    _add_common(sp)
 
     sp = subs.add_parser("count-induced", help="induced member subsets")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--family", required=True)
-    _add_common(sp)
 
     sp = subs.add_parser("codec", help="convert graph file formats")
     sp.add_argument("--input", required=True)
     sp.add_argument("--to", choices=("g6", "json"), default="json")
     sp.add_argument("--out", default=None)
-    _add_common(sp)
 
-    # the subcommands that enumerate a mask space take its cap
-    for name in ("measure", "cn", "lemma", "partition", "tailmass", "xset"):
-        subs.choices[name].add_argument("--cap", type=int, default=None,
-                                        help="exact mask-space cap in bits")
+    for name, sp in subs.choices.items():
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        if name in _WORKERS_FLAG:
+            sp.add_argument("--workers", type=int, default=1)
+        if name in _CAP_FLAG:
+            sp.add_argument("--cap", type=int, default=None,
+                            help="exact mask-space cap in bits")
     return top
 
 
@@ -446,10 +418,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except HlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (HlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(rows, args.format)

@@ -255,9 +255,3 @@ def exstar(n: int, F: RUniformGraph) -> ExStarResult:
 def exstar_to_json_obj(res: ExStarResult) -> dict:
     return {"value": res.value, "E": [list(e) for e in res.edges],
             "E0": [list(e) for e in res.base_edges]}
-
-
-def tau_to_json_obj(res: TauResult) -> dict:
-    return {"t": res.t, "witness_s": res.witness_s,
-            "refutations": [[list(part) for part in p]
-                            for p in res.refutations]}

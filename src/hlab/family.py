@@ -149,7 +149,7 @@ _GATHER_PASS_COST = 4
 
 
 def _slice_count(n: int, r: int) -> int:
-    return -(-len(subsets_colex(n, r)) // _SLICE_BITS)
+    return -(-comb(n, r) // _SLICE_BITS)
 
 
 def _mask_slices(masks: np.ndarray, n: int, r: int) -> list:

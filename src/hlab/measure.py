@@ -146,7 +146,7 @@ class MeasureResult:
 @dataclass(frozen=True)
 class EntropyPoint:
     n: int
-    measure: MeasureResult
+    mu: Fraction
     c_n: object  # mpmath.mpf
 
 
@@ -404,11 +404,6 @@ def _levels(pred, n: int, r: int) -> list:
     return list(map(_Level, bounds, bounds[1:], reversed(keeps)))
 
 
-def _exact_result(hist, p: Fraction, nbits: int) -> MeasureResult:
-    value = value_from_histogram(hist, p, nbits)
-    return MeasureResult(value=value, method="exact", log2_value=log2_fraction(value))
-
-
 def exact_measure(n: int, r: int, p, pred, cap_bits: int | None = None,
                   workers: int = 1) -> MeasureResult:
     """Exact mu_n(pred); deterministic.  The histogram of the last of
@@ -416,8 +411,10 @@ def exact_measure(n: int, r: int, p, pred, cap_bits: int | None = None,
     with a `forb` test, one level over all 2^C(n,r) masks for any other."""
     p = _validate_p(p)
     nbits = check_exact_feasible(n, r, cap_bits)
-    return _exact_result(_histograms(_levels(pred, n, r), workers)[-1], p,
-                         nbits)
+    value = value_from_histogram(_histograms(_levels(pred, n, r), workers)[-1],
+                                 p, nbits)
+    return MeasureResult(value=value, method="exact",
+                         log2_value=log2_fraction(value))
 
 
 def _sample_bits(n: int, r: int) -> int:
@@ -532,9 +529,8 @@ def cn_sequence(fam: ForbiddenFamily, p, n_list, cap_bits: int | None = None,
         top = max(n for n, _ in sizes)
         hists = _histograms(_levels(forb, top, r), workers)
         for n, nbits in sizes:
-            res = _exact_result(hists[n], p, nbits)
-            out.append(EntropyPoint(n=n, measure=res,
-                                    c_n=cn_from_measure(n, r, res.value)))
+            mu = value_from_histogram(hists[n], p, nbits)
+            out.append(EntropyPoint(n=n, mu=mu, c_n=cn_from_measure(n, r, mu)))
     if failure is not None:
         raise failure
     return out

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 
@@ -34,12 +33,6 @@ DEFAULT_ROUNDS = 10
 _TABLE_MAX_BITS = 22
 # Random outputs a search draws per chunk of seeds (at least one seed).
 _CHUNK_DRAWS = 1 << 16
-
-
-@lru_cache(maxsize=None)
-def _block_rank_rows(n: int, m: int, r: int) -> tuple:
-    """Row i: global colex ranks of the r-subsets of the i-th m-subset."""
-    return tuple(tuple(row) for row in induced_rank_table(n, m, r).tolist())
 
 
 @dataclass(frozen=True)
@@ -166,7 +159,9 @@ def _packings(r: int, m: int, n: int, seeds: range, stream: int = 0,
     """
     _check_table("packing table", n, m, comb(m, r))
     subs = subsets_colex(n, m)
-    rows = _block_rank_rows(n, m, r)
+    # row i: global colex ranks of the r-subsets of the i-th m-subset, as
+    # tuples for the scan; built per call, as they grow with C(n,m) C(m,r)
+    rows = tuple(map(tuple, induced_rank_table(n, m, r).tolist()))
     size = len(subs)
     # Only a round compares draws with the threshold.
     threshold = np.uint64(bernoulli_threshold(bite)) if rounds else None

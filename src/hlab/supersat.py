@@ -25,11 +25,11 @@ from .errors import (ConstructionError, FeasibilityError, ParameterError,
                      ParseError)
 from .family import ForbiddenFamily, _contains_rows, count_induced
 from .hypergraph import RUniformGraph, subsets_colex
-from .measure import (EdgePredicate, MeasureResult, _children, _levels,
-                      _validate_p, _walk, check_exact_feasible, exact_measure,
+from .measure import (EdgePredicate, _children, _levels, _validate_p, _walk,
+                      check_exact_feasible, exact_measure,
                       family_from_json_obj, family_to_json_obj, fraction_str,
-                      log2_fraction, predicate_from_json_obj,
-                      predicate_to_json_obj, value_from_histogram)
+                      predicate_from_json_obj, predicate_to_json_obj,
+                      value_from_histogram)
 from .steiner import SteinerSystem, system_from_json_obj, system_to_json_obj
 
 # Entries of partition_table's (pattern, edges) count table, 2^d (C(n,r) + 1):
@@ -309,11 +309,11 @@ class LemmaReport:
     partition argument forces it); otherwise None.
     """
 
+    d: int
     theta: tuple
     index_set: tuple
     eta: Fraction
-    mu_A: MeasureResult
-    d: int
+    mu_A: Fraction
     gamma: Fraction
     nu: Fraction
     mu_mB: Fraction
@@ -335,21 +335,20 @@ def lemma_report(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
     n = sys.n
     p = _validate_p(p)
     nbits = check_exact_feasible(n, fam.r, cap_bits)
-    mu, theta, _, _ = _theta_scan(A, fam, n, nbits, p, sys.blocks, workers)
-    mu_A = MeasureResult(value=mu, method="exact", log2_value=log2_fraction(mu))
+    mu_A, theta, _, _ = _theta_scan(A, fam, n, nbits, p, sys.blocks, workers)
     gamma = params.gamma
-    threshold = gamma * mu_A.value
+    threshold = gamma * mu_A
     index_set = tuple(i for i, th in enumerate(theta) if th >= threshold)
     d = sys.d
     eta = Fraction(len(index_set), d) if d else Fraction(0)
     mu_mB = exact_measure(sys.m, fam.r, p, EdgePredicate.forb(fam),
                           cap_bits=cap_bits, workers=workers).value
     tail = tail_mass(params.nu, d, mu_mB)
-    tail_small = mu_A.value > 0 and tail <= mu_A.value / 2
+    tail_small = mu_A > 0 and tail <= mu_A / 2
     chain_ok = (params.nu / 2 <= eta + (1 - eta) * gamma) if tail_small else None
-    return LemmaReport(theta=theta, index_set=index_set, eta=eta, mu_A=mu_A,
-                       d=d, gamma=gamma, nu=params.nu, mu_mB=mu_mB, tail=tail,
-                       tail_small=tail_small, chain_ok=chain_ok)
+    return LemmaReport(d=d, theta=theta, index_set=index_set, eta=eta,
+                       mu_A=mu_A, gamma=gamma, nu=params.nu, mu_mB=mu_mB,
+                       tail=tail, tail_small=tail_small, chain_ok=chain_ok)
 
 
 @dataclass(frozen=True)
@@ -425,6 +424,9 @@ def x_set(A: EdgePredicate, fam: ForbiddenFamily, m: int, gamma, n: int, p,
 
 @dataclass(frozen=True)
 class CountingFloor:
+    n: int
+    m: int
+    t: int
     ratio: Fraction
     floor: Fraction
     ok: bool
@@ -442,8 +444,8 @@ def counting_floor(n: int, m: int, t: int, gamma, eta) -> CountingFloor:
     ge = Fraction(gamma) * Fraction(eta)
     ratio = ge * Fraction(comb(n, m), comb(n - t, m - t))
     floor_val = ge * Fraction(n ** t, (2 * m) ** t) if t else ge
-    return CountingFloor(ratio=ratio, floor=floor_val, ok=ratio >= floor_val,
-                         proviso_met=n >= 2 * t)
+    return CountingFloor(n=n, m=m, t=t, ratio=ratio, floor=floor_val,
+                         ok=ratio >= floor_val, proviso_met=n >= 2 * t)
 
 
 @dataclass(frozen=True)

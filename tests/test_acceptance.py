@@ -103,7 +103,7 @@ def test_criterion_03_entropy_sequence_increasing():
             assert a.c_n < b.c_n
         redo = cn_sequence(FAM_K3, HALF, range(2, 8), workers=8)
         for a, b in zip(pts, redo):
-            assert a.measure.value == b.measure.value
+            assert a.mu == b.mu
             assert a.c_n == b.c_n
 
 

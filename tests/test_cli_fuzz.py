@@ -142,16 +142,18 @@ def test_malformed_files_fail_cleanly(case):
 
 # A valid argv per subcommand; {name} is a file of the `argv_files` fixture.
 VALID_ARGV = {
-    "measure": "--n 4 --r 2 --p 1/2 --forb {k3} --cap 20",
-    "cn": "--family {k3} --p 1/2 --n-list 2,4 --cap 20",
-    "mc": "--n 4 --r 2 --p 1/2 --samples 20 --seed 0 --min-edges 2",
+    "measure": "--n 4 --r 2 --p 1/2 --forb {k3} --cap 20 --workers 1",
+    "cn": "--family {k3} --p 1/2 --n-list 2,4 --cap 20 --workers 1",
+    "mc": "--n 4 --r 2 --p 1/2 --samples 20 --seed 0 --min-edges 2 "
+          "--workers 1",
     "steiner": "--r 2 --m 3 --n 5 --seed 0 --algo nibble --bite 1/10 "
                "--rounds 2 --restarts 2 --out {out}",
     "verify-steiner": "--system {system}",
-    "lemma": "--instance {instance} --cap 20",
-    "partition": "--instance {instance} --cap 20",
-    "tailmass": "--nu 1/2 --d 1 --mu 1/2 --instance {instance} --cap 20",
-    "xset": "--instance {instance} --m 3 --gamma 1/8 --cap 20",
+    "lemma": "--instance {instance} --cap 20 --workers 1",
+    "partition": "--instance {instance} --cap 20 --workers 1",
+    "tailmass": "--nu 1/2 --d 1 --mu 1/2 --instance {instance} --cap 20 "
+                "--workers 1",
+    "xset": "--instance {instance} --m 3 --gamma 1/8 --cap 20 --workers 1",
     "floor": "--n 5 --m 3 --t 2 --gamma 1 --eta 1",
     "tau": "--graph {graph}",
     "exstar": "--n 4 --graph {k3}",
@@ -223,7 +225,7 @@ def fuzzed_argv(draw):
     command = draw(st.sampled_from(sorted(VALID_ARGV)))
     words = VALID_ARGV[command].split()
     pairs = list(zip(words[::2], words[1::2]))
-    pairs += [("--format", "json"), ("--workers", "1")]
+    pairs += [("--format", "json")]
     for _ in range(draw(st.integers(1, 3))):
         action = draw(st.sampled_from(["drop", "repeat", "add"]
                                       + ["value"] * 3))

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hlab.cli import _render
 from hlab.errors import (DegenerateGraphError, FeasibilityError, InputError,
                          ParameterError, SizeLimitError)
 from hlab.extremal import (ExStarResult, exstar, exstar_to_json_obj,
-                           predicted_c_half, tau, tau_to_json_obj,
-                           witness_check)
+                           predicted_c_half, tau, witness_check)
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph)
 
@@ -244,9 +244,12 @@ def test_exstar_oversized_f_never_fits():
 
 def test_json_objects():
     res = tau(C4)
-    obj = tau_to_json_obj(res)
+    obj = _render(res)
+    assert list(obj) == ["t", "witness_s", "refutations"]
     assert obj["t"] == 2
     assert obj["witness_s"] == res.witness_s
+    assert obj["refutations"] == [[list(part) for part in p]
+                                  for p in res.refutations]
     ex = exstar_to_json_obj(exstar(4, K3))
     assert ex["value"] == 4
     assert len(ex["E"]) == 4

@@ -205,7 +205,7 @@ def test_cn_sequence_structure():
     assert [pt.n for pt in pts] == [2, 3, 4, 5]
     for pt in pts:
         assert pt.c_n >= 0
-        assert abs(pt.c_n - cn_from_measure(pt.n, 2, pt.measure.value)) == 0
+        assert abs(pt.c_n - cn_from_measure(pt.n, 2, pt.mu)) == 0
 
 
 def test_cn_nondecreasing_families():
@@ -872,7 +872,9 @@ def test_cn_sequence_points_in_list_order():
     pts = cn_sequence(fam, THIRD, [6, 2, 6, 4])
     assert [pt.n for pt in pts] == [6, 2, 6, 4]
     for pt in pts:
-        assert pt.measure == exact_measure(pt.n, 2, THIRD, EdgePredicate.forb(fam))
+        assert pt.mu == exact_measure(pt.n, 2, THIRD,
+                                      EdgePredicate.forb(fam)).value
+        assert pt.c_n == cn_from_measure(pt.n, 2, pt.mu)
 
 
 def test_hereditary_predicates_skip_the_full_scan(walks):

@@ -11,6 +11,7 @@ import hlab.steiner as steiner
 from hlab.codec import load_json
 from hlab.errors import (ConstructionError, ParameterError, ParseError,
                          SizeLimitError)
+from hlab.hypergraph import induced_rank_table, subsets_colex
 from hlab.steiner import (SteinerSystem, greedy_system, load_system_fields,
                           maximality_report, nibble_system, save_system,
                           search_system, system_from_json_obj,
@@ -346,6 +347,21 @@ def test_search_parameter_validation():
         search_system(2, 3, 9, seed=0, restarts=5, algo="nibble", bite=2)
     # greedy ignores the nibble knobs
     assert search_system(2, 3, 9, seed=0, restarts=5, bite=2).sizes
+
+
+def test_search_keeps_no_rank_rows():
+    # A packing's tuple rows of the rank table, C(60,3) x 3 ranks, live
+    # only for its search; the cached tables they come from are warm.
+    induced_rank_table(60, 3, 2)
+    subsets_colex(60, 3)
+    tracemalloc.start()
+    try:
+        found = search_system(2, 3, 60, 0, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert found.system.d > 0
+    assert held < 1 << 20
 
 
 def test_table_size_limit_before_any_table(monkeypatch):

@@ -93,7 +93,7 @@ def test_single_pass_matches_block_theta(sys, A):
     mu = exact_measure(sys.n, 2, HALF, A).value
     params = LemmaParameters(nu=Fraction(1, 4), m=sys.m)
     report = lemma_report(A, sys, FAM_K3, params, HALF)
-    assert report.mu_A.value == mu
+    assert report.mu_A == mu
     assert report.theta == tuple(block_theta(A, b, FAM_K3, sys.n, HALF)
                                  for b in sys.blocks)
     xrep = x_set(A, FAM_K3, sys.m, Fraction(1, 4), sys.n, HALF)
@@ -243,7 +243,7 @@ def test_empty_class_through_every_scan():
         None, 0, 0)
     lemma = lemma_report(empty, SYS6, FAM_K3,
                          LemmaParameters(nu=Fraction(1, 4), m=3), HALF)
-    assert lemma.mu_A.value == 0 and lemma.theta == (0,) * SYS6.d
+    assert lemma.mu_A == 0 and lemma.theta == (0,) * SYS6.d
     table = partition_table(empty, SYS6, FAM_K3, 6, HALF)
     assert table.cells == {}
     assert table.total == table.weighted_sum == table.theta_sum == 0
@@ -414,7 +414,7 @@ def test_lemma_report_forbidden_class():
 def test_lemma_threshold_set_integer_identity(sys, A, gamma):
     params = LemmaParameters(nu=Fraction(1, 4), gamma=gamma)
     report = lemma_report(A, sys, FAM_K3, params, HALF)
-    threshold = gamma * report.mu_A.value
+    threshold = gamma * report.mu_A
     expect = tuple(i for i, th in enumerate(report.theta) if th >= threshold)
     assert report.index_set == expect
     assert report.eta * report.d == len(report.index_set)
