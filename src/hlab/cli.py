@@ -235,16 +235,14 @@ def _cmd_partition(a: argparse.Namespace) -> list:
 
 
 def _cmd_tailmass(a: argparse.Namespace) -> list:
-    nu, mu = a.nu, a.mu
-    row = {"nu": nu, "d": a.d, "mu_mB": mu}
+    # the closed form first: its checks refuse bad input before any scan
+    row = {"nu": a.nu, "d": a.d, "mu_mB": a.mu,
+           "value": tail_mass(a.nu, a.d, a.mu)}
     if a.instance:
         table = _instance_table(a, a.d)
-        value = tail_mass(nu, a.d, mu, table=table)
-        cut = (nu * a.d).__floor__()
-        row.update(value=value, small_mass=table.small_mass(cut),
+        tail_mass(a.nu, a.d, a.mu, table=table)  # raises unless it dominates
+        row.update(small_mass=table.small_mass((a.nu * a.d).__floor__()),
                    dominates=True)
-    else:
-        row.update(value=tail_mass(nu, a.d, mu))
     return [row]
 
 

@@ -14,6 +14,7 @@ every edge sorted and the edge list in colex order.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from math import comb
 from operator import index
@@ -109,6 +110,9 @@ def _parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
+    except ValueError:  # an integer longer than int() parses
+        raise ParseError("invalid JSON: an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits", 0) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", 0) from None
 

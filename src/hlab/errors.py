@@ -42,4 +42,4 @@ class InputError(HlabError):
 
 
 class DegenerateGraphError(HlabError):
-    """Partition parameter degenerates (tau = 0); no prediction exists."""
+    """Degenerate input: tau of no vertices, or ex* with no feasible set."""

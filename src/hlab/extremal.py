@@ -1,4 +1,4 @@
-"""Partition parameter tau, its p=1/2 prediction 1/tau, and exact ex*.
+"""Partition parameter tau, witness checks, and exact ex*.
 
 tau(F) is the largest t for which some s in 0..t admits no partition of
 V(F) into s cliques and t-s independent sets (empty parts allowed).
@@ -9,7 +9,6 @@ from E keeps (V, E0 + X) free of induced F for every X inside E.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -100,15 +99,6 @@ def tau(F: RUniformGraph) -> TauResult:
     return TauResult(t=0, witness_s=0, refutations=above)
 
 
-def predicted_c_half(F: RUniformGraph) -> Fraction:
-    """The p=1/2 entropy prediction 1/tau(F)."""
-    result = tau(F)
-    if result.t == 0:
-        raise DegenerateGraphError(
-            f"tau({F.n}-vertex graph) = 0; prediction 1/tau undefined")
-    return Fraction(1, result.t)
-
-
 def _edge_bits(edges, n: int) -> list:
     out = []
     for e in edges:
@@ -164,7 +154,6 @@ def witness_check(n: int, F: RUniformGraph, E, E0) -> WitnessResult:
 
 @dataclass(frozen=True)
 class ExStarResult:
-    n: int
     value: int
     edges: tuple       # E, the maximized set
     base_edges: tuple  # E0, disjoint base making every X inside E safe
@@ -248,7 +237,7 @@ def exstar(n: int, F: RUniformGraph) -> ExStarResult:
     def edges_of(mask: int) -> tuple:
         return tuple(pairs[i] for i in range(nbits) if mask >> i & 1)
 
-    return ExStarResult(n=n, value=value, edges=edges_of(e_mask),
+    return ExStarResult(value=value, edges=edges_of(e_mask),
                         base_edges=edges_of(e0_mask))
 
 

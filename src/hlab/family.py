@@ -54,8 +54,7 @@ def normalize_family(raw) -> ForbiddenFamily:
         raise ConstructionError("family members need at least r vertices")
     seen = {}
     for g in graphs:
-        code = canonical_code(g)
-        seen.setdefault((g.n, code.code), g)
+        seen.setdefault((g.n, canonical_code(g)), g)
     members = tuple(seen[k] for k in sorted(seen))
     t = min(g.n for g in members)
     return ForbiddenFamily(members=members, r=r, t=t)
@@ -415,9 +414,8 @@ def _contains_rows(n: int, r: int, fam: ForbiddenFamily, vsets,
     return run
 
 
-def batch_contains(masks: np.ndarray, n: int, r: int, fam: ForbiddenFamily,
-                   within: tuple | None = None) -> np.ndarray:
-    """Vectorized F < G[D] over an array of uint64 edge_masks, D the
-    vertices `within` (None: all of range(n)); one call, one kernel build."""
-    scope = range(n) if within is None else within
-    return _contains_rows(n, r, fam, [scope])(masks)[0]
+def batch_contains(masks: np.ndarray, n: int, r: int,
+                   fam: ForbiddenFamily) -> np.ndarray:
+    """Vectorized F < G over an array of uint64 edge_masks; one call, one
+    kernel build."""
+    return _contains_rows(n, r, fam, [range(n)])(masks)[0]

@@ -140,15 +140,6 @@ class RUniformGraph:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class CanonicalCode:
-    """Minimal edge_mask over all vertex relabelings; equal iff isomorphic."""
-
-    n: int
-    r: int
-    code: int
-
-
 def graph_from_edges(n: int, r: int, edges) -> RUniformGraph:
     mask = 0
     for e in edges:
@@ -213,8 +204,9 @@ def orbit_masks(G: RUniformGraph) -> frozenset:
     return _orbit_masks(G.n, G.r, G.edge_mask)
 
 
-def canonical_code(G: RUniformGraph) -> CanonicalCode:
-    """Exact canonical form: the least mask of G's orbit (small n only)."""
+def canonical_code(G: RUniformGraph) -> int:
+    """Exact canonical form: the least mask of G's orbit (small n only);
+    two graphs of one order and r are isomorphic iff their codes agree."""
     _check_bound(G, "canonicalization")
-    return CanonicalCode(G.n, G.r, min(_orbit_masks(G.n, G.r, G.edge_mask)))
+    return min(_orbit_masks(G.n, G.r, G.edge_mask))
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
@@ -122,10 +123,6 @@ class EdgePredicate:
     @staticmethod
     def complement(inner: "EdgePredicate") -> "EdgePredicate":
         return EdgePredicate(kind="complement", inner=inner)
-
-    def batch(self, masks: np.ndarray, n: int, r: int) -> np.ndarray:
-        """Boolean column over an array of uint64 edge_masks of the (n, r) space."""
-        return _rule(self, n, r)(masks)
 
 
 @dataclass(frozen=True)
@@ -511,7 +508,8 @@ def cn_sequence(fam: ForbiddenFamily, p, n_list, cap_bits: int | None = None,
     One walk of the vertex levels up to the largest n yields every point.
     Errors come in list order, as if each n were measured on its own,
     except that a family order the kernel cannot test is refused before
-    any point.
+    any point.  Once an n fails its checks, the walk runs only when a
+    point before it may be undefined (see _surely_positive).
     """
     r = fam.r
     if n_list:
@@ -523,11 +521,14 @@ def cn_sequence(fam: ForbiddenFamily, p, n_list, cap_bits: int | None = None,
         except (ParameterError, FeasibilityError) as exc:
             failure = exc
             break
+    if sizes:  # built before any error is raised: a refused order comes first
+        levels = _levels(EdgePredicate.forb(fam), max(n for n, _ in sizes), r)
+    if failure is not None and all(_surely_positive(levels, n, p)
+                                   for n, _ in sizes):
+        raise failure
     out = []
     if sizes:
-        forb = EdgePredicate.forb(fam)
-        top = max(n for n, _ in sizes)
-        hists = _histograms(_levels(forb, top, r), workers)
+        hists = _histograms(levels, workers)
         for n, nbits in sizes:
             mu = value_from_histogram(hists[n], p, nbits)
             out.append(EntropyPoint(n=n, mu=mu, c_n=cn_from_measure(n, r, mu)))
@@ -536,9 +537,23 @@ def cn_sequence(fam: ForbiddenFamily, p, n_list, cap_bits: int | None = None,
     return out
 
 
+def _surely_positive(levels: list, n: int, p: Fraction) -> bool:
+    """Whether c_n is surely defined: C(n,r) > 0 and the empty or complete
+    graph, whichever has positive probability, passes levels 0..n."""
+    full = (1 << levels[n].hi) - 1
+    masks = np.array([0] * (p < 1) + [full] * (p > 0), dtype=np.uint64)
+    for _, hi, keep in levels[:n + 1]:
+        masks = masks[keep(masks & np.uint64((1 << hi) - 1))]
+    return full > 0 and masks.size > 0
+
+
 def fraction_str(x: Fraction) -> str:
+    """x as "num/den", exactly: past str()'s digit limit, through Decimal."""
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # more digits than str() renders
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def family_to_json_obj(fam: ForbiddenFamily) -> list:

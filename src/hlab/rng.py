@@ -18,9 +18,9 @@ fixed seed the map stream -> key is injective, so two substreams never
 share a state: substreams are non-overlapping by construction.  Every
 output is a closed form of (key, counter), so the vectorised APIs are
 bit-identical to repeated scalar calls: ``raw_u64_rows`` evaluates many
-streams at one run of counters (``raw_u64_block`` is its one-stream
-case), ``shuffle_targets`` draws the Fisher-Yates swap targets of many
-streams at once, and ``bernoulli_columns`` evaluates counters lo+1 .. hi
+streams at one run of counters, ``shuffle_targets`` draws the
+Fisher-Yates swap targets of many streams at once, and
+``bernoulli_columns`` evaluates counters lo+1 .. hi
 across many streams at once, one bit column of the sampled masks at a
 time, without materialising the (streams x draws) output matrix.  A
 caller may draw a mask's columns in several ranges, on fewer streams
@@ -101,11 +101,6 @@ def raw_u64_rows(keys: np.ndarray, first_counter: int, count: int) -> np.ndarray
     return _mix64_np(out)
 
 
-def raw_u64_block(key: int, first_counter: int, count: int) -> np.ndarray:
-    """Outputs for counters first_counter .. first_counter+count-1."""
-    return raw_u64_rows(np.array([key], dtype=np.uint64), first_counter, count)[0]
-
-
 def shuffle_targets(keys: np.ndarray, counter: int, count: int) -> tuple:
     """Fisher-Yates swap targets of `count` items for each stream keyed
     keys[i], every stream at `counter` (its next draw is output counter+1).
@@ -180,23 +175,15 @@ def bernoulli_threshold(p) -> int:
 class Rng:
     """One substream of the documented counter-based generator."""
 
-    __slots__ = ("seed", "stream", "_key", "_counter")
+    __slots__ = ("_key", "_counter")
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = seed & _M64
-        self.stream = stream & _M64
-        self._key = stream_key(self.seed, self.stream)
+        self._key = stream_key(seed, stream)
         self._counter = 0
 
     def next_u64(self) -> int:
         self._counter += 1
         return raw_u64(self._key, self._counter)
-
-    def u64_block(self, count: int) -> np.ndarray:
-        """Next ``count`` outputs as uint64; identical to scalar calls."""
-        out = raw_u64_block(self._key, self._counter + 1, count)
-        self._counter += count
-        return out
 
     def random_below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection; unbiased."""

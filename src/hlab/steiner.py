@@ -3,7 +3,7 @@
 r-subsets are named by colex rank.  A packing is one greedy scan of
 candidate m-subsets against a byte table of covered ranks; validation
 and the maximality search rank whole blocks at once.  All constructors
-are deterministic functions of (seed, stream, parameters).
+are deterministic functions of (seed, parameters).
 """
 
 from __future__ import annotations
@@ -118,9 +118,6 @@ class SteinerSystem:
         table[_colex_ranks(blocks.reshape(self.d, self.m), self.r)] = True
         return table
 
-    def verify(self) -> VerifyReport:
-        return verify_system(self.r, self.m, self.n, self.blocks)
-
 
 def _check_table(what: str, a: int, b: int, c: int) -> None:
     if (size := comb(a, b) * c) > 1 << _TABLE_MAX_BITS:
@@ -136,18 +133,11 @@ def _check_params(r: int, m: int, n: int) -> None:
     _check_table("block layout", m, r, r)
 
 
-def _check_nibble(bite: Fraction, rounds: int) -> None:
-    if not 0 < bite < 1:
-        raise ParameterError(f"bite must lie in (0, 1), got {bite}")
-    if rounds < 0:
-        raise ParameterError("rounds must be >= 0")
-
-
-def _packings(r: int, m: int, n: int, seeds: range, stream: int = 0,
-              bite: Fraction = DEFAULT_BITE, rounds: int = 0):
+def _packings(r: int, m: int, n: int, seeds: range, bite: Fraction,
+              rounds: int):
     """Sorted blocks of each seed's packing, unverified, in seed order:
     `rounds` random bites, then greedy completion (with rounds=0, greedy
-    alone), on the stream (seed, stream).
+    alone), on stream 0 of the seed.
 
     Each round draws one Bernoulli(bite) per m-subset.  One greedy scan
     adds every candidate whose r-subsets are all still uncovered: each
@@ -167,7 +157,7 @@ def _packings(r: int, m: int, n: int, seeds: range, stream: int = 0,
     threshold = np.uint64(bernoulli_threshold(bite)) if rounds else None
     chunk = max(1, _CHUNK_DRAWS // max(1, (rounds + 1) * size - 1))
     for lo in range(seeds.start, seeds.stop, chunk):
-        keys = seed_keys(lo, min(chunk, seeds.stop - lo), stream)
+        keys = seed_keys(lo, min(chunk, seeds.stop - lo), 0)
         bites = [raw_u64_rows(keys, 1 + t * size, size) < threshold
                  for t in range(rounds)]
         targets, _ = shuffle_targets(keys, rounds * size, size)
@@ -189,27 +179,6 @@ def _packings(r: int, m: int, n: int, seeds: range, stream: int = 0,
             yield tuple(sorted(blocks))
 
 
-def greedy_system(r: int, m: int, n: int, seed: int, stream: int = 0) -> SteinerSystem:
-    """Random-order greedy packing; maximal, deterministic in (seed, stream)."""
-    _check_params(r, m, n)
-    blocks = next(_packings(r, m, n, range(seed, seed + 1), stream))
-    return SteinerSystem(r=r, m=m, n=n, blocks=blocks)
-
-
-def nibble_system(r: int, m: int, n: int, seed: int,
-                  bite=DEFAULT_BITE, rounds: int = DEFAULT_ROUNDS,
-                  stream: int = 0) -> SteinerSystem:
-    """Iterated random bites, then greedy completion to maximality.
-
-    With rounds=0 this is exactly greedy_system at the same seed.
-    """
-    _check_params(r, m, n)
-    bite = Fraction(bite)
-    _check_nibble(bite, rounds)
-    blocks = next(_packings(r, m, n, range(seed, seed + 1), stream, bite, rounds))
-    return SteinerSystem(r=r, m=m, n=n, blocks=blocks)
-
-
 @dataclass(frozen=True)
 class SearchResult:
     seed: int  # the first seed reaching the largest d
@@ -220,18 +189,24 @@ class SearchResult:
 def search_system(r: int, m: int, n: int, seed: int, restarts: int,
                   algo: str = "greedy", bite=DEFAULT_BITE,
                   rounds: int = DEFAULT_ROUNDS) -> SearchResult:
-    """Pack seeds seed..seed+restarts-1 with greedy_system or nibble_system
-    and keep the first seed with the most blocks; only that one is verified.
+    """Pack seeds seed..seed+restarts-1 with the random-order greedy scan
+    (algo "greedy") or `rounds` random bites then greedy completion
+    (algo "nibble"), and keep the first seed with the most blocks; only
+    that one is verified.  Every packing is maximal.
 
     The seeds are drawn a chunk at a time, _CHUNK_DRAWS (2^16) random
-    outputs per chunk, and each seed's packing equals greedy_system's or
-    nibble_system's at stream 0, bit for bit."""
+    outputs per chunk, and each seed's packing equals the one drawn on
+    its own stream alone, bit for bit; with rounds=0 the nibble is the
+    greedy packing."""
     _check_params(r, m, n)
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
     if algo == "nibble":
         bite = Fraction(bite)
-        _check_nibble(bite, rounds)
+        if not 0 < bite < 1:
+            raise ParameterError(f"bite must lie in (0, 1), got {bite}")
+        if rounds < 0:
+            raise ParameterError("rounds must be >= 0")
     elif algo == "greedy":
         bite, rounds = DEFAULT_BITE, 0
     else:
@@ -244,6 +219,11 @@ def search_system(r: int, m: int, n: int, seed: int, restarts: int,
             best_seed, best = s, blocks
     return SearchResult(best_seed, SteinerSystem(r=r, m=m, n=n, blocks=best),
                         tuple(sizes))
+
+
+def greedy_system(r: int, m: int, n: int, seed: int) -> SteinerSystem:
+    """Random-order greedy packing of one seed; maximal."""
+    return search_system(r, m, n, seed, 1).system
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor
+from math import comb, floor, perm
 
 import numpy as np
 
 from .codec import _json_fraction, _json_int, load_json
 from .errors import (ConstructionError, FeasibilityError, ParameterError,
-                     ParseError)
+                     ParseError, SizeLimitError)
 from .family import ForbiddenFamily, _contains_rows, count_induced
 from .hypergraph import RUniformGraph, subsets_colex
 from .measure import (EdgePredicate, _children, _levels, _validate_p, _walk,
@@ -36,6 +36,15 @@ from .steiner import SteinerSystem, system_from_json_obj, system_to_json_obj
 # the largest that a mask space within HARD_EXACT_CAP_BITS needs, d = 15
 # disjoint pairs at r = 1, n = 30.
 MAX_PARTITION_ENTRIES = 31 << 15
+# Largest result of tail_mass or counting_floor, in bits: a tail mass at
+# the limit (d = 2^16, mu = nu = 1) takes about 1.4 s on one Xeon core.
+MAX_RESULT_BITS = 1 << 16
+
+
+def _check_result_bits(what: str, bits: int) -> None:
+    if bits > MAX_RESULT_BITS:
+        raise SizeLimitError(f"{what} of about {bits} bits exceeds the "
+                             f"limit of {MAX_RESULT_BITS} bits")
 
 
 @dataclass(frozen=True)
@@ -157,8 +166,6 @@ class PartitionTable:
     """
 
     d: int
-    nbits: int
-    p: Fraction
     cells: dict
     total: Fraction
     weighted_sum: Fraction
@@ -238,9 +245,8 @@ def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
         raise ConstructionError(
             f"containment-pattern identity failed: cell route {weighted} "
             f"!= block route {theta_sum}")
-    return PartitionTable(d=d, nbits=nbits, p=p, cells=cells, total=total,
-                          weighted_sum=weighted, theta_sum=theta_sum,
-                          theta=theta)
+    return PartitionTable(d=d, cells=cells, total=total, weighted_sum=weighted,
+                          theta_sum=theta_sum, theta=theta)
 
 
 @dataclass(frozen=True)
@@ -278,9 +284,10 @@ def tail_mass(nu, d: int, mu_mB, table: PartitionTable | None = None) -> Fractio
     """sum_{i=0}^{floor(nu d)} C(d,i) mu_mB^(d-i), the closed-form bound
     on the mass of cells with small |S|.
 
-    When a PartitionTable is supplied, the bound is checked against the
-    table's true small-cell mass; a failure (impossible for consistent
-    inputs) raises.
+    For mu_mB = a/b it is one integer sum over b^d, of the terms
+    C(d,i) a^(d-i) b^i.  When a PartitionTable is supplied, the bound is
+    checked against the table's true small-cell mass; a failure
+    (impossible for consistent inputs) raises.
     """
     nu = Fraction(nu)
     if not 0 <= nu <= 1:
@@ -288,9 +295,14 @@ def tail_mass(nu, d: int, mu_mB, table: PartitionTable | None = None) -> Fractio
     if d < 0:
         raise ParameterError("d must be >= 0")
     mu_mB = Fraction(mu_mB)
+    a, b = mu_mB.numerator, mu_mB.denominator
+    _check_result_bits("tail mass", d * max(abs(a), b).bit_length())
     cut = floor(nu * d)
-    value = sum((comb(d, i) * mu_mB ** (d - i) for i in range(cut + 1)),
-                Fraction(0))
+    term = total = comb(d, cut) * a ** (d - cut) * b ** cut
+    for i in range(cut, 0, -1):  # term i - 1, exactly
+        term = term * i * a // ((d - i + 1) * b)
+        total += term
+    value = Fraction(total, b ** d)
     if table is not None:
         small = table.small_mass(cut)
         if value < small:
@@ -436,13 +448,15 @@ class CountingFloor:
 def counting_floor(n: int, m: int, t: int, gamma, eta) -> CountingFloor:
     """Compare gamma eta C(n,m)/C(n-t,m-t) with gamma eta (2m)^-t n^t.
 
-    ok is guaranteed when n >= 2t (proviso_met); below that the exact
-    comparison is still reported and may legitimately fail.
+    The binomial ratio is perm(n,t)/perm(m,t).  ok is guaranteed when
+    n >= 2t (proviso_met); below that the exact comparison is still
+    reported and may legitimately fail.
     """
     if not 0 <= t <= m <= n:
         raise ParameterError(f"need 0 <= t <= m <= n, got ({n}, {m}, {t})")
+    _check_result_bits("counting floor", t * n.bit_length())
     ge = Fraction(gamma) * Fraction(eta)
-    ratio = ge * Fraction(comb(n, m), comb(n - t, m - t))
+    ratio = ge * Fraction(perm(n, t), perm(m, t))
     floor_val = ge * Fraction(n ** t, (2 * m) ** t) if t else ge
     return CountingFloor(n=n, m=m, t=t, ratio=ratio, floor=floor_val,
                          ok=ratio >= floor_val, proviso_met=n >= 2 * t)

@@ -22,6 +22,7 @@ import mpmath
 import numpy as np
 
 from hlab.hypergraph import RUniformGraph
+from hlab.measure import _rule
 from hlab.rng import Rng, bernoulli_columns, bernoulli_threshold, stream_keys
 
 
@@ -208,7 +209,7 @@ def full_scan_histogram(pred, n: int, r: int) -> list:
     """hist[e]: masks of the (n, r) space with e edges that pred's batch
     rule accepts, all 2^C(n,r) masks in one array."""
     masks = np.arange(1 << comb(n, r), dtype=np.uint64)
-    pops = np.bitwise_count(masks[pred.batch(masks, n, r)])
+    pops = np.bitwise_count(masks[_rule(pred, n, r)(masks)])
     return np.bincount(pops, minlength=comb(n, r) + 1).tolist()
 
 
@@ -475,7 +476,7 @@ def random_graph(n: int, r: int, p, rng: Rng) -> RUniformGraph:
     nbits = comb(n, r)
     if nbits == 0:
         return RUniformGraph(n, r, 0)
-    draws = rng.u64_block(nbits)
+    draws = np.array([rng.next_u64() for _ in range(nbits)], dtype=np.uint64)
     if threshold >= 1 << 64:
         bits = np.ones(nbits, dtype=bool)
     else:

@@ -14,14 +14,15 @@ from math import comb
 import pytest
 
 from hlab.codec import decode_graph6, encode_graph6
-from hlab.extremal import exstar, predicted_c_half, tau, witness_check
+from hlab.extremal import exstar, tau, witness_check
 from hlab.family import count_induced, normalize_family
 from hlab.hypergraph import (RUniformGraph, canonical_code, complete_graph,
                              graph_from_edges, permute_graph)
 from hlab.measure import (EdgePredicate, cn_sequence, exact_measure,
                           fraction_str, mc_measure)
 from hlab.rng import Rng
-from hlab.steiner import SteinerSystem, greedy_system, maximality_report
+from hlab.steiner import (SteinerSystem, greedy_system, maximality_report,
+                          verify_system)
 from hlab.supersat import (counting_floor, partition_table,
                            projection_bound_check, tail_mass, x_set)
 
@@ -81,9 +82,9 @@ def _line(num: int, status: str, elapsed: float, detail: str) -> None:
 
 
 def test_criterion_01_partition_parameter():
-    with criterion(1, 1.0, "tau(C4) = 2 and prediction 1/2"):
+    with criterion(1, 1.0, "tau(C4) = 2, so the p = 1/2 prediction 1/tau "
+                           "is 1/2"):
         assert tau(C4).t == 2
-        assert predicted_c_half(C4) == HALF
 
 
 def test_criterion_02_exact_triangle_free_measures():
@@ -125,7 +126,7 @@ def test_criterion_05_steiner_bounds_and_packing():
                             "(2,3,7)"):
         for seed in range(1000):
             sys_ = greedy_system(2, 3, 15, seed=seed)
-            assert sys_.verify().valid
+            assert verify_system(2, 3, 15, sys_.blocks).valid
             assert sys_.d <= 35
             assert maximality_report(sys_).maximal
         best = max(greedy_system(2, 3, 7, seed=s).d for s in range(10_000))
@@ -219,7 +220,7 @@ def _property_bundle(workers: int) -> str:
         sigma = list(range(n))
         rng.shuffle(sigma)
         H = permute_graph(G, tuple(sigma))
-        assert canonical_code(G).code == canonical_code(H).code
+        assert canonical_code(G) == canonical_code(H)
         assert decode_graph6(encode_graph6(G)) == G
         assert count_induced(G, FAM_K3) == count_induced(H, FAM_K3)
         codes.append(encode_graph6(G))
@@ -243,7 +244,7 @@ def _property_bundle(workers: int) -> str:
         n = 7 + rng.random_below(6)
         seed = rng.random_below(1 << 32)
         sys_ = greedy_system(2, 3, n, seed=seed)
-        assert sys_.verify().valid
+        assert verify_system(2, 3, n, sys_.blocks).valid
         assert maximality_report(sys_).maximal
         systems.append({"n": n, "seed": seed, "d": sys_.d})
     out["systems"] = systems

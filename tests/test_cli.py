@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from hlab.cli import main
 from hlab.codec import save_graph
 from hlab.hypergraph import complete_graph, graph_from_edges
-from hlab.measure import EdgePredicate
+from hlab.family import normalize_family
+from hlab.measure import EdgePredicate, exact_measure
 from hlab.steiner import SteinerSystem, save_system
 from hlab.supersat import Instance, LemmaParameters, save_instance
 
@@ -63,6 +65,24 @@ def test_measure_example(files, capsys):
                             "--forb", files["fam_k3"]])
     assert obj["value"] == "7/8"
     assert obj["method"] == "exact"
+
+
+def test_measure_prints_values_past_the_str_digit_limit(files, capsys):
+    # p = 10^-250 over C(7,2) = 21 edges: the denominator has 5,251
+    # digits, past the 4,300 that str() renders by default.
+    p = "1/1" + "0" * 250
+    obj = run_json(capsys, ["measure", "--n", "7", "--r", "2", "--p", p,
+                            "--forb", files["k3"]])
+    value = exact_measure(7, 2, Fraction(p),
+                          EdgePredicate.forb(normalize_family([K3]))).value
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"{value.numerator}/{value.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > 2 * limit
+    assert obj["value"] == want
 
 
 def test_measure_min_edges(files, capsys):
@@ -148,6 +168,34 @@ def test_tailmass_wrong_d_refused_before_the_scan(files, capsys, walks):
                                   files["instance"]])
     assert (code, out) == (1, "")
     assert err == "error: --d 5 disagrees with instance d=4\n"
+    assert walks == []
+
+
+def test_tailmass_size_refused_before_the_scan(files, capsys, tmp_path,
+                                              walks):
+    # d = 5 blocks and a 4,001-digit denominator: 5 x 13,288 bits of b^d
+    blocks = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6))
+    path = str(tmp_path / "inst7.json")
+    save_instance(Instance(n=7, r=2, p=Fraction(1, 2),
+                           predicate=EdgePredicate.min_edges(3),
+                           family=normalize_family([K3]),
+                           system=SteinerSystem(2, 3, 7, blocks)), path)
+    code, out, err = run(capsys, ["tailmass", "--nu", "1/2", "--d", "5",
+                                  "--mu", "1/1" + "0" * 4000,
+                                  "--instance", path])
+    assert (code, out) == (1, "")
+    assert err == ("error: tail mass of about 66440 bits exceeds the limit "
+                   "of 65536 bits\n")
+    assert walks == []
+
+
+def test_cn_refuses_a_later_n_before_the_walk(files, capsys, walks):
+    code, out, err = run(capsys, ["cn", "--family", files["k3"], "--p", "1/2",
+                                  "--n-list", "3,30"])
+    assert (code, out) == (1, "")
+    assert err == ("error: mask space 2^435 for (n=30, r=2) exceeds the "
+                   "exact cap 2^24; no sampled fallback exists yet above "
+                   "C(n,r) = 63 bits\n")
     assert walks == []
 
 
@@ -620,6 +668,10 @@ def _instance(p="1/2", **params):
     (_LEMMA, _instance(gamma=True), 1),
     (_LEMMA, _instance(p="1/0"), 1),
     (_LEMMA, _instance(nu="1/0"), 1),
+    (["tailmass", "--nu", "1/2", "--d", "100000", "--mu", "7/8"], None, 1),
+    (["floor", "--n", "10000000", "--m", "5000000", "--t", "5000"], None, 1),
+    (["verify-steiner", "--system", "{pred}"],
+     '{"r":2,"m":3,"n":1' + "0" * 5000 + ',"blocks":[[0,1,2]]}', 1),
 ], ids=["explicit-negative", "explicit-2^64", "explicit-9999",
         "explicit-2^64-1", "explicit-float", "predicate-bad-json",
         "cn-n-list", "cn-n-list-empty", "cn-n-list-empty-csv",
@@ -630,7 +682,8 @@ def _instance(p="1/2", **params):
         "codec-float", "steiner-block-float", "steiner-r-negative",
         "steiner-table-huge", "verify-steiner-block-huge",
         "instance-p-float", "instance-p-bool", "instance-gamma-bool",
-        "instance-p-zero-denominator", "instance-nu-zero-denominator"])
+        "instance-p-zero-denominator", "instance-nu-zero-denominator",
+        "tailmass-size-huge", "floor-size-huge", "json-int-huge"])
 def test_rejected_input_one_error_line(files, capsys, tmp_path, argv, pred,
                                        code):
     (tmp_path / "pred.json").write_text(pred or "")

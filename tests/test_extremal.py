@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -8,8 +7,8 @@ from hypothesis import strategies as st
 from hlab.cli import _render
 from hlab.errors import (DegenerateGraphError, FeasibilityError, InputError,
                          ParameterError, SizeLimitError)
-from hlab.extremal import (ExStarResult, exstar, exstar_to_json_obj,
-                           predicted_c_half, tau, witness_check)
+from hlab.extremal import (ExStarResult, exstar, exstar_to_json_obj, tau,
+                           witness_check)
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph)
 
@@ -69,10 +68,7 @@ def candidate_partitions(F, s, t):
 def test_tau_matches_exhaustive_oracle(F):
     expect = tau_exhaustive(F)
     if expect is None or expect == 0:
-        res = tau(F)
-        assert res.t == 0
-        with pytest.raises(DegenerateGraphError):
-            predicted_c_half(F)
+        assert tau(F).t == 0
     else:
         assert tau(F).t == expect
 
@@ -86,24 +82,17 @@ def test_tau_isomorphism_invariant(F, perm):
 def test_tau_complete_graphs():
     for k in range(2, 7):
         assert tau(complete_graph(k, 2)).t == k - 1
-        assert predicted_c_half(complete_graph(k, 2)) == Fraction(1, k - 1)
 
 
 def test_tau_degenerate_and_bounds():
     single = RUniformGraph(n=1, r=2, edge_mask=0)
     assert tau(single).t == 0
     with pytest.raises(DegenerateGraphError):
-        predicted_c_half(single)
+        tau(RUniformGraph(n=0, r=2, edge_mask=0))
     with pytest.raises(ParameterError):
         tau(complete_graph(4, 3))
     with pytest.raises(SizeLimitError):
         tau(RUniformGraph(n=13, r=2, edge_mask=0))
-
-
-def test_predicted_c_half_examples():
-    assert predicted_c_half(C4) == Fraction(1, 2)
-    assert predicted_c_half(K4) == Fraction(1, 3)
-    assert predicted_c_half(P3) == 1
 
 
 def test_witness_bipartite_edges_triangle_free():
@@ -177,12 +166,12 @@ def test_exstar_result_matches_witness_oracle(F):
             return tuple(pairs[k] for k in range(len(pairs)) if mask >> k & 1)
 
         assert exstar(n, F) == ExStarResult(
-            n=n, value=value, edges=edges(e_mask), base_edges=edges(e0_mask))
+            value=value, edges=edges(e_mask), base_edges=edges(e0_mask))
 
 
 def test_exstar_n6_triangle_pinned():
     assert exstar(6, K3) == ExStarResult(
-        n=6, value=9,
+        value=9,
         edges=((0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (0, 5), (1, 5),
                (2, 5)),
         base_edges=())

@@ -205,7 +205,7 @@ def test_batch_within_is_induced_restriction(data):
         data.draw(st.lists(st.integers(0, (1 << comb(n, 2)) - 1),
                            min_size=1, max_size=8)),
         dtype=np.uint64)
-    hit = batch_contains(masks, n, 2, fam, within=within)
+    hit = _rule(EdgePredicate.contains(fam, within), n, 2)(masks)
     for mask, flag in zip(masks.tolist(), hit.tolist()):
         G = RUniformGraph(n=n, r=2, edge_mask=int(mask))
         assert flag == contains_induced(induced_subgraph(G, within), fam)

@@ -133,8 +133,8 @@ def test_monotone_under_implication():
 def satisfying_count(n, r, pred):
     """Satisfying masks by one batch over the whole space, the route apart
     from exact_measure's edge histogram: the p=1/2 numerator."""
-    return int(pred.batch(np.arange(1 << comb(n, r), dtype=np.uint64),
-                          n, r).sum())
+    masks = np.arange(1 << comb(n, r), dtype=np.uint64)
+    return int(_rule(pred, n, r)(masks).sum())
 
 
 def test_half_probability_counts_masks():
@@ -359,7 +359,7 @@ def test_mc_hits_past_one_chunk(p, pred):
     samples = (1 << 16) + 3
     runs = [mc_measure(11, 2, p, pred, samples=samples, seed=4, workers=w)
             for w in (1, 2, 0)]
-    want = int(pred.batch(oracle_masks(11, 2, p, 4, samples, 0), 11, 2).sum())
+    want = int(_rule(pred, 11, 2)(oracle_masks(11, 2, p, 4, samples, 0)).sum())
     assert 0 < want < samples
     assert [res.hits for res in runs] == [want] * 3
     assert runs[0] == runs[1] == runs[2]
@@ -397,7 +397,7 @@ HEREDITARY_CASES = {
 @pytest.mark.parametrize("n,r,p,pred,samples", HEREDITARY_CASES.values(),
                          ids=list(HEREDITARY_CASES))
 def test_mc_hereditary_hits_match_row_oracle(n, r, p, pred, samples):
-    want = int(pred.batch(oracle_masks(n, r, p, 3, samples, 0), n, r).sum())
+    want = int(_rule(pred, n, r)(oracle_masks(n, r, p, 3, samples, 0)).sum())
     res = mc_measure(n, r, p, pred, samples=samples, seed=3)
     assert res.hits == want
     assert res.value == want / samples
@@ -410,7 +410,7 @@ def test_mc_drops_a_lone_failing_sample():
     for seed in range(40):
         for samples in (2, 3):
             masks = oracle_masks(3, 2, HALF, seed, samples, 0)
-            keep = FORB_K3.batch(masks, 3, 2)
+            keep = _rule(FORB_K3, 3, 2)(masks)
             lone += int(keep[:-1].all() and not keep[-1])
             res = mc_measure(3, 2, HALF, FORB_K3, samples=samples, seed=seed)
             assert res.hits == int(keep.sum())
@@ -555,7 +555,7 @@ def test_predicate_evaluate_matches_batch(space):
     n, pred = space
     obj = predicate_to_json_obj(pred)
     masks = np.arange(1 << comb(n, 2), dtype=np.uint64)
-    flags = pred.batch(masks, n, 2)
+    flags = _rule(pred, n, 2)(masks)
     for mask, flag in zip(masks.tolist(), flags.tolist()):
         assert flag == naive_satisfies(obj, RUniformGraph(n, 2, mask))
 
@@ -596,8 +596,8 @@ def test_contains_within_predicate():
     full = EdgePredicate.contains(fam)
     n = 5
     masks = np.arange(1 << comb(n, 2), dtype=np.uint64)
-    hit_within = pred.batch(masks, n, 2)
-    hit_full = full.batch(masks, n, 2)
+    hit_within = _rule(pred, n, 2)(masks)
+    hit_full = _rule(full, n, 2)(masks)
     assert hit_within.sum() < hit_full.sum()
     assert not (hit_within & ~hit_full).any()
 
@@ -609,7 +609,7 @@ def test_predicate_json_round_trip(space):
     json.dumps(obj)
     back = predicate_from_json_obj(obj)
     masks = np.arange(1 << comb(n, 2), dtype=np.uint64)
-    assert (pred.batch(masks, n, 2) == back.batch(masks, n, 2)).all()
+    assert (_rule(pred, n, 2)(masks) == _rule(back, n, 2)(masks)).all()
 
 
 def test_forb_predicate_json_round_trip():
@@ -618,7 +618,7 @@ def test_forb_predicate_json_round_trip():
                  EdgePredicate.contains(fam, within=(1, 2, 4))):
         back = predicate_from_json_obj(predicate_to_json_obj(pred))
         masks = np.arange(1 << comb(5, 2), dtype=np.uint64)
-        assert (pred.batch(masks, 5, 2) == back.batch(masks, 5, 2)).all()
+        assert (_rule(pred, 5, 2)(masks) == _rule(back, 5, 2)(masks)).all()
 
 
 def test_fraction_str():
@@ -769,7 +769,7 @@ def test_full_scan_in_edge_order_matches_natural_order(name, n, workers):
     levels = _levels(pred, n, 2)
     assert [(lo, hi) for lo, hi, _ in levels] == [(0, N)]
     masks = np.arange(1 << N, dtype=np.uint64)
-    kept = np.bitwise_count(masks[pred.batch(masks, n, 2)])
+    kept = np.bitwise_count(masks[_rule(pred, n, 2)(masks)])
     want = np.bincount(kept, minlength=N + 1).tolist()
     assert _histograms(levels, workers) == [want]
 
@@ -864,6 +864,11 @@ def test_extension_errors_unchanged():
         cn_sequence(fam, Fraction(1), [2, 3, 9], cap_bits=20)
     with pytest.raises(ParameterError, match="edge probability"):
         cn_sequence(fam, Fraction(2), [9], cap_bits=20)
+    # No graph on 6 vertices is free of K3 and its complement (R(3,3) = 6),
+    # and neither the empty nor the complete graph shows n = 5 or 6 has one.
+    ramsey = normalize_family([K3, RUniformGraph(3, 2, 0)])
+    with pytest.raises(ParameterError, match="zero measure"):
+        cn_sequence(ramsey, HALF, [5, 6, 9], cap_bits=20)
     assert cn_sequence(fam, Fraction(2), []) == []
 
 

@@ -8,10 +8,21 @@ from hypothesis import strategies as st
 import hlab.rng as rng_module
 from hlab.errors import ParameterError
 from hlab.rng import (Rng, _swap, bernoulli_columns, bernoulli_threshold,
-                      raw_u64, raw_u64_block, raw_u64_rows, seed_keys,
-                      shuffle_targets, stream_key, stream_keys)
+                      raw_u64, raw_u64_rows, seed_keys, shuffle_targets,
+                      stream_key, stream_keys)
 
 from oracles import bernoulli_masks, shuffle_scalar, substream_blocks
+
+
+def row(seed: int, stream: int, first: int, count: int) -> list:
+    """Outputs first .. first+count-1 of one stream, as a raw_u64_rows row."""
+    key = np.array([stream_key(seed, stream)], dtype=np.uint64)
+    return raw_u64_rows(key, first, count)[0].tolist()
+
+
+def scalar(rng: Rng, count: int) -> list:
+    """The next `count` outputs of rng, one next_u64 call each."""
+    return [rng.next_u64() for _ in range(count)]
 
 
 def test_same_seed_same_sequence():
@@ -21,32 +32,31 @@ def test_same_seed_same_sequence():
 
 
 def test_block_matches_scalar():
-    rng = Rng(123, 9)
-    block = Rng(123, 9).u64_block(257)
-    scalar = [rng.next_u64() for _ in range(257)]
-    assert block.tolist() == scalar
+    assert row(123, 9, 1, 257) == scalar(Rng(123, 9), 257)
 
 
 def test_block_then_scalar_continues():
+    # A row that starts past the draws a stream has made continues it.
     rng = Rng(5, 0)
-    head = rng.u64_block(10).tolist()
-    tail = rng.next_u64()
-    ref = Rng(5, 0)
-    assert [ref.next_u64() for _ in range(11)] == head + [tail]
+    head = scalar(rng, 10)
+    assert head + row(5, 0, 11, 3) == scalar(Rng(5, 0), 13)
+    assert rng.next_u64() == row(5, 0, 11, 1)[0]
 
 
 def test_raw_matches_generator():
     key = stream_key(42, 6)
     assert raw_u64(key, 1) == Rng(42, 6).next_u64()
-    assert raw_u64_block(key, 1, 4).tolist() == Rng(42, 6).u64_block(4).tolist()
+    assert [raw_u64(key, c) for c in range(1, 5)] == scalar(Rng(42, 6), 4)
 
 
 def test_rows_match_blocks():
     keys = stream_keys(17, np.arange(5))
     rows = raw_u64_rows(keys, 9, 40)
     assert rows.shape == (5, 40)
-    for key, row in zip(keys.tolist(), rows.tolist()):
-        assert row == raw_u64_block(key, 9, 40).tolist()
+    for stream, got in enumerate(rows.tolist()):
+        rng = Rng(17, stream)
+        scalar(rng, 8)
+        assert got == scalar(rng, 40)
 
 
 @pytest.mark.parametrize("seed", [0, -40, 2**64 - 20, 2**70 + 3])
@@ -61,7 +71,7 @@ def test_seed_keys_match_stream_key(seed, stream):
 def test_substream_blocks_rows():
     rows = substream_blocks(99, first_stream=10, count=8, draws=12)
     for i in range(8):
-        assert rows[i].tolist() == Rng(99, 10 + i).u64_block(12).tolist()
+        assert rows[i].tolist() == scalar(Rng(99, 10 + i), 12)
 
 
 @pytest.mark.parametrize("draws", [0, 1, 55, 64])
@@ -102,8 +112,8 @@ def test_bernoulli_columns_by_range_match_one_pass(threshold):
 def test_distinct_streams_disagree(seed, s1, s2):
     if s1 == s2:
         return
-    a = Rng(seed, s1).u64_block(4).tolist()
-    b = Rng(seed, s2).u64_block(4).tolist()
+    a = scalar(Rng(seed, s1), 4)
+    b = scalar(Rng(seed, s2), 4)
     assert a != b
 
 
@@ -148,7 +158,7 @@ def test_shuffle_targets_match_scalar_oracle_by_row(size, seed):
     assert targets.shape == (64, max(size - 1, 0))
     for i in range(64):
         slow = Rng(seed + i, 7)
-        slow.u64_block(3)
+        scalar(slow, 3)
         a, b = list(range(size)), list(range(size))
         _swap(a, targets[i])
         shuffle_scalar(slow, b)
@@ -227,7 +237,8 @@ def test_bernoulli_threshold_rejects_outside():
 
 
 def test_block_is_uint64_and_fullwidth():
-    block = Rng(0).u64_block(4096)
+    block = raw_u64_rows(stream_keys(0, np.arange(1)), 1, 4096)[0]
+    assert block.tolist() == scalar(Rng(0), 4096)
     assert block.dtype == np.uint64
     # top bit must be exercised; a stuck-at-zero high bit means a
     # truncation bug somewhere in the mixing

@@ -1,20 +1,21 @@
 import json
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hlab.errors import FeasibilityError, ParameterError, ParseError
+from hlab.errors import (FeasibilityError, ParameterError, ParseError,
+                         SizeLimitError)
 from hlab.family import normalize_family
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph, subsets_colex)
 from hlab.measure import (HARD_EXACT_CAP_BITS, EdgePredicate, exact_measure,
                           predicate_to_json_obj, value_from_histogram)
 from hlab.steiner import SteinerSystem
-from hlab.supersat import (Instance, LemmaParameters, _theta_scan,
-                           counting_floor,
+from hlab.supersat import (MAX_RESULT_BITS, Instance, LemmaParameters,
+                           _theta_scan, counting_floor,
                            instance_from_json_obj, instance_to_json_obj,
                            lemma_report, load_instance,
                            params_from_json_obj, params_to_json_obj,
@@ -357,6 +358,28 @@ def test_tail_mass_endpoints():
         mu ** 4 + 4 * mu ** 3 + 6 * mu ** 2)
 
 
+@pytest.mark.parametrize("mu", [Fraction(0), HALF, Fraction(2, 3),
+                                Fraction(7, 8), Fraction(1)])
+@pytest.mark.parametrize("nu", [Fraction(0), HALF, Fraction(1)])
+def test_tail_mass_matches_the_fraction_sum(nu, mu):
+    # The sum over one denominator against the sum of Fractions it replaces.
+    for d in [*range(40), 257]:
+        want = sum((comb(d, i) * mu ** (d - i)
+                    for i in range(floor(nu * d) + 1)), Fraction(0))
+        assert tail_mass(nu, d, mu) == want, d
+
+
+def test_tail_mass_size_limit():
+    # mu = 7/8 takes 4 bits a power: d = 2^14 fills the limit exactly.
+    d = MAX_RESULT_BITS // 4
+    assert tail_mass(1, d, Fraction(7, 8)) == (Fraction(15, 8)) ** d
+    for nu, d, mu in ((HALF, d + 1, Fraction(7, 8)),
+                      (HALF, 10 ** 12, HALF),
+                      (0, 2, Fraction(1 << MAX_RESULT_BITS))):
+        with pytest.raises(SizeLimitError, match="tail mass of about"):
+            tail_mass(nu, d, mu)
+
+
 def test_tail_mass_dominates_table():
     table = partition_table(EdgePredicate.min_edges(8), SYS6, FAM_K3, 6, HALF)
     mu_mB = exact_measure(3, 2, HALF, FORB_K3).value
@@ -553,6 +576,28 @@ def test_counting_floor_grid():
             for n in range(max(2 * t, m), 41):
                 res = counting_floor(n, m, t, Fraction(3, 7), Fraction(2, 5))
                 assert res.ok and res.proviso_met
+
+
+def test_counting_floor_ratio_is_the_binomial_ratio():
+    for n in range(16):
+        for m in range(n + 1):
+            for t in range(m + 1):
+                res = counting_floor(n, m, t, Fraction(3, 7), 1)
+                assert res.ratio == Fraction(3, 7) * Fraction(
+                    comb(n, m), comb(n - t, m - t))
+
+
+def test_counting_floor_large_n():
+    n, m = 10 ** 7, 5 * 10 ** 6
+    res = counting_floor(n, m, 3, 1, 1)
+    assert res.ratio == Fraction(n * (n - 1) * (n - 2),
+                                 m * (m - 1) * (m - 2))
+    assert res.floor == 1
+    assert res.ok and res.proviso_met
+    # t factors of n's 24 bits each
+    counting_floor(n, m, MAX_RESULT_BITS // 24, 1, 1)
+    with pytest.raises(SizeLimitError, match="counting floor of about"):
+        counting_floor(n, m, MAX_RESULT_BITS // 24 + 1, 1, 1)
 
 
 def test_counting_floor_rejects_bad_order():
