@@ -55,21 +55,19 @@ def main(argv=None) -> int:
     inst = load_instance(a.instance) if a.instance else build_instance(a)
     if a.save:
         save_instance(inst, a.save)
-    system, params = inst.system, inst.params
+    system, params = inst.require("system"), inst.require("params")
     print(f"instance: n={inst.n}, r={inst.r}, p={fraction_str(inst.p)}, "
           f"d={system.d} blocks of order {system.m}, "
           f"gamma={fraction_str(params.gamma)}, nu={fraction_str(params.nu)}")
 
-    rep = lemma_report(inst.predicate, system, inst.family, params, inst.p,
-                       workers=a.workers)
+    rep = lemma_report(inst, workers=a.workers)
     print(f"mu(A) = {fraction_str(rep.mu_A)}")
     for i, th in enumerate(rep.theta):
         mark = "*" if i in rep.index_set else " "
         print(f"  theta_{i + 1} = {fraction_str(th)} {mark}")
     print(f"I = {list(rep.index_set)}, eta = {fraction_str(rep.eta)}")
 
-    table = partition_table(inst.predicate, system, inst.family, inst.n,
-                            inst.p, workers=a.workers)
+    table = partition_table(inst, workers=a.workers)
     print(f"partition: {len(table.cells)} nonempty cells, identity "
           f"sum|S|mu(A_S) = sum theta_i = {fraction_str(table.theta_sum)}")
 
@@ -83,8 +81,7 @@ def main(argv=None) -> int:
     print(f"tail bound = {fraction_str(tail)}, tail_small={rep.tail_small}, "
           f"chain_ok={rep.chain_ok}")
 
-    xrep = x_set(inst.predicate, inst.family, system.m, params.gamma, inst.n,
-                 inst.p, workers=a.workers)
+    xrep = x_set(inst, system.m, params.gamma, workers=a.workers)
     print(f"X over all m-subsets: |X| = {xrep.x_size}, eta_eff = "
           f"{fraction_str(xrep.eta_eff)}, averaging_ok={xrep.averaging_ok}")
     if xrep.best_graph is not None:

@@ -48,8 +48,7 @@ def main(argv=None) -> int:
         print(f"  d = {d:>4}: {sizes[d]:>6} runs ({share:.1%})")
     rep = maximality_report(system)
     print(f"best: d = {system.d} at seed {found.seed}, uncovered fraction "
-          f"{system.uncovered_fraction}, maximal = {rep.maximal} "
-          f"({rep.method})")
+          f"{system.uncovered_fraction}, maximal = {rep.maximal}")
     if a.out:
         save_system(system, a.out)
         print(f"saved to {a.out}")

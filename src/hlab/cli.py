@@ -200,28 +200,19 @@ def _cmd_verify_steiner(a: argparse.Namespace) -> list:
     return [verify_system(*load_system_fields(a.system))]
 
 
-def _require(inst, field):
-    if getattr(inst, field) is None:
-        raise InputError(f"instance file lacks the {field!r} entry")
-    return getattr(inst, field)
-
-
 def _cmd_lemma(a: argparse.Namespace) -> list:
-    inst = load_instance(a.instance)
-    return [lemma_report(inst.predicate, _require(inst, "system"), inst.family,
-                         _require(inst, "params"), inst.p,
-                         cap_bits=a.cap, workers=a.workers)]
+    return [lemma_report(load_instance(a.instance), cap_bits=a.cap,
+                         workers=a.workers)]
 
 
 def _instance_table(a: argparse.Namespace, d: int | None = None):
     """The partition table of the --instance file; a given d must be the
     system's, and is checked before the scan."""
     inst = load_instance(a.instance)
-    system = _require(inst, "system")
+    system = inst.require("system")
     if d is not None and d != system.d:
         raise InputError(f"--d {d} disagrees with instance d={system.d}")
-    return partition_table(inst.predicate, system, inst.family, inst.n,
-                           inst.p, cap_bits=a.cap, workers=a.workers)
+    return partition_table(inst, cap_bits=a.cap, workers=a.workers)
 
 
 def _cmd_partition(a: argparse.Namespace) -> list:
@@ -248,12 +239,11 @@ def _cmd_tailmass(a: argparse.Namespace) -> list:
 
 def _cmd_xset(a: argparse.Namespace) -> list:
     inst = load_instance(a.instance)
-    gamma = a.gamma if a.gamma is not None else _require(inst, "params").gamma
-    m = a.m if a.m is not None else _require(inst, "params").m
+    gamma = a.gamma if a.gamma is not None else inst.require("params").gamma
+    m = a.m if a.m is not None else inst.require("params").m
     if m is None:
         raise InputError("block order m missing from flags and instance")
-    return [x_set(inst.predicate, inst.family, m, gamma, inst.n, inst.p,
-                  cap_bits=a.cap, workers=a.workers)]
+    return [x_set(inst, m, gamma, cap_bits=a.cap, workers=a.workers)]
 
 
 def _cmd_floor(a: argparse.Namespace) -> list:

@@ -25,9 +25,9 @@ across many streams at once, one bit column of the sampled masks at a
 time, without materialising the (streams x draws) output matrix.  A
 caller may draw a mask's columns in several ranges, on fewer streams
 each time, and get the same bits as in one pass.  A Steiner search
-(``steiner.search_system``) draws a chunk of restarts in one pass, one
-stream per seed (``seed_keys``); every stream's targets equal those of
-``Rng.shuffle``, which draws one stream, bit for bit.
+(``steiner.search_system``) draws a chunk of restarts in one pass, on
+stream 0 of each seed (``seed_keys``); each seed's targets equal those
+of ``Rng.shuffle``, which draws one stream, bit for bit.
 """
 
 from __future__ import annotations
@@ -81,10 +81,11 @@ def stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
     return _mix64_np(np.uint64(seed & _M64) ^ _mix64_np(s))
 
 
-def seed_keys(seed: int, count: int, stream: int) -> np.ndarray:
-    """``stream_key(seed + i, stream)`` for i = 0 .. count-1, vectorised."""
-    seeds = np.arange(count, dtype=np.uint64) + np.uint64(seed & _M64)
-    return _mix64_np(seeds ^ np.uint64(mix64((stream * GAMMA_STREAM) & _M64)))
+def seed_keys(seed: int, count: int) -> np.ndarray:
+    """``stream_key(seed + i, 0)`` for i = 0 .. count-1, vectorised; stream
+    0 mixes to 0, so each key is mix64 of its seed."""
+    return _mix64_np(np.arange(count, dtype=np.uint64)
+                     + np.uint64(seed & _M64))
 
 
 def raw_u64(key: int, counter: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -20,8 +20,8 @@ from .codec import _json_int, load_json
 from .errors import (ConstructionError, ParameterError, ParseError,
                      SizeLimitError)
 from .hypergraph import (_colex_positions, _colex_ranks, induced_rank_table,
-                         rank_subset, subsets_colex, unrank_subset)
-from .rng import (Rng, _swap, bernoulli_threshold, raw_u64_rows, seed_keys,
+                         subsets_colex, unrank_subset)
+from .rng import (_swap, bernoulli_threshold, raw_u64_rows, seed_keys,
                   shuffle_targets)
 
 DEFAULT_BITE = Fraction(1, 10)
@@ -157,7 +157,7 @@ def _packings(r: int, m: int, n: int, seeds: range, bite: Fraction,
     threshold = np.uint64(bernoulli_threshold(bite)) if rounds else None
     chunk = max(1, _CHUNK_DRAWS // max(1, (rounds + 1) * size - 1))
     for lo in range(seeds.start, seeds.stop, chunk):
-        keys = seed_keys(lo, min(chunk, seeds.stop - lo), 0)
+        keys = seed_keys(lo, min(chunk, seeds.stop - lo))
         bites = [raw_u64_rows(keys, 1 + t * size, size) < threshold
                  for t in range(rounds)]
         targets, _ = shuffle_targets(keys, rounds * size, size)
@@ -228,34 +228,22 @@ def greedy_system(r: int, m: int, n: int, seed: int) -> SteinerSystem:
 
 @dataclass(frozen=True)
 class MaximalityReport:
-    maximal: bool | None  # None: sampled search found nothing (no certificate)
-    method: str
+    maximal: bool
     checked: int
     addable: tuple | None
 
 
-def maximality_report(sys: SteinerSystem, exhaustive_limit: int = 2_000_000,
-                      samples: int = 20_000, seed: int = 0) -> MaximalityReport:
-    """Search for an addable block: exhaustive when C(n,m) is small,
-    seeded sampling (certificate only on refutation) above the limit.
-    A sample is a colex index, unranked to its m-subset, and only that
-    subset's r-subsets are ranked."""
+def maximality_report(sys: SteinerSystem) -> MaximalityReport:
+    """Search every m-subset, in colex order, for an addable block: one
+    whose r-subsets are all uncovered.  The rank table is the packing's,
+    C(n,m) x C(m,r) entries, and is refused above the same limit."""
+    _check_table("packing table", sys.n, sys.m, comb(sys.m, sys.r))
     covered = sys.covered_table()
-    total = comb(sys.n, sys.m)
-    if total <= exhaustive_limit:
-        free = ~covered[induced_rank_table(sys.n, sys.m, sys.r)].any(axis=1)
-        if free.any():
-            ci = int(free.argmax())
-            return MaximalityReport(False, "exhaustive", ci + 1,
-                                    unrank_subset(ci, sys.m))
-        return MaximalityReport(True, "exhaustive", total, None)
-    rng = Rng(seed)
-    for i in range(samples):
-        block = unrank_subset(rng.random_below(total), sys.m)
-        if not any(covered[rank_subset(s, sys.r)]
-                   for s in combinations(block, sys.r)):
-            return MaximalityReport(False, "sampled", i + 1, block)
-    return MaximalityReport(None, "sampled", samples, None)
+    free = ~covered[induced_rank_table(sys.n, sys.m, sys.r)].any(axis=1)
+    if free.any():
+        ci = int(free.argmax())
+        return MaximalityReport(False, ci + 1, unrank_subset(ci, sys.m))
+    return MaximalityReport(True, len(free), None)
 
 
 def system_to_json_obj(sys: SteinerSystem) -> dict:

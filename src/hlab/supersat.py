@@ -21,8 +21,8 @@ from math import comb, floor, perm
 import numpy as np
 
 from .codec import _json_fraction, _json_int, load_json
-from .errors import (ConstructionError, FeasibilityError, ParameterError,
-                     ParseError, SizeLimitError)
+from .errors import (ConstructionError, FeasibilityError, InputError,
+                     ParameterError, ParseError, SizeLimitError)
 from .family import ForbiddenFamily, _contains_rows, count_induced
 from .hypergraph import RUniformGraph, subsets_colex
 from .measure import (EdgePredicate, _children, _levels, _validate_p, _walk,
@@ -67,24 +67,59 @@ class LemmaParameters:
             raise ParameterError(f"block order m must be >= 2, got {self.m}")
 
 
-def _scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int, vsets,
-          workers: int, per_block):
+@dataclass(frozen=True)
+class Instance:
+    """A lemma instance: the space (n, r, p), the class A, the family
+    and, when given, the system and the knobs.  Construction checks that
+    they share the space: p in [0, 1], an r-uniform family and system, a
+    system on n vertices, and params.m, when given, its block order."""
+
+    n: int
+    r: int
+    p: Fraction
+    predicate: EdgePredicate
+    family: ForbiddenFamily
+    system: SteinerSystem | None = None
+    params: LemmaParameters | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", _validate_p(self.p))
+        sys, m = self.system, self.params and self.params.m
+        if self.family.r != self.r:
+            raise ParameterError(f"uniformity mismatch: family r="
+                                 f"{self.family.r}, instance r={self.r}")
+        if sys is not None and (sys.r, sys.n) != (self.r, self.n):
+            raise ParameterError(f"system on (r={sys.r}, n={sys.n}), "
+                                 f"instance on (r={self.r}, n={self.n})")
+        if sys is not None and m not in (None, sys.m):
+            raise ParameterError(
+                f"params.m={m} disagrees with system block order {sys.m}")
+
+    def require(self, field: str):
+        """The optional entry `field`; InputError when it is absent."""
+        value = getattr(self, field)
+        if value is None:
+            raise InputError(f"instance lacks the {field!r} entry")
+        return value
+
+
+def _scan(inst: Instance, nbits: int, vsets, workers: int, per_block):
     """Yield per_block(masks, pops, cols, by_edges) for every block of the
-    masks of A.
+    masks of the instance's class A.
 
     The blocks come from one walk of A's levels and are reduced on the
     workers.  Each block's masks are sorted by edge count, so the masks
     with e edges form one run: a full scan's blocks arrive sorted
     (measure._walk), and the blocks of a vertex walk's last level are
     sorted here, once.  pops holds each mask's edge count, and cols[i],
-    in the same order, whether some member of fam is induced inside
-    vsets[i].  by_edges(x) sums x, one entry per mask, over each run: the
-    edge histogram of x, nbits + 1 int64 entries, from one
+    in the same order, whether some member of the family is induced
+    inside vsets[i].  by_edges(x) sums x, one entry per mask, over each
+    run: the edge histogram of x, nbits + 1 int64 entries, from one
     np.add.reduceat.
     """
-    r = fam.r
-    rows = _contains_rows(n, r, fam, vsets)
-    levels = _levels(A, n, r)  # after rows: fam's errors come first
+    n, r = inst.n, inst.r
+    rows = _contains_rows(n, r, inst.family, vsets)
+    levels = _levels(inst.predicate, n, r)  # after rows: family errors first
     last = len(levels) - 1
 
     def one(k, parents, allowed, width):
@@ -108,8 +143,7 @@ def _scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int, vsets,
     return (part for k, part in _walk(levels, workers, one) if k == last)
 
 
-def _theta_scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int,
-                p: Fraction, vsets, workers: int) -> tuple:
+def _theta_scan(inst: Instance, nbits: int, vsets, workers: int) -> tuple:
     """One pass over the masks of A, shared by lemma_report and x_set.
 
     Returns mu(A); theta_S = mu(A and some member induced inside S) for
@@ -140,7 +174,7 @@ def _theta_scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int,
     hists = np.zeros((len(vsets), width), dtype=np.int64)
     whist = np.zeros(width, dtype=np.int64)
     best = None
-    for part_a, part_h, part_w, part_best in _scan(A, fam, n, nbits, vsets,
+    for part_a, part_h, part_w, part_best in _scan(inst, nbits, vsets,
                                                    workers, one):
         a_hist += part_a
         hists += part_h
@@ -151,7 +185,7 @@ def _theta_scan(A: EdgePredicate, fam: ForbiddenFamily, n: int, nbits: int,
                 best = part_best
 
     def value(hist):
-        return value_from_histogram(hist.tolist(), p, nbits)
+        return value_from_histogram(hist.tolist(), inst.p, nbits)
 
     return value(a_hist), tuple(value(h) for h in hists), value(whist), best
 
@@ -178,10 +212,10 @@ class PartitionTable:
                    Fraction(0))
 
 
-def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
-                    n: int, p, cap_bits: int | None = None,
+def partition_table(inst: Instance, cap_bits: int | None = None,
                     workers: int = 1) -> PartitionTable:
-    """Exact mu(A_S) for every containment pattern S over the blocks.
+    """Exact mu(A_S) for every containment pattern S over the blocks of
+    the instance's system.
 
     The same pass histograms, per block, the masks of A that satisfy
     EdgePredicate.contains(fam, within=block): theta_i by the block
@@ -193,14 +227,8 @@ def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
     the weighted sum is one integer dot product over weight_powers'
     single denominator.
     """
-    p = _validate_p(p)
-    if fam.r != sys.r:
-        raise ParameterError(
-            f"uniformity mismatch: family r={fam.r}, system r={sys.r}")
-    if sys.n != n:
-        raise ParameterError(f"system on {sys.n} vertices, space on {n}")
-    d = sys.d
-    r = fam.r
+    sys = inst.require("system")
+    n, r, d = inst.n, inst.r, sys.d
     width = comb(n, r) + 1
     if width << d > MAX_PARTITION_ENTRIES:
         raise FeasibilityError(
@@ -211,7 +239,7 @@ def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
     patterns = np.min_scalar_type((1 << d) - 1)
     # each block's own kernel, as EdgePredicate.contains(fam, within=b)
     # runs it, built once for the scan
-    in_block = [_contains_rows(n, r, fam, [b]) for b in blocks]
+    in_block = [_contains_rows(n, r, inst.family, [b]) for b in blocks]
 
     def one(masks, pops, cols, by_edges):
         pattern = np.zeros(masks.shape, dtype=patterns)
@@ -224,7 +252,7 @@ def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
 
     counts = np.zeros(width << d, dtype=np.int64)
     theta_hists = np.zeros((d, width), dtype=np.int64)
-    for part, hists in _scan(A, fam, n, nbits, blocks, workers, one):
+    for part, hists in _scan(inst, nbits, blocks, workers, one):
         counts[:part.shape[0]] += part
         theta_hists += hists
     table = counts.reshape(1 << d, width)
@@ -234,7 +262,7 @@ def partition_table(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
     sizes = np.bitwise_count(filled)
 
     def value(hist):
-        return value_from_histogram(hist.tolist(), p, nbits)
+        return value_from_histogram(hist.tolist(), inst.p, nbits)
 
     cells = dict(zip(filled.tolist(), map(value, table)))
     total = value(table.sum(axis=0))
@@ -334,26 +362,20 @@ class LemmaReport:
     chain_ok: bool | None
 
 
-def lemma_report(A: EdgePredicate, sys: SteinerSystem, fam: ForbiddenFamily,
-                 params: LemmaParameters, p, cap_bits: int | None = None,
+def lemma_report(inst: Instance, cap_bits: int | None = None,
                  workers: int = 1) -> LemmaReport:
-    """Compute theta_1..theta_d, I = {i : theta_i >= gamma mu(A)}, eta."""
-    if fam.r != sys.r:
-        raise ParameterError(
-            f"uniformity mismatch: family r={fam.r}, system r={sys.r}")
-    if params.m is not None and params.m != sys.m:
-        raise ParameterError(
-            f"params.m={params.m} disagrees with system block order {sys.m}")
-    n = sys.n
-    p = _validate_p(p)
-    nbits = check_exact_feasible(n, fam.r, cap_bits)
-    mu_A, theta, _, _ = _theta_scan(A, fam, n, nbits, p, sys.blocks, workers)
+    """Compute theta_1..theta_d, I = {i : theta_i >= gamma mu(A)}, eta
+    over the instance's system and params."""
+    sys, params = inst.require("system"), inst.require("params")
+    nbits = check_exact_feasible(inst.n, inst.r, cap_bits)
+    mu_A, theta, _, _ = _theta_scan(inst, nbits, sys.blocks, workers)
     gamma = params.gamma
     threshold = gamma * mu_A
     index_set = tuple(i for i, th in enumerate(theta) if th >= threshold)
     d = sys.d
     eta = Fraction(len(index_set), d) if d else Fraction(0)
-    mu_mB = exact_measure(sys.m, fam.r, p, EdgePredicate.forb(fam),
+    mu_mB = exact_measure(sys.m, inst.r, inst.p,
+                          EdgePredicate.forb(inst.family),
                           cap_bits=cap_bits, workers=workers).value
     tail = tail_mass(params.nu, d, mu_mB)
     tail_small = mu_A > 0 and tail <= mu_A / 2
@@ -384,9 +406,10 @@ class SupersatReport:
     averaging_ok: bool
 
 
-def x_set(A: EdgePredicate, fam: ForbiddenFamily, m: int, gamma, n: int, p,
-          cap_bits: int | None = None, workers: int = 1) -> SupersatReport:
-    """X = {m-subsets D : theta_D >= gamma mu(A)} over ALL m-subsets.
+def x_set(inst: Instance, m: int, gamma, cap_bits: int | None = None,
+          workers: int = 1) -> SupersatReport:
+    """X = {m-subsets D : theta_D >= gamma mu(A)} over ALL m-subsets of
+    the instance's vertices.
 
     Also locates the satisfying graph with the most containment
     m-subsets and checks the averaging inequality
@@ -395,14 +418,13 @@ def x_set(A: EdgePredicate, fam: ForbiddenFamily, m: int, gamma, n: int, p,
     gamma = Fraction(gamma)
     if not 0 < gamma <= 1:
         raise ParameterError(f"gamma must lie in (0, 1], got {gamma}")
-    r = fam.r
+    n, r = inst.n, inst.r
     if not 1 <= m <= n:
         raise ParameterError(f"need 1 <= m <= n, got (m={m}, n={n})")
-    p = _validate_p(p)
     nbits = check_exact_feasible(n, r, cap_bits)
     dsets = subsets_colex(n, m)
     nd = len(dsets)
-    mu_A, theta, lhs_mask_route, best = _theta_scan(A, fam, n, nbits, p, dsets,
+    mu_A, theta, lhs_mask_route, best = _theta_scan(inst, nbits, dsets,
                                                     workers)
     threshold = gamma * mu_A
     x_members = tuple(dsets[di] for di in range(nd) if theta[di] >= threshold)
@@ -412,7 +434,7 @@ def x_set(A: EdgePredicate, fam: ForbiddenFamily, m: int, gamma, n: int, p,
         raise ConstructionError(
             f"averaging accumulators disagree: {lhs} != {lhs_mask_route}")
     rhs = gamma * mu_A * x_size
-    t = fam.t
+    t = inst.family.t
     eta_eff = Fraction(x_size, nd)
     delta_floor = gamma * eta_eff * Fraction(n ** t, (2 * m) ** t)
     if best is None:
@@ -420,7 +442,7 @@ def x_set(A: EdgePredicate, fam: ForbiddenFamily, m: int, gamma, n: int, p,
     else:
         best_mset_count, best_mask = best
         best_graph = RUniformGraph(n=n, r=r, edge_mask=best_mask)
-        distinct = count_induced(best_graph, fam)
+        distinct = count_induced(best_graph, inst.family)
         if m >= t and distinct < best_mset_count // comb(n - t, m - t):
             raise ConstructionError(
                 f"copy floor violated: {distinct} distinct copies but "
@@ -460,19 +482,6 @@ def counting_floor(n: int, m: int, t: int, gamma, eta) -> CountingFloor:
     floor_val = ge * Fraction(n ** t, (2 * m) ** t) if t else ge
     return CountingFloor(n=n, m=m, t=t, ratio=ratio, floor=floor_val,
                          ok=ratio >= floor_val, proviso_met=n >= 2 * t)
-
-
-@dataclass(frozen=True)
-class Instance:
-    """A bundled lemma instance: space, class, family, system, knobs."""
-
-    n: int
-    r: int
-    p: Fraction
-    predicate: EdgePredicate
-    family: ForbiddenFamily
-    system: SteinerSystem | None = None
-    params: LemmaParameters | None = None
 
 
 def params_to_json_obj(params: LemmaParameters) -> dict:

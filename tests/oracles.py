@@ -8,9 +8,8 @@ runs a predicate's batch rule over the whole mask space, the route apart
 from the level walk's extension rules, and `bernoulli_masks` and
 `sample_masks` give whole-mask views of `rng.bernoulli_columns`, the
 sampler `mc_measure` draws its levels with, for the tests that check it
-against `oracle_masks`.  `random_graph` and `sampled_maximality` draw from
-the library's scalar `Rng`, whose streams define the draws they are
-compared on.
+against `oracle_masks`.  `random_graph` draws from the library's scalar
+`Rng`, whose streams define the draws it is compared on.
 """
 
 from fractions import Fraction
@@ -453,20 +452,6 @@ def naive_theta_scan(n: int, r: int, p, sat, dsets, members) -> tuple:
         if best is None or sum(hits) > best[0]:
             best = (sum(hits), mask)
     return mu, tuple(theta), weighted, best
-
-
-def sampled_maximality(r: int, m: int, n: int, blocks, samples: int,
-                       seed: int) -> tuple:
-    """(checked, addable) of the seeded search for an m-subset with no
-    covered r-subset: colex indices drawn by Rng(seed).random_below, each
-    unranked by scan; addable is None when no sample is free."""
-    used = {s for b in blocks for s in combinations(b, r)}
-    rng = Rng(seed)
-    for i in range(samples):
-        d = unrank_subset(rng.random_below(comb(n, m)), m)
-        if used.isdisjoint(combinations(d, r)):
-            return i + 1, d
-    return samples, None
 
 
 def random_graph(n: int, r: int, p, rng: Rng) -> RUniformGraph:

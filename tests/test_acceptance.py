@@ -23,7 +23,7 @@ from hlab.measure import (EdgePredicate, cn_sequence, exact_measure,
 from hlab.rng import Rng
 from hlab.steiner import (SteinerSystem, greedy_system, maximality_report,
                           verify_system)
-from hlab.supersat import (counting_floor, partition_table,
+from hlab.supersat import (Instance, counting_floor, partition_table,
                            projection_bound_check, tail_mass, x_set)
 
 from oracles import (exstar_exhaustive, max_packing, random_graph,
@@ -37,6 +37,11 @@ FORB_K3 = EdgePredicate.forb(FAM_K3)
 SYS6 = SteinerSystem(r=2, m=3, n=6,
                      blocks=((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)))
 MIN8 = EdgePredicate.min_edges(8)
+
+
+def _instance(A, sys=None):
+    """Class A on n = 6 vertices at p = 1/2, the family K3, over sys."""
+    return Instance(n=6, r=2, p=HALF, predicate=A, family=FAM_K3, system=sys)
 
 
 _EMIT = print
@@ -138,7 +143,7 @@ def test_criterion_06_partition_identity():
     with criterion(6, 10.0, "sum_S |S| mu(A_S) = sum_i theta_i and "
                             "sum_S mu(A_S) = mu(A) on the fixed n=6 "
                             "instance"):
-        table = partition_table(MIN8, SYS6, FAM_K3, 6, HALF)
+        table = partition_table(_instance(MIN8, SYS6))
         assert table.weighted_sum == table.theta_sum
         assert sum(table.cells.values(), Fraction(0)) == table.total
         assert table.total == exact_measure(6, 2, HALF, MIN8).value
@@ -148,10 +153,9 @@ def test_criterion_07_projection_bound():
     with criterion(7, None, "mu(A_S) <= (7/8)^(4-|S|) cell-wise; "
                             "independence equality at A = full space"):
         mu_mB = Fraction(7, 8)
-        table = partition_table(MIN8, SYS6, FAM_K3, 6, HALF)
+        table = partition_table(_instance(MIN8, SYS6))
         assert projection_bound_check(table, mu_mB).ok
-        free = partition_table(EdgePredicate.min_edges(0), SYS6, FAM_K3,
-                               6, HALF)
+        free = partition_table(_instance(EdgePredicate.min_edges(0), SYS6))
         assert free.cells[0] == mu_mB ** 4
 
 
@@ -161,7 +165,7 @@ def test_criterion_08_tail_mass():
         mu = Fraction(7, 8)
         assert tail_mass(0, 4, mu) == mu ** 4
         assert tail_mass(1, 4, mu) == (1 + mu) ** 4
-        table = partition_table(MIN8, SYS6, FAM_K3, 6, HALF)
+        table = partition_table(_instance(MIN8, SYS6))
         bound = tail_mass(HALF, 4, mu, table=table)
         assert bound >= table.small_mass(2)
 
@@ -186,10 +190,10 @@ def test_criterion_10_x_set():
     with criterion(10, None, "A = {K6} gives |X| = 20 with 20 distinct "
                              "copies; A = Forb(K3) gives |X| = 0"):
         full = (1 << comb(6, 2)) - 1
-        rep = x_set(EdgePredicate.explicit([full]), FAM_K3, 3, HALF, 6, HALF)
+        rep = x_set(_instance(EdgePredicate.explicit([full])), 3, HALF)
         assert rep.x_size == 20
         assert rep.distinct_copies == 20
-        empty = x_set(FORB_K3, FAM_K3, 3, Fraction(1, 4), 6, HALF)
+        empty = x_set(_instance(FORB_K3), 3, Fraction(1, 4))
         assert empty.x_size == 0
 
 
@@ -255,7 +259,7 @@ def _property_bundle(workers: int) -> str:
         sys_ = greedy_system(2, 3, 6, seed=seed)
         kmin = rng.random_below(10)
         pred = EdgePredicate.min_edges(kmin)
-        table = partition_table(pred, sys_, FAM_K3, 6, HALF, workers=workers)
+        table = partition_table(_instance(pred, sys_), workers=workers)
         mu_mB = exact_measure(3, 2, HALF, FORB_K3).value
         assert table.weighted_sum == table.theta_sum
         assert projection_bound_check(table, mu_mB).ok
@@ -275,7 +279,7 @@ def _property_bundle(workers: int) -> str:
         taus.append(t)
     out["tau"] = taus
 
-    xres = x_set(MIN8, FAM_K3, 3, Fraction(1, 8), 6, HALF, workers=workers)
+    xres = x_set(_instance(MIN8), 3, Fraction(1, 8), workers=workers)
     assert xres.averaging_ok
     out["xset"] = {"x_size": xres.x_size,
                    "best_count": xres.best_mset_count,

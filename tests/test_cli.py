@@ -612,10 +612,11 @@ _EXPLICIT = ["measure", "--n", "4", "--r", "2", "--p", "1/2",
 _LEMMA = ["lemma", "--instance", "{pred}"]
 
 
-def _instance(p="1/2", **params):
-    """A lemma instance file on 4 vertices with p and params overridden."""
+def _instance(p="1/2", n=4, r=2, **params):
+    """A lemma instance file with n, r, p and params overridden; the
+    family and the (2, 3, 4) system stay as they are."""
     return json.dumps({
-        "n": 4, "r": 2, "p": p, "predicate": {"kind": "min_edges", "k": 2},
+        "n": n, "r": r, "p": p, "predicate": {"kind": "min_edges", "k": 2},
         "family": [{"n": 3, "r": 2, "edges": [[0, 1], [0, 2], [1, 2]]}],
         "system": {"r": 2, "m": 3, "n": 4, "blocks": [[0, 1, 2]]},
         "params": {"nu": "1/4", "m": 3, **params}})
@@ -668,6 +669,13 @@ def _instance(p="1/2", **params):
     (_LEMMA, _instance(gamma=True), 1),
     (_LEMMA, _instance(p="1/0"), 1),
     (_LEMMA, _instance(nu="1/0"), 1),
+    (_LEMMA, _instance(n=5), 1),
+    (["partition", "--instance", "{pred}"], _instance(n=5), 1),
+    (["xset", "--instance", "{pred}"], _instance(n=5), 1),
+    (["tailmass", "--nu", "1/2", "--d", "1", "--mu", "7/8", "--instance",
+      "{pred}"], _instance(n=5), 1),
+    (["xset", "--instance", "{pred}"], _instance(r=3), 1),
+    (_LEMMA, _instance(m=4), 1),
     (["tailmass", "--nu", "1/2", "--d", "100000", "--mu", "7/8"], None, 1),
     (["floor", "--n", "10000000", "--m", "5000000", "--t", "5000"], None, 1),
     (["verify-steiner", "--system", "{pred}"],
@@ -683,6 +691,8 @@ def _instance(p="1/2", **params):
         "steiner-table-huge", "verify-steiner-block-huge",
         "instance-p-float", "instance-p-bool", "instance-gamma-bool",
         "instance-p-zero-denominator", "instance-nu-zero-denominator",
+        "instance-n-lemma", "instance-n-partition", "instance-n-xset",
+        "instance-n-tailmass", "instance-r-family", "instance-m-system",
         "tailmass-size-huge", "floor-size-huge", "json-int-huge"])
 def test_rejected_input_one_error_line(files, capsys, tmp_path, argv, pred,
                                        code):

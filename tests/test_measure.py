@@ -780,7 +780,7 @@ def test_scan_reduces_blocks_in_edge_order(monkeypatch, workers):
     # walk's last level comes parent by parent and _scan sorts it.  Each
     # block the reducer sees is one block of the walk, sorted.
     import hlab.supersat
-    from hlab.supersat import _scan
+    from hlab.supersat import Instance, _scan
 
     walk, raw, reduced = hlab.supersat._walk, [], []
 
@@ -810,8 +810,8 @@ def test_scan_reduces_blocks_in_edge_order(monkeypatch, workers):
     for A, full in ((EdgePredicate.min_edges(9), True), (FORB_K3, False)):
         raw.clear()
         reduced.clear()
-        list(_scan(A, fam, 7, 21, [(0, 1, 2), (2, 3, 4, 5)], workers,
-                   reducer))
+        inst = Instance(n=7, r=2, p=Fraction(1, 2), predicate=A, family=fam)
+        list(_scan(inst, 21, [(0, 1, 2), (2, 3, 4, 5)], workers, reducer))
         assert len(raw) > 1 and contents(raw) == contents(reduced)
         assert all(map(in_edge_order, reduced))
         assert all(map(in_edge_order, raw)) == full

@@ -18,8 +18,7 @@ from hlab.steiner import (DEFAULT_BITE, DEFAULT_ROUNDS, SteinerSystem,
                           system_from_json_obj, system_to_json_obj,
                           verify_system)
 
-from oracles import (max_packing, packing_scalar, sampled_maximality,
-                     uncovered_rsets)
+from oracles import max_packing, packing_scalar, uncovered_rsets
 
 FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
         (2, 4, 5))
@@ -155,7 +154,6 @@ def test_exhaustive_maximality_matches_first_free_row(case):
     first = next((i for i, d in enumerate(colex)
                   if free.issuperset(combinations(d, r))), None)
     report = maximality_report(sys)
-    assert report.method == "exhaustive"
     if first is None:
         assert (report.maximal, report.checked, report.addable) == (
             True, len(colex), None)
@@ -164,34 +162,18 @@ def test_exhaustive_maximality_matches_first_free_row(case):
             False, first + 1, colex[first])
 
 
-def test_sampled_maximality_matches_oracle():
-    systems = []
-    for n in (12, 20, 31):
-        full = greedy_system(2, 3, n, seed=n)
-        systems += [full, SteinerSystem(2, 3, n, full.blocks[::2])]
-    systems.append(greedy_system(3, 4, 11, seed=2))
-    for sys in systems:
-        for seed in range(3):
-            report = maximality_report(sys, exhaustive_limit=10, samples=400,
-                                       seed=seed)
-            checked, addable = sampled_maximality(sys.r, sys.m, sys.n,
-                                                  sys.blocks, 400, seed)
-            assert (report.maximal, report.method, report.checked,
-                    report.addable) == (None if addable is None else False,
-                                        "sampled", checked, addable)
-
-
-def test_sampled_maximality_builds_no_table():
-    # C(230,3) = 2,001,460 m-subsets: ranking every row took 230 MiB.
+def test_maximality_refuses_oversized_table():
+    # C(230,3) x C(3,2) = 6,004,380 ranks, above the packing limit of
+    # 2^22: refused before any table is built (ranking every row took
+    # 230 MiB).
     sys = SteinerSystem(2, 3, 230, ((0, 1, 2),))
     tracemalloc.start()
     try:
-        report = maximality_report(sys, exhaustive_limit=10)
+        with pytest.raises(SizeLimitError, match="packing table"):
+            maximality_report(sys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (report.maximal, report.method, report.checked,
-            report.addable) == (False, "sampled", 1, (33, 37, 41))
     assert peak < 1 << 20
 
 
@@ -432,20 +414,7 @@ def test_maximality_report_finds_addable():
     sys = SteinerSystem(r=2, m=3, n=7, blocks=((0, 1, 2),))
     report = maximality_report(sys)
     assert report.maximal is False
-    assert report.method == "exhaustive"
     assert verify_system(2, 3, 7, sys.blocks + (report.addable,)).valid
-
-
-def test_maximality_report_sampled_path():
-    sys = greedy_system(2, 3, 12, seed=0)
-    report = maximality_report(sys, exhaustive_limit=10, samples=500)
-    assert report.method == "sampled"
-    assert report.maximal is None
-    assert report.addable is None
-    partial = SteinerSystem(r=2, m=3, n=12, blocks=((0, 1, 2),))
-    refute = maximality_report(partial, exhaustive_limit=10, samples=500)
-    assert refute.maximal is False
-    assert refute.addable is not None
 
 
 def test_json_round_trip(tmp_path):

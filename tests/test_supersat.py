@@ -34,6 +34,13 @@ ALWAYS = EdgePredicate.min_edges(0)
 
 SYS6 = SteinerSystem(r=2, m=3, n=6,
                      blocks=((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)))
+PARAMS6 = LemmaParameters(nu=Fraction(1, 4), m=3)
+
+
+def _inst(A, sys=None, fam=FAM_K3, p=HALF, params=None, n=None):
+    """The instance of class A over sys, or over n vertices without one."""
+    return Instance(n=sys.n if n is None else n, r=fam.r, p=p, predicate=A,
+                    family=fam, system=sys, params=params)
 
 
 def small_systems():
@@ -93,33 +100,32 @@ def test_theta_at_most_mu(sys, A, p):
 def test_single_pass_matches_block_theta(sys, A):
     mu = exact_measure(sys.n, 2, HALF, A).value
     params = LemmaParameters(nu=Fraction(1, 4), m=sys.m)
-    report = lemma_report(A, sys, FAM_K3, params, HALF)
+    report = lemma_report(_inst(A, sys, params=params))
     assert report.mu_A == mu
     assert report.theta == tuple(block_theta(A, b, FAM_K3, sys.n, HALF)
                                  for b in sys.blocks)
-    xrep = x_set(A, FAM_K3, sys.m, Fraction(1, 4), sys.n, HALF)
+    xrep = x_set(_inst(A, n=sys.n), sys.m, Fraction(1, 4))
     assert xrep.mu_A == mu
     assert xrep.averaging_lhs == sum(
         (block_theta(A, D, FAM_K3, sys.n, HALF)
          for D in subsets_colex(sys.n, sys.m)), Fraction(0))
-    bad_p = Fraction(3, 2)
-    with pytest.raises(ParameterError):
-        partition_table(A, sys, FAM_K3, sys.n, bad_p)
-    with pytest.raises(ParameterError):
-        lemma_report(A, sys, FAM_K3, params, bad_p)
-    with pytest.raises(ParameterError):
-        x_set(A, FAM_K3, sys.m, Fraction(1, 4), sys.n, bad_p)
+    # p is checked once, when the instance is built, with or without a
+    # system and knobs
+    for system, knobs in ((sys, params), (None, None)):
+        with pytest.raises(ParameterError, match="outside"):
+            Instance(n=sys.n, r=2, p=Fraction(3, 2), predicate=A,
+                     family=FAM_K3, system=system, params=knobs)
 
 
 def test_x_set_builds_mask_weights_once():
     from hlab.measure import weight_powers
 
     weight_powers.cache_clear()
-    x_set(EdgePredicate.min_edges(8), FAM_K3, 3, Fraction(1, 4), 6, HALF)
+    x_set(_inst(EdgePredicate.min_edges(8), n=6), 3, Fraction(1, 4))
     info = weight_powers.cache_info()
     assert info.misses == 1 and info.hits > 20
     # one more (p, N), one more miss
-    x_set(EdgePredicate.min_edges(8), FAM_K3, 3, Fraction(1, 4), 6, THIRD)
+    x_set(_inst(EdgePredicate.min_edges(8), n=6, p=THIRD), 3, Fraction(1, 4))
     assert weight_powers.cache_info().misses == 2
 
 
@@ -133,9 +139,10 @@ def test_x_set_matches_per_mask_scan(A, p, m):
     obj = predicate_to_json_obj(A)
     mu, theta, weighted, best = naive_theta_scan(
         n, 2, p, lambda G: naive_satisfies(obj, G), dsets, FAM_K3.members)
-    assert _theta_scan(A, FAM_K3, n, comb(n, 2), p, dsets, 1) == (
+    inst = _inst(A, n=n, p=p)
+    assert _theta_scan(inst, comb(n, 2), dsets, 1) == (
         mu, theta, weighted, best)
-    rep = x_set(A, FAM_K3, m, gamma, n, p)
+    rep = x_set(inst, m, gamma)
     assert rep.mu_A == mu
     assert rep.averaging_lhs == weighted == sum(theta, Fraction(0))
     assert rep.x_members == tuple(d for d, th in zip(dsets, theta)
@@ -158,7 +165,7 @@ def test_best_graph_is_smallest_mask_on_ties():
     best = naive_theta_scan(5, 2, HALF, lambda G: naive_satisfies(obj, G),
                             subsets_colex(5, 3), FAM_K3.members)[3]
     assert best == (1, 15)
-    rep = x_set(A, FAM_K3, 3, Fraction(1, 4), 5, HALF)
+    rep = x_set(_inst(A, n=5), 3, Fraction(1, 4))
     assert (rep.best_mset_count, rep.best_graph.edge_mask) == best
 
 
@@ -182,7 +189,7 @@ def test_partition_dense_table_matches_naive_oracle(monkeypatch, d,
     monkeypatch.setattr(hlab.measure, "_OPEN_BITS", open_bits)
     for A in (ALWAYS, EdgePredicate.max_edges(6),
               EdgePredicate.complement(EdgePredicate.explicit([3, 12, 1023]))):
-        table = partition_table(A, sys, PAIR_1, 10, THIRD)
+        table = partition_table(_inst(A, sys, fam=PAIR_1, p=THIRD))
         obj = predicate_to_json_obj(A)
         expect = naive_partition_cells(
             10, 1, THIRD, lambda G: naive_satisfies(obj, G), sys.blocks,
@@ -232,20 +239,19 @@ def test_partition_limit_admits_every_capped_space(monkeypatch):
                         blocks=tuple((2 * i, 2 * i + 1) for i in range(15)))
     monkeypatch.setattr(hlab.supersat, "_scan", stop)
     with pytest.raises(Scanned):
-        partition_table(ALWAYS, sys, PAIR_1, 30, HALF,
+        partition_table(_inst(ALWAYS, sys, fam=PAIR_1),
                         cap_bits=HARD_EXACT_CAP_BITS)
 
 
 def test_empty_class_through_every_scan():
     empty = EdgePredicate.min_edges(comb(6, 2) + 1)
-    rep = x_set(empty, FAM_K3, 3, Fraction(1, 4), 6, HALF)
+    rep = x_set(_inst(empty, n=6), 3, Fraction(1, 4))
     assert rep.mu_A == 0 and rep.averaging_lhs == 0
     assert (rep.best_graph, rep.best_mset_count, rep.distinct_copies) == (
         None, 0, 0)
-    lemma = lemma_report(empty, SYS6, FAM_K3,
-                         LemmaParameters(nu=Fraction(1, 4), m=3), HALF)
+    lemma = lemma_report(_inst(empty, SYS6, params=PARAMS6))
     assert lemma.mu_A == 0 and lemma.theta == (0,) * SYS6.d
-    table = partition_table(empty, SYS6, FAM_K3, 6, HALF)
+    table = partition_table(_inst(empty, SYS6))
     assert table.cells == {}
     assert table.total == table.weighted_sum == table.theta_sum == 0
     assert table.theta == (0,) * SYS6.d
@@ -254,14 +260,13 @@ def test_empty_class_through_every_scan():
 def test_one_enumeration_pass_per_command(walks):
     full = [(0, comb(6, 2))]
     A = EdgePredicate.min_edges(8)
-    partition_table(A, SYS6, FAM_K3, 6, HALF)
+    partition_table(_inst(A, SYS6))
     assert walks == [full]
     walks.clear()
-    x_set(A, FAM_K3, 3, Fraction(1, 4), 6, HALF)
+    x_set(_inst(A, n=6), 3, Fraction(1, 4))
     assert walks == [full]
     walks.clear()
-    rep = lemma_report(A, SYS6, FAM_K3,
-                       LemmaParameters(nu=Fraction(1, 4), m=3), HALF)
+    rep = lemma_report(_inst(A, SYS6, params=PARAMS6))
     # mu_m(B) of the hereditary Forb(F) walks the m + 1 vertex levels.
     assert walks == [full, vertex_levels(3, 2)]
     hist = full_scan_histogram(EdgePredicate.forb(FAM_K3), 3, 2)
@@ -270,7 +275,7 @@ def test_one_enumeration_pass_per_command(walks):
 
 @given(small_systems(), predicates6(), st.sampled_from([HALF, THIRD]))
 def test_partition_identity_and_total(sys, A, p):
-    table = partition_table(A, sys, FAM_K3, sys.n, p)
+    table = partition_table(_inst(A, sys, p=p))
     # Construction already cross-checks the two routes; re-assert both
     # closure facts on the result.
     assert table.weighted_sum == table.theta_sum
@@ -281,7 +286,7 @@ def test_partition_cells_match_naive_oracle(walks):
     sys = SteinerSystem(r=2, m=3, n=5, blocks=((0, 1, 2), (0, 3, 4)))
     capped = EdgePredicate.intersection([EdgePredicate.max_edges(4), FORB_K3])
     for A in (ALWAYS, EdgePredicate.min_edges(4), FORB_K3, capped):
-        table = partition_table(A, sys, FAM_K3, 5, THIRD)
+        table = partition_table(_inst(A, sys, p=THIRD))
         obj = predicate_to_json_obj(A)
         expect = naive_partition_cells(
             5, 2, THIRD, lambda G: naive_satisfies(obj, G), sys.blocks,
@@ -293,37 +298,40 @@ def test_partition_cells_match_naive_oracle(walks):
 
 
 def test_partition_forbidden_class_single_empty_cell():
-    table = partition_table(FORB_K3, SYS6, FAM_K3, 6, HALF)
+    table = partition_table(_inst(FORB_K3, SYS6))
     assert set(table.cells) == {0}
     assert table.cells[0] == exact_measure(6, 2, HALF, FORB_K3).value
 
 
 def test_partition_example_instance():
-    table = partition_table(EdgePredicate.min_edges(8), SYS6, FAM_K3, 6, HALF)
+    table = partition_table(_inst(EdgePredicate.min_edges(8), SYS6))
     assert table.weighted_sum == Fraction(1651, 4096)
     assert sum(table.cells.values(), Fraction(0)) == exact_measure(
         6, 2, HALF, EdgePredicate.min_edges(8)).value
 
 
 def test_partition_rejects_mismatch():
+    # An instance whose family, system and space disagree is never built.
     tri_fam = normalize_family([complete_graph(3, 3)])
-    with pytest.raises(ParameterError):
-        partition_table(ALWAYS, SYS6, tri_fam, 6, HALF)
-    with pytest.raises(ParameterError):
-        partition_table(ALWAYS, SYS6, FAM_K3, 7, HALF)
+    for n, r, fam in ((6, 3, tri_fam), (6, 2, tri_fam), (7, 2, FAM_K3),
+                      (6, 3, FAM_K3)):
+        with pytest.raises(ParameterError):
+            Instance(n=n, r=r, p=HALF, predicate=ALWAYS, family=fam,
+                     system=SYS6)
+    assert partition_table(_inst(ALWAYS, SYS6)).d == SYS6.d
 
 
 def test_partition_block_cap():
     blocks = tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(21))
     big = SteinerSystem(r=2, m=3, n=63, blocks=blocks)
     with pytest.raises(FeasibilityError):
-        partition_table(ALWAYS, big, FAM_K3, 63, HALF)
+        partition_table(_inst(ALWAYS, big))
 
 
 def test_projection_equality_for_disjoint_blocks():
     # Edge-disjoint blocks make the avoid events independent, so the
     # empty cell hits the bound exactly.
-    table = partition_table(ALWAYS, SYS6, FAM_K3, 6, HALF)
+    table = partition_table(_inst(ALWAYS, SYS6))
     mu_mB = exact_measure(3, 2, HALF, FORB_K3).value
     report = projection_bound_check(table, mu_mB)
     assert report.ok
@@ -334,7 +342,7 @@ def test_projection_equality_for_disjoint_blocks():
 
 @given(small_systems(), predicates6(), st.sampled_from([HALF, THIRD]))
 def test_projection_bound_cellwise(sys, A, p):
-    table = partition_table(A, sys, FAM_K3, sys.n, p)
+    table = partition_table(_inst(A, sys, p=p))
     mu_mB = exact_measure(sys.m, 2, p, FORB_K3).value
     report = projection_bound_check(table, mu_mB)
     assert report.ok
@@ -344,7 +352,7 @@ def test_projection_bound_cellwise(sys, A, p):
 
 
 def test_projection_forb_class_bound():
-    table = partition_table(FORB_K3, SYS6, FAM_K3, 6, HALF)
+    table = partition_table(_inst(FORB_K3, SYS6))
     report = projection_bound_check(table, Fraction(7, 8))
     assert report.ok
     assert table.cells[0] <= Fraction(7, 8) ** 4
@@ -381,7 +389,7 @@ def test_tail_mass_size_limit():
 
 
 def test_tail_mass_dominates_table():
-    table = partition_table(EdgePredicate.min_edges(8), SYS6, FAM_K3, 6, HALF)
+    table = partition_table(_inst(EdgePredicate.min_edges(8), SYS6))
     mu_mB = exact_measure(3, 2, HALF, FORB_K3).value
     bound = tail_mass(HALF, 4, mu_mB, table=table)
     assert bound >= table.small_mass(2)
@@ -411,7 +419,7 @@ def test_tail_mass_monotone(nu1, nu2, d, mu1, mu2):
 
 def test_lemma_report_eta_one():
     params = LemmaParameters(nu=Fraction(1, 4), gamma=Fraction(1, 16), m=3)
-    report = lemma_report(ALWAYS, SYS6, FAM_K3, params, HALF)
+    report = lemma_report(_inst(ALWAYS, SYS6, params=params))
     assert report.theta == (Fraction(1, 8),) * 4
     assert report.index_set == (0, 1, 2, 3)
     assert report.eta == 1
@@ -419,14 +427,14 @@ def test_lemma_report_eta_one():
 
 def test_lemma_report_eta_zero_high_gamma():
     params = LemmaParameters(nu=Fraction(1, 4), gamma=Fraction(1, 4), m=3)
-    report = lemma_report(ALWAYS, SYS6, FAM_K3, params, HALF)
+    report = lemma_report(_inst(ALWAYS, SYS6, params=params))
     assert report.index_set == ()
     assert report.eta == 0
 
 
 def test_lemma_report_forbidden_class():
     params = LemmaParameters(nu=Fraction(1, 4), m=3)
-    report = lemma_report(FORB_K3, SYS6, FAM_K3, params, HALF)
+    report = lemma_report(_inst(FORB_K3, SYS6, params=params))
     assert report.theta == (Fraction(0),) * 4
     assert report.eta == 0
 
@@ -436,7 +444,7 @@ def test_lemma_report_forbidden_class():
                     max_denominator=32))
 def test_lemma_threshold_set_integer_identity(sys, A, gamma):
     params = LemmaParameters(nu=Fraction(1, 4), gamma=gamma)
-    report = lemma_report(A, sys, FAM_K3, params, HALF)
+    report = lemma_report(_inst(A, sys, params=params))
     threshold = gamma * report.mu_A
     expect = tuple(i for i, th in enumerate(report.theta) if th >= threshold)
     assert report.index_set == expect
@@ -452,7 +460,7 @@ def test_lemma_chain_check_applicable_instance():
     sys = SteinerSystem(r=1, m=2, n=10,
                         blocks=tuple((2 * i, 2 * i + 1) for i in range(5)))
     params = LemmaParameters(nu=HALF, gamma=Fraction(1, 8), m=2)
-    report = lemma_report(ALWAYS, sys, fam, params, HALF)
+    report = lemma_report(_inst(ALWAYS, sys, fam=fam, params=params))
     assert report.mu_mB == Fraction(1, 4)
     assert report.tail == Fraction(181, 1024)
     assert report.tail_small
@@ -462,16 +470,19 @@ def test_lemma_chain_check_applicable_instance():
 
 def test_lemma_chain_check_skipped_when_tail_large():
     params = LemmaParameters(nu=HALF, gamma=Fraction(1, 16), m=3)
-    report = lemma_report(EdgePredicate.min_edges(8), SYS6, FAM_K3, params,
-                          HALF)
+    report = lemma_report(_inst(EdgePredicate.min_edges(8), SYS6,
+                                params=params))
     assert not report.tail_small
     assert report.chain_ok is None
 
 
 def test_lemma_report_rejects_m_mismatch():
     params = LemmaParameters(nu=Fraction(1, 4), m=4)
-    with pytest.raises(ParameterError):
-        lemma_report(ALWAYS, SYS6, FAM_K3, params, HALF)
+    with pytest.raises(ParameterError, match="block order 3"):
+        Instance(n=6, r=2, p=HALF, predicate=ALWAYS, family=FAM_K3,
+                 system=SYS6, params=params)
+    # without a system there is no block order to disagree with
+    assert _inst(ALWAYS, n=6, params=params).params.m == 4
 
 
 def test_lemma_parameters_validation():
@@ -486,8 +497,8 @@ def test_lemma_parameters_validation():
 
 def test_x_set_complete_graph():
     full = (1 << comb(6, 2)) - 1
-    report = x_set(EdgePredicate.explicit([full]), FAM_K3, 3,
-                   Fraction(1, 2), 6, HALF)
+    report = x_set(_inst(EdgePredicate.explicit([full]), n=6), 3,
+                   Fraction(1, 2))
     assert report.x_size == 20
     assert report.x_members == subsets_colex(6, 3)
     assert report.best_graph.edge_mask == full
@@ -497,14 +508,13 @@ def test_x_set_complete_graph():
 
 
 def test_x_set_forbidden_class_empty():
-    report = x_set(FORB_K3, FAM_K3, 3, Fraction(1, 4), 6, HALF)
+    report = x_set(_inst(FORB_K3, n=6), 3, Fraction(1, 4))
     assert report.x_size == 0
     assert report.averaging_ok
 
 
 def test_x_set_min_edges_consistency():
-    report = x_set(EdgePredicate.min_edges(12), FAM_K3, 3, Fraction(1, 4),
-                   6, HALF)
+    report = x_set(_inst(EdgePredicate.min_edges(12), n=6), 3, Fraction(1, 4))
     assert report.x_size > 0
     assert report.averaging_ok
     assert report.averaging_lhs >= report.averaging_rhs
@@ -513,8 +523,7 @@ def test_x_set_min_edges_consistency():
 
 
 def test_x_set_eta_and_delta_floor():
-    report = x_set(EdgePredicate.min_edges(12), FAM_K3, 3, Fraction(1, 4),
-                   6, HALF)
+    report = x_set(_inst(EdgePredicate.min_edges(12), n=6), 3, Fraction(1, 4))
     assert report.eta_eff == Fraction(report.x_size, comb(6, 3))
     assert report.delta_floor == (Fraction(1, 4) * report.eta_eff
                                   * Fraction(6 ** 3, 6 ** 3))
@@ -525,8 +534,8 @@ def test_x_set_permutation_invariance():
     G = RUniformGraph(n=6, r=2, edge_mask=0b101011001101010)
     base = EdgePredicate.explicit([G.edge_mask])
     moved = EdgePredicate.explicit([permute_graph(G, sigma).edge_mask])
-    a = x_set(base, FAM_K3, 3, Fraction(1, 4), 6, HALF)
-    b = x_set(moved, FAM_K3, 3, Fraction(1, 4), 6, HALF)
+    a = x_set(_inst(base, n=6), 3, Fraction(1, 4))
+    b = x_set(_inst(moved, n=6), 3, Fraction(1, 4))
     assert a.x_size == b.x_size
     assert a.best_mset_count == b.best_mset_count
     assert a.distinct_copies == b.distinct_copies
@@ -535,18 +544,17 @@ def test_x_set_permutation_invariance():
 
 
 def test_x_set_worker_independence():
-    one = x_set(EdgePredicate.min_edges(8), FAM_K3, 3, Fraction(1, 8), 6,
-                HALF, workers=1)
-    four = x_set(EdgePredicate.min_edges(8), FAM_K3, 3, Fraction(1, 8), 6,
-                 HALF, workers=4)
+    inst = _inst(EdgePredicate.min_edges(8), n=6)
+    one = x_set(inst, 3, Fraction(1, 8), workers=1)
+    four = x_set(inst, 3, Fraction(1, 8), workers=4)
     assert one == four
 
 
 def test_x_set_parameter_validation():
     with pytest.raises(ParameterError):
-        x_set(ALWAYS, FAM_K3, 3, Fraction(0), 6, HALF)
+        x_set(_inst(ALWAYS, n=6), 3, Fraction(0))
     with pytest.raises(ParameterError):
-        x_set(ALWAYS, FAM_K3, 9, Fraction(1, 2), 6, HALF)
+        x_set(_inst(ALWAYS, n=6), 9, Fraction(1, 2))
 
 
 def test_counting_floor_example():
