@@ -15,16 +15,15 @@ import io
 import json
 import sys
 from dataclasses import fields, is_dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
-
-import mpmath
 
 from .codec import (encode_graph6, graph_to_json_obj, load_graph,
                     load_graph_list, load_json, save_graph)
 from .errors import HlabError, InputError
 from .extremal import exstar, exstar_to_json_obj, tau, witness_check
-from .family import contains_induced, count_induced, normalize_family
+from .family import count_induced, normalize_family
 from .hypergraph import RUniformGraph
 from .measure import (EdgePredicate, cn_sequence, exact_measure, fraction_str,
                       mc_measure, predicate_from_json_obj)
@@ -55,7 +54,11 @@ def _fraction(text: str) -> Fraction:
 
 
 def _fmt_float(x) -> str:
-    return f"{float(x):.15g}"
+    """x to 15 significant digits through float; a nonzero Decimal that
+    float rounds to 0 (log2 of a measure within 10^-308 of 1) through
+    its own digits."""
+    f = float(x)
+    return f"{x if x and not f else f:.15g}"
 
 
 def _render(x):
@@ -69,7 +72,7 @@ def _render(x):
         return {f.name: _render(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, Fraction):
         return fraction_str(x)
-    if isinstance(x, (float, mpmath.mpf)):
+    if isinstance(x, (float, Decimal)):
         return _fmt_float(x)
     if isinstance(x, dict):
         return {k: _render(v) for k, v in x.items()}
@@ -265,8 +268,8 @@ def _cmd_witness(a: argparse.Namespace) -> list:
 def _cmd_count_induced(a: argparse.Namespace) -> list:
     G = load_graph(a.graph)
     fam = _load_family(a.family)
-    return [{"count": count_induced(G, fam),
-             "contains": contains_induced(G, fam)}]
+    count = count_induced(G, fam)
+    return [{"count": count, "contains": count > 0}]
 
 
 def _cmd_codec(a: argparse.Namespace) -> list:

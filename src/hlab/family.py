@@ -103,27 +103,29 @@ def _check_uniformity(G: RUniformGraph, fam: ForbiddenFamily) -> None:
         raise ParameterError(f"uniformity mismatch: graph r={G.r}, family r={fam.r}")
 
 
-def _induced_hits(G: RUniformGraph, fam: ForbiddenFamily):
-    """Vertex subsets D of G, by order then colex, with G[D] a member."""
-    _check_uniformity(G, fam)
-    for h in fam.orders():
-        if h > G.n:
-            continue
-        orbit = family_orbit(fam, h)
-        local = subsets_colex(h, G.r)
-        for d in combinations(range(G.n), h):
-            if _induced_mask(G, d, local) in orbit:
-                yield d
-
-
-def contains_induced(G: RUniformGraph, fam: ForbiddenFamily) -> bool:
-    """True iff some vertex subset of G induces a family member (F < G)."""
-    return next(_induced_hits(G, fam), None) is not None
+# Largest number of vertex subsets count_induced walks.  At about 11 us a
+# subset (Xeon, 2 vCPUs), 2^22 subsets take about 45 s.
+_COUNT_MAX_SUBSETS = 1 << 22
 
 
 def count_induced(G: RUniformGraph, fam: ForbiddenFamily) -> int:
-    """Number of vertex subsets D with G[D] isomorphic to a member."""
-    return sum(1 for _ in _induced_hits(G, fam))
+    """Number of vertex subsets D with G[D] isomorphic to a member; G
+    contains a member (F < G) iff it is positive.  Refused before the
+    walk when the family's orders h give more than _COUNT_MAX_SUBSETS
+    subsets C(n, h) in all."""
+    _check_uniformity(G, fam)
+    subsets = sum(comb(G.n, h) for h in fam.orders())
+    if subsets > _COUNT_MAX_SUBSETS:
+        raise SizeLimitError(
+            f"induced count over {subsets} vertex subsets exceeds the limit "
+            f"2^{_COUNT_MAX_SUBSETS.bit_length() - 1}")
+    count = 0
+    for h in fam.orders():
+        orbit = family_orbit(fam, h)
+        local = subsets_colex(h, G.r)
+        count += sum(1 for d in combinations(range(G.n), h)
+                     if _induced_mask(G, d, local) in orbit)
+    return count
 
 
 def _vertex_set(vset, n: int) -> tuple:

@@ -4,9 +4,13 @@ mu_k(C) = Pr[G(k,p) in C].  The exact path histograms the masks of C by
 edge count and evaluates sum_e count_e * p^e * (1-p)^(N-e) exactly; p = a/b
 is a rational input throughout, so the sum is one integer dot product of
 the counts with a^e (b-a)^(N-e) over the single denominator b^N, reduced to
-one Fraction.  Entropy constants c_n = -log2(mu_n)/C(n,r) are computed in
-96-bit mpmath arithmetic (round-to-nearest), well above the 50-bit
-contract.
+one Fraction.  log2 mu_n and the entropy constants c_n = -log2(mu_n)/C(n,r)
+carry 30 significant decimal digits (about 100 bits, well above the
+50-bit contract), computed with the standard library's `decimal` from the
+exact integers of mu_n = a/b.  Near 1, |mu_n - 1| < 10^-3 (the sparse end
+of 0 < p < 1), ln(1 + d) is summed as a short series in the exact
+difference a - b, so no digit cancels; elsewhere Decimal.ln takes the
+30-digit quotient a/b.
 
 Every measure runs over a list of levels (lo, hi, keep): a level's
 candidates are the survivors of the level before ORed with every choice
@@ -47,14 +51,15 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import (MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext,
+                     localcontext)
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb
+from itertools import count
+from math import comb, log10
 from operator import index, mul
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 from concurrent.futures import ThreadPoolExecutor
 
@@ -77,7 +82,9 @@ _SLICE_MASKS = 1 << 20
 # bits at a time, one block's worth; the walk sets the higher ones in the
 # parents.
 _OPEN_BITS = _BLOCK_MASKS.bit_length() - 1
-_LOG_PREC_BITS = 96
+# log2 and c_n values carry 30 significant digits, about 100 bits.
+_LOG_CONTEXT = Context(prec=30, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_LN2 = Decimal(2).ln(_LOG_CONTEXT)
 # Levels a predicate file may nest (a leaf is one): each is a recursion.
 _PREDICATE_DEPTH = 64
 
@@ -131,7 +138,7 @@ class MeasureResult:
 
     value: object  # Fraction (exact) or float (montecarlo point estimate)
     method: str
-    log2_value: object
+    log2_value: Decimal | None = None  # exact results only
     samples: int | None = None
     seed: int | None = None
     hits: int | None = None
@@ -144,7 +151,7 @@ class MeasureResult:
 class EntropyPoint:
     n: int
     mu: Fraction
-    c_n: object  # mpmath.mpf
+    c_n: Decimal  # 30 significant digits, from the exact mu
 
 
 def _space_bits(n: int, r: int) -> int:
@@ -154,9 +161,14 @@ def _space_bits(n: int, r: int) -> int:
     return comb(n, r)
 
 
-def check_exact_feasible(n: int, r: int, cap_bits: int | None = None) -> int:
+def check_exact_feasible(n: int, r: int, cap_bits: int | None = None,
+                         sampled: bool = True) -> int:
     """C(n, r) when it fits the mask-space cap: cap_bits, or
-    DEFAULT_EXACT_CAP_BITS when None; no cap may exceed HARD_EXACT_CAP_BITS."""
+    DEFAULT_EXACT_CAP_BITS when None; no cap may exceed HARD_EXACT_CAP_BITS.
+
+    Over the cap the error names only a fallback that works: mc_measure
+    when the scan is a measure (`sampled`) and one uint64 holds its masks,
+    a larger --cap when a scan with no sampled route fits the hard cap."""
     nbits = _space_bits(n, r)
     cap = DEFAULT_EXACT_CAP_BITS if cap_bits is None else cap_bits
     if cap < 0:
@@ -166,10 +178,16 @@ def check_exact_feasible(n: int, r: int, cap_bits: int | None = None) -> int:
             f"exact cap {cap} exceeds hard cap {HARD_EXACT_CAP_BITS} bits"
         )
     if nbits > cap:
-        fallback = ("fall back to mc_measure for a sampled estimate"
-                    if nbits <= _SAMPLE_MAX_BITS else
-                    f"no sampled fallback exists yet above C(n,r) = "
-                    f"{_SAMPLE_MAX_BITS} bits")
+        if not sampled:
+            fallback = (f"raise --cap to {nbits}"
+                        if nbits <= HARD_EXACT_CAP_BITS else
+                        f"no fallback exists above the hard cap "
+                        f"2^{HARD_EXACT_CAP_BITS}")
+        elif nbits <= _SAMPLE_MAX_BITS:
+            fallback = "fall back to mc_measure for a sampled estimate"
+        else:
+            fallback = (f"no sampled fallback exists yet above C(n,r) = "
+                        f"{_SAMPLE_MAX_BITS} bits")
         raise FeasibilityError(
             f"mask space 2^{nbits} for (n={n}, r={r}) exceeds the exact cap "
             f"2^{cap}; {fallback}"
@@ -358,20 +376,49 @@ def weight_powers(p: Fraction, nbits: int) -> tuple:
     return tuple(map(mul, pe, reversed(qe))), b ** nbits
 
 
-def value_from_histogram(hist, p: Fraction, nbits: int) -> Fraction:
-    """sum_e hist[e] p^e (1-p)^(nbits-e) for a list of Python ints: one
-    integer dot product over weight_powers' denominator, one Fraction."""
-    w, den = weight_powers(p, nbits)
+def value_from_histogram(hist, p: Fraction) -> Fraction:
+    """sum_e hist[e] p^e (1-p)^(N-e), N = len(hist) - 1, for a list of
+    Python ints: one integer dot product over weight_powers' denominator,
+    one Fraction."""
+    w, den = weight_powers(p, len(hist) - 1)
     return Fraction(sum(map(mul, hist, w)), den)
 
 
-def log2_fraction(x: Fraction):
-    if x == 0:
-        return mpmath.mpf("-inf")
-    with mpmath.workprec(_LOG_PREC_BITS):
-        return mpmath.log(mpmath.mpf(x.numerator), 2) - mpmath.log(
-            mpmath.mpf(x.denominator), 2
-        )
+def _quotient(a: int, b: int) -> Decimal:
+    """a / b for b > 0, to the current context's digits: the integer
+    quotient of a 10^k by b, for a k that leaves it a few digits more, so
+    that no huge integer is converted to Decimal."""
+    k = (getcontext().prec + 3
+         - int((a.bit_length() - b.bit_length() - 1) * log10(2)))
+    q = a * 10 ** k // b if k >= 0 else a // (b * 10 ** -k)
+    return Decimal(q).scaleb(-k)
+
+
+def _log2_ratio(a: int, b: int) -> Decimal:
+    """log2(a / b) for a >= 0 and b > 0, -Infinity at a = 0.
+
+    Within 10^-3 of 1 it sums ln(a/b) = 2 atanh(s) = 2 (s + s^3/3 + ...),
+    the series of ln(1 + d) at d = a/b - 1 rewritten in s = d / (2 + d)
+    = (a - b) / (a + b): s is a quotient of exact integers, so no digit
+    cancels, and |s| < 5 * 10^-4 needs about five terms.  Elsewhere it is
+    Decimal.ln of the quotient a/b.
+    """
+    if a == 0:
+        return Decimal("-Infinity")
+    with localcontext(_LOG_CONTEXT):
+        if abs(a - b) * 1000 >= b:
+            return _quotient(a, b).ln() / _LN2
+        s = term = ln = _quotient(a - b, a + b)
+        for k in count(3, 2):
+            term *= s * s
+            if (ln_next := ln + term / k) == ln:
+                return 2 * ln / _LN2
+            ln = ln_next
+
+
+def log2_fraction(x: Fraction) -> Decimal:
+    """log2 x for x >= 0, to 30 significant digits."""
+    return _log2_ratio(x.numerator, x.denominator)
 
 
 def _tests_family(pred) -> bool:
@@ -407,9 +454,9 @@ def exact_measure(n: int, r: int, p, pred, cap_bits: int | None = None,
     pred's levels, from one walk: vertex by vertex for a hereditary pred
     with a `forb` test, one level over all 2^C(n,r) masks for any other."""
     p = _validate_p(p)
-    nbits = check_exact_feasible(n, r, cap_bits)
-    value = value_from_histogram(_histograms(_levels(pred, n, r), workers)[-1],
-                                 p, nbits)
+    check_exact_feasible(n, r, cap_bits)
+    hist = _histograms(_levels(pred, n, r), workers)[-1]
+    value = value_from_histogram(hist, p)
     return MeasureResult(value=value, method="exact",
                          log2_value=log2_fraction(value))
 
@@ -485,20 +532,21 @@ def mc_measure(n: int, r: int, p, pred, samples: int, seed: int,
             one, range(0, samples, _BLOCK_MASKS)))
     est = hits / samples
     lo, hi = clopper_pearson(hits, samples, ci_level)
-    log2v = mpmath.mpf("-inf") if est == 0 else mpmath.mpf(float(np.log2(est)))
-    return MeasureResult(value=est, method="montecarlo", log2_value=log2v,
+    return MeasureResult(value=est, method="montecarlo",
                          samples=samples, seed=seed, hits=hits,
                          ci_level=ci_level, ci_low=lo, ci_high=hi)
 
 
-def cn_from_measure(n: int, r: int, mu: Fraction):
+def cn_from_measure(n: int, r: int, mu: Fraction) -> Decimal:
+    """c_n = log2(1/mu) / C(n, r), to 30 significant digits; log2 of 1/mu,
+    not -log2 mu, so that mu = 1 gives 0 and not -0."""
     nbits = comb(n, r)
     if nbits < 1:
         raise ParameterError(f"c_n undefined for C({n},{r}) = 0")
     if mu <= 0:
         raise ParameterError("c_n undefined for zero measure")
-    with mpmath.workprec(_LOG_PREC_BITS):
-        return -log2_fraction(mu) / nbits
+    with localcontext(_LOG_CONTEXT):
+        return _log2_ratio(mu.denominator, mu.numerator) / nbits
 
 
 def cn_sequence(fam: ForbiddenFamily, p, n_list, cap_bits: int | None = None,
@@ -514,23 +562,24 @@ def cn_sequence(fam: ForbiddenFamily, p, n_list, cap_bits: int | None = None,
     r = fam.r
     if n_list:
         p = _validate_p(p)
-    sizes, failure = [], None
+    feasible, failure = [], None
     for n in n_list:
         try:
-            sizes.append((n, check_exact_feasible(n, r, cap_bits)))
+            check_exact_feasible(n, r, cap_bits)
         except (ParameterError, FeasibilityError) as exc:
             failure = exc
             break
-    if sizes:  # built before any error is raised: a refused order comes first
-        levels = _levels(EdgePredicate.forb(fam), max(n for n, _ in sizes), r)
+        feasible.append(n)
+    if feasible:  # built before any error is raised: a refused order comes first
+        levels = _levels(EdgePredicate.forb(fam), max(feasible), r)
     if failure is not None and all(_surely_positive(levels, n, p)
-                                   for n, _ in sizes):
+                                   for n in feasible):
         raise failure
     out = []
-    if sizes:
+    if feasible:
         hists = _histograms(levels, workers)
-        for n, nbits in sizes:
-            mu = value_from_histogram(hists[n], p, nbits)
+        for n in feasible:
+            mu = value_from_histogram(hists[n], p)
             out.append(EntropyPoint(n=n, mu=mu, c_n=cn_from_measure(n, r, mu)))
     if failure is not None:
         raise failure

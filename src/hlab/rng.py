@@ -107,8 +107,9 @@ def shuffle_targets(keys: np.ndarray, counter: int, count: int) -> tuple:
     keys[i], every stream at `counter` (its next draw is output counter+1).
 
     Returns (targets, ends): targets[i, t] is the index swapped with
-    position count-1-t, drawn as ``Rng.random_below(count - t)`` draws
-    it, and ends[i] is row i's counter after its last draw.  All rows
+    position count-1-t, the next output u below the largest multiple of
+    m = count - t under 2^64 (an unbiased rejection draw), taken mod m,
+    and ends[i] is row i's counter after its last draw.  All rows
     are drawn in one block; a row whose draw is rejected is redrawn
     alone from the counter just past the rejected one.
     """
@@ -186,20 +187,10 @@ class Rng:
         self._counter += 1
         return raw_u64(self._key, self._counter)
 
-    def random_below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection; unbiased."""
-        if n <= 0:
-            raise ParameterError("random_below needs n >= 1")
-        lim = ((1 << 64) // n) * n
-        while True:
-            u = self.next_u64()
-            if u < lim:
-                return u % n
-
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by this stream: the same
-        permutation and counter as drawing each swap index with
-        ``random_below``, from the top position down."""
+        """In-place Fisher-Yates shuffle driven by this stream, from the top
+        position down, each swap index one unbiased rejection draw of
+        ``shuffle_targets``."""
         key = np.array([self._key], dtype=np.uint64)
         targets, ends = shuffle_targets(key, self._counter, len(items))
         _swap(items, targets[0])

@@ -185,7 +185,7 @@ def _theta_scan(inst: Instance, nbits: int, vsets, workers: int) -> tuple:
                 best = part_best
 
     def value(hist):
-        return value_from_histogram(hist.tolist(), inst.p, nbits)
+        return value_from_histogram(hist.tolist(), inst.p)
 
     return value(a_hist), tuple(value(h) for h in hists), value(whist), best
 
@@ -234,7 +234,7 @@ def partition_table(inst: Instance, cap_bits: int | None = None,
         raise FeasibilityError(
             f"partition table of 2^{d} patterns x {width} edge counts "
             f"exceeds the limit of {MAX_PARTITION_ENTRIES} entries")
-    nbits = check_exact_feasible(n, r, cap_bits)
+    nbits = check_exact_feasible(n, r, cap_bits, sampled=False)
     blocks = sys.blocks
     patterns = np.min_scalar_type((1 << d) - 1)
     # each block's own kernel, as EdgePredicate.contains(fam, within=b)
@@ -262,7 +262,7 @@ def partition_table(inst: Instance, cap_bits: int | None = None,
     sizes = np.bitwise_count(filled)
 
     def value(hist):
-        return value_from_histogram(hist.tolist(), inst.p, nbits)
+        return value_from_histogram(hist.tolist(), inst.p)
 
     cells = dict(zip(filled.tolist(), map(value, table)))
     total = value(table.sum(axis=0))
@@ -367,7 +367,7 @@ def lemma_report(inst: Instance, cap_bits: int | None = None,
     """Compute theta_1..theta_d, I = {i : theta_i >= gamma mu(A)}, eta
     over the instance's system and params."""
     sys, params = inst.require("system"), inst.require("params")
-    nbits = check_exact_feasible(inst.n, inst.r, cap_bits)
+    nbits = check_exact_feasible(inst.n, inst.r, cap_bits, sampled=False)
     mu_A, theta, _, _ = _theta_scan(inst, nbits, sys.blocks, workers)
     gamma = params.gamma
     threshold = gamma * mu_A
@@ -421,7 +421,7 @@ def x_set(inst: Instance, m: int, gamma, cap_bits: int | None = None,
     n, r = inst.n, inst.r
     if not 1 <= m <= n:
         raise ParameterError(f"need 1 <= m <= n, got (m={m}, n={n})")
-    nbits = check_exact_feasible(n, r, cap_bits)
+    nbits = check_exact_feasible(n, r, cap_bits, sampled=False)
     dsets = subsets_colex(n, m)
     nd = len(dsets)
     mu_A, theta, lhs_mask_route, best = _theta_scan(inst, nbits, dsets,

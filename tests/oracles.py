@@ -12,6 +12,7 @@ against `oracle_masks`.  `random_graph` draws from the library's scalar
 `Rng`, whose streams define the draws it is compared on.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -145,6 +146,18 @@ def _beta_quantile(a: int, b: int, target, rel: float = 2.0 ** -60):
     return float((lo + hi) / 2)
 
 
+def log2_oracle(x) -> Decimal:
+    """log2 x of a positive rational a/b, to 150 significant digits: the
+    quotient, then its log, in mpmath at 640 bits more than a and b have.
+    A quotient x != 1 is at least 2^-L away from 1, L the longer bit
+    length, so its log keeps 640 bits however close to 1 it is."""
+    x = Fraction(x)
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    with mpmath.workprec(640 + bits):
+        value = mpmath.log(mpmath.mpf(x.numerator) / x.denominator, 2)
+        return Decimal(mpmath.nstr(value, 150))
+
+
 def clopper_pearson_bisect(hits: int, samples: int, level: float) -> tuple:
     """Clopper-Pearson bounds from their definition: lo is the p with
     P(Bin(samples, p) >= hits) = alpha/2, hi the p with
@@ -223,10 +236,23 @@ def vertex_levels(n: int, r: int) -> list:
     return levels
 
 
+def random_below(rng, n: int) -> int:
+    """Uniform integer in [0, n) from rng's next outputs, by rejection:
+    an output at or past the largest multiple of n under 2^64 is redrawn,
+    so the draw is unbiased."""
+    if n <= 0:
+        raise ValueError("random_below needs n >= 1")
+    lim = ((1 << 64) // n) * n
+    while True:
+        u = rng.next_u64()
+        if u < lim:
+            return u % n
+
+
 def shuffle_scalar(rng, items: list) -> None:
     """Fisher-Yates from the top, one `random_below` draw per position."""
     for i in range(len(items) - 1, 0, -1):
-        j = rng.random_below(i + 1)
+        j = random_below(rng, i + 1)
         items[i], items[j] = items[j], items[i]
 
 

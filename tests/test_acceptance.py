@@ -26,8 +26,8 @@ from hlab.steiner import (SteinerSystem, greedy_system, maximality_report,
 from hlab.supersat import (Instance, counting_floor, partition_table,
                            projection_bound_check, tail_mass, x_set)
 
-from oracles import (exstar_exhaustive, max_packing, random_graph,
-                     triangle_free_measure)
+from oracles import (exstar_exhaustive, max_packing, random_below,
+                     random_graph, triangle_free_measure)
 
 HALF = Fraction(1, 2)
 K3 = complete_graph(3, 2)
@@ -219,7 +219,7 @@ def _property_bundle(workers: int) -> str:
 
     codes = []
     for _ in range(20):
-        n = 2 + rng.random_below(4)
+        n = 2 + random_below(rng, 4)
         G = random_graph(n, 2, Fraction(1, 2), rng)
         sigma = list(range(n))
         rng.shuffle(sigma)
@@ -232,8 +232,8 @@ def _property_bundle(workers: int) -> str:
 
     measures = []
     for _ in range(6):
-        n = 3 + rng.random_below(3)
-        k = rng.random_below(comb(n, 2) + 1)
+        n = 3 + random_below(rng, 3)
+        k = random_below(rng, comb(n, 2) + 1)
         pred = EdgePredicate.min_edges(k)
         mu = exact_measure(n, 2, Fraction(1, 3), pred, workers=workers).value
         comp = exact_measure(n, 2, Fraction(1, 3),
@@ -245,8 +245,8 @@ def _property_bundle(workers: int) -> str:
 
     systems = []
     for _ in range(8):
-        n = 7 + rng.random_below(6)
-        seed = rng.random_below(1 << 32)
+        n = 7 + random_below(rng, 6)
+        seed = random_below(rng, 1 << 32)
         sys_ = greedy_system(2, 3, n, seed=seed)
         assert verify_system(2, 3, n, sys_.blocks).valid
         assert maximality_report(sys_).maximal
@@ -255,9 +255,9 @@ def _property_bundle(workers: int) -> str:
 
     tables = []
     for _ in range(4):
-        seed = rng.random_below(1 << 32)
+        seed = random_below(rng, 1 << 32)
         sys_ = greedy_system(2, 3, 6, seed=seed)
-        kmin = rng.random_below(10)
+        kmin = random_below(rng, 10)
         pred = EdgePredicate.min_edges(kmin)
         table = partition_table(_instance(pred, sys_), workers=workers)
         mu_mB = exact_measure(3, 2, HALF, FORB_K3).value
@@ -270,7 +270,7 @@ def _property_bundle(workers: int) -> str:
 
     taus = []
     for _ in range(10):
-        n = 2 + rng.random_below(5)
+        n = 2 + random_below(rng, 5)
         F = random_graph(n, 2, Fraction(1, 2), rng)
         sigma = list(range(n))
         rng.shuffle(sigma)

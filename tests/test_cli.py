@@ -15,6 +15,8 @@ from hlab.measure import EdgePredicate, exact_measure
 from hlab.steiner import SteinerSystem, save_system
 from hlab.supersat import Instance, LemmaParameters, save_instance
 
+from oracles import log2_oracle
+
 K3 = complete_graph(3, 2)
 C4 = graph_from_edges(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)])
 P5 = graph_from_edges(5, 2, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -83,6 +85,10 @@ def test_measure_prints_values_past_the_str_digit_limit(files, capsys):
         sys.set_int_max_str_digits(limit)
     assert len(want) > 2 * limit
     assert obj["value"] == want
+    # log2 mu is about -5e-749, below float's range: it prints its own
+    # 15 digits, not the -0 that float would round it to.
+    assert obj["log2_value"] == f"{log2_oracle(value):.15g}"
+    assert obj["log2_value"].endswith("e-749")
 
 
 def test_measure_min_edges(files, capsys):
@@ -128,7 +134,7 @@ def test_cn_sequence(files, capsys):
     assert rows[0]["mu"] == "1/1"
     assert rows[1]["mu"] == "7/8"
     assert rows[2]["mu"] == "41/64"
-    assert float(rows[0]["c_n"]) == 0.0
+    assert rows[0]["c_n"] == "0"  # mu = 1: not "-0"
 
 
 def test_mc_smoke_and_determinism(files, capsys):
@@ -233,6 +239,9 @@ def test_count_induced_command(files, capsys):
     obj = run_json(capsys, ["count-induced", "--graph", files["c4"],
                             "--family", files["fam_k3"]])
     assert obj == {"count": 0, "contains": False}
+    obj = run_json(capsys, ["count-induced", "--graph", files["k3"],
+                            "--family", files["fam_k3"]])
+    assert obj == {"count": 1, "contains": True}
 
 
 def test_codec_command(files, capsys, tmp_path):
@@ -287,6 +296,50 @@ def test_domain_error_infeasible(files, capsys):
     assert "mc_measure" in err
 
 
+def test_lemma_over_the_cap_names_a_working_cap(files, capsys, tmp_path):
+    # lemma has no sampled route: over the cap it names the --cap that
+    # runs it, and that --cap does.
+    path = tmp_path / "inst7.json"
+    path.write_text(_instance(n=7, system_n=7))
+    argv = ["lemma", "--instance", str(path)]
+    code, out, err = run(capsys, argv + ["--cap", "20"])
+    assert (code, out) == (1, "")
+    assert err == ("error: mask space 2^21 for (n=7, r=2) exceeds the exact "
+                   "cap 2^20; raise --cap to 21\n")
+    assert run_json(capsys, argv + ["--cap", "21"])["d"] == 1
+
+
+@pytest.mark.parametrize("p", ["1/1000000", "1/10000000000"])
+def test_sparse_log2_and_cn_hold_15_digits(files, capsys, p):
+    # mu_n is within 10^-16 of 1 here, so log2 mu_n and c_n rest on the
+    # exact 1 - mu_n; each prints the 15 digits of a reference of at least
+    # 640 bits.
+    def digits(x):
+        return f"{float(x):.15g}"
+
+    row = run_json(capsys, ["measure", "--n", "7", "--r", "2", "--p", p,
+                            "--forb", files["k3"]])
+    assert row["log2_value"] == digits(log2_oracle(Fraction(row["value"])))
+    points = run_json(capsys, ["cn", "--family", files["k3"], "--p", p,
+                               "--n-list", "3,7"])
+    assert points[1]["mu"] == row["value"]
+    for pt, edges in zip(points, (3, 21)):
+        assert pt["c_n"] == digits(-log2_oracle(Fraction(pt["mu"])) / edges)
+    assert float(points[0]["c_n"]) > 0
+
+
+def test_count_induced_refuses_a_long_walk(files, capsys, tmp_path):
+    # An 8-vertex member in a 30-vertex graph: C(30, 8) subsets, past 2^22.
+    big, path8 = str(tmp_path / "e30.g6"), str(tmp_path / "p8.g6")
+    save_graph(graph_from_edges(30, 2, []), big)
+    save_graph(graph_from_edges(8, 2, [(i, i + 1) for i in range(7)]), path8)
+    code, out, err = run(capsys, ["count-induced", "--graph", big,
+                                  "--family", path8])
+    assert (code, out) == (1, "")
+    assert err == ("error: induced count over 5852925 vertex subsets exceeds "
+                   "the limit 2^22\n")
+
+
 def test_infeasible_beyond_sampling_names_no_fallback(files, capsys):
     # C(12,2) = 66 bits: too wide for the exact scan and for mc alike.
     code, out, err = run(capsys, ["measure", "--n", "12", "--r", "2",
@@ -312,6 +365,7 @@ assert hlab.cli.main(["mc", "--n", "4", "--r", "2", "--p", "1/2",
                       "--forb", sys.argv[1]]) == 0
 assert "scipy.special" in sys.modules
 assert "scipy.stats" not in sys.modules, loaded()
+assert "mpmath" not in sys.modules
 """
 
 
@@ -329,7 +383,8 @@ def _source_tree_env() -> dict:
 
 def test_scipy_loaded_only_by_mc(files):
     # A fresh interpreter: only mc's interval needs scipy, and only
-    # scipy.special, so every other command starts without it.
+    # scipy.special, so every other command starts without it; no command
+    # loads mpmath, which only the tests use.
     import subprocess
     import sys as _sys
 
@@ -612,13 +667,13 @@ _EXPLICIT = ["measure", "--n", "4", "--r", "2", "--p", "1/2",
 _LEMMA = ["lemma", "--instance", "{pred}"]
 
 
-def _instance(p="1/2", n=4, r=2, **params):
-    """A lemma instance file with n, r, p and params overridden; the
-    family and the (2, 3, 4) system stay as they are."""
+def _instance(p="1/2", n=4, r=2, system_n=4, **params):
+    """A lemma instance file with n, r, p, the system's n and params
+    overridden; the family and the system's one block stay as they are."""
     return json.dumps({
         "n": n, "r": r, "p": p, "predicate": {"kind": "min_edges", "k": 2},
         "family": [{"n": 3, "r": 2, "edges": [[0, 1], [0, 2], [1, 2]]}],
-        "system": {"r": 2, "m": 3, "n": 4, "blocks": [[0, 1, 2]]},
+        "system": {"r": 2, "m": 3, "n": system_n, "blocks": [[0, 1, 2]]},
         "params": {"nu": "1/4", "m": 3, **params}})
 
 
@@ -680,6 +735,11 @@ def _instance(p="1/2", n=4, r=2, **params):
     (["floor", "--n", "10000000", "--m", "5000000", "--t", "5000"], None, 1),
     (["verify-steiner", "--system", "{pred}"],
      '{"r":2,"m":3,"n":1' + "0" * 5000 + ',"blocks":[[0,1,2]]}', 1),
+    (_LEMMA, _instance(n=8, system_n=8), 1),
+    (["partition", "--instance", "{pred}"], _instance(n=8, system_n=8), 1),
+    (["xset", "--instance", "{pred}"], _instance(n=8, system_n=8), 1),
+    (["tailmass", "--nu", "1/2", "--d", "1", "--mu", "7/8", "--instance",
+      "{pred}"], _instance(n=8, system_n=8), 1),
 ], ids=["explicit-negative", "explicit-2^64", "explicit-9999",
         "explicit-2^64-1", "explicit-float", "predicate-bad-json",
         "cn-n-list", "cn-n-list-empty", "cn-n-list-empty-csv",
@@ -693,7 +753,8 @@ def _instance(p="1/2", n=4, r=2, **params):
         "instance-p-zero-denominator", "instance-nu-zero-denominator",
         "instance-n-lemma", "instance-n-partition", "instance-n-xset",
         "instance-n-tailmass", "instance-r-family", "instance-m-system",
-        "tailmass-size-huge", "floor-size-huge", "json-int-huge"])
+        "tailmass-size-huge", "floor-size-huge", "json-int-huge",
+        "cap-lemma", "cap-partition", "cap-xset", "cap-tailmass"])
 def test_rejected_input_one_error_line(files, capsys, tmp_path, argv, pred,
                                        code):
     (tmp_path / "pred.json").write_text(pred or "")
@@ -709,6 +770,8 @@ def test_rejected_input_one_error_line(files, capsys, tmp_path, argv, pred,
     assert "Traceback" not in captured.err
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: " if code == 1 else "usage error: ")
+    # no row is a measure over the cap, the one error with a sampled route
+    assert "mc_measure" not in captured.err
 
 
 def test_empty_within_is_an_empty_scope(files, capsys, tmp_path):

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from hlab.errors import ConstructionError, ParameterError, SizeLimitError
 from hlab.family import (_COMPARE_MAX_ORBIT, _compare_kernel, _contains_rows,
-                         _gather_kernel, batch_contains, contains_induced,
-                         count_induced, family_orbit, family_orbit_lookup,
-                         normalize_family)
+                         _gather_kernel, batch_contains, count_induced,
+                         family_orbit, family_orbit_lookup, normalize_family)
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph)
 from hlab.measure import EdgePredicate, _rule
@@ -84,9 +83,9 @@ def test_normalize_member_order_stable(k3, c4, p3):
 def test_contains_examples(k3, k4, c4, p3):
     famk3 = normalize_family([k3])
     famp3 = normalize_family([p3])
-    assert contains_induced(k4, famk3)
-    assert not contains_induced(c4, famk3)
-    assert contains_induced(cycle(5), famp3)
+    assert count_induced(k4, famk3) > 0
+    assert count_induced(c4, famk3) == 0
+    assert count_induced(cycle(5), famp3) > 0
 
 
 def test_count_examples(k3, k4, c4, p3):
@@ -97,8 +96,6 @@ def test_count_examples(k3, k4, c4, p3):
 
 def test_uniformity_mismatch(k3):
     fam = normalize_family([complete_graph(3, 3)])
-    with pytest.raises(ParameterError):
-        contains_induced(k3, fam)
     with pytest.raises(ParameterError):
         count_induced(k3, fam)
     with pytest.raises(ParameterError):
@@ -115,7 +112,6 @@ def test_count_oracle_exhaustive_small(k3, p3):
             for fam in fams:
                 expect = naive_count_induced(G, fam.members)
                 assert count_induced(G, fam) == expect
-                assert contains_induced(G, fam) == (expect > 0)
 
 
 @given(graphs(max_n=7))
@@ -137,8 +133,8 @@ def test_hereditary(G, data):
     size = data.draw(st.integers(3, G.n))
     d = tuple(sorted(data.draw(
         st.sets(st.integers(0, G.n - 1), min_size=size, max_size=size))))
-    if contains_induced(induced_subgraph(G, d), fam):
-        assert contains_induced(G, fam)
+    if count_induced(induced_subgraph(G, d), fam) > 0:
+        assert count_induced(G, fam) > 0
 
 
 def test_family_orbit_matches_membership(k3, p3):
@@ -191,7 +187,7 @@ def test_batch_matches_scalar(n, data):
     hit = batch_contains(masks, n, 2, fam)
     for mask, flag in zip(masks.tolist(), hit.tolist()):
         G = RUniformGraph(n=n, r=2, edge_mask=int(mask))
-        assert flag == contains_induced(G, fam)
+        assert flag == (count_induced(G, fam) > 0)
 
 
 @given(st.data())
@@ -208,7 +204,7 @@ def test_batch_within_is_induced_restriction(data):
     hit = _rule(EdgePredicate.contains(fam, within), n, 2)(masks)
     for mask, flag in zip(masks.tolist(), hit.tolist()):
         G = RUniformGraph(n=n, r=2, edge_mask=int(mask))
-        assert flag == contains_induced(induced_subgraph(G, within), fam)
+        assert flag == (count_induced(induced_subgraph(G, within), fam) > 0)
 
 
 @given(st.data())
@@ -395,7 +391,7 @@ def test_batch_contains_r3():
     hit = batch_contains(masks, n, 3, fam)
     for mask, flag in zip(masks.tolist(), hit.tolist()):
         G = RUniformGraph(n=n, r=3, edge_mask=int(mask))
-        assert flag == contains_induced(G, fam)
+        assert flag == (count_induced(G, fam) > 0)
 
 
 def test_lookup_table_size_limit(monkeypatch):
@@ -415,6 +411,22 @@ def test_lookup_table_size_limit(monkeypatch):
     masks = np.arange(5, dtype=np.uint64) * np.uint64(0x0123456789ABCD)
     with pytest.raises(SizeLimitError, match="2\\^35"):
         batch_contains(masks, 8, 3, fam)
+
+
+def test_count_induced_size_limit(monkeypatch):
+    # An 8-vertex member in a 30-vertex graph: C(30, 8) = 5,852,925
+    # subsets, past 2^22, so the count is refused before the walk.  With
+    # a 3-vertex member too the sum counts both orders.
+    import hlab.family as family_module
+
+    path8 = graph_from_edges(8, 2, [(i, i + 1) for i in range(7)])
+    G = RUniformGraph(n=30, r=2, edge_mask=0)
+    monkeypatch.setattr(family_module, "_induced_mask", None)
+    with pytest.raises(SizeLimitError, match=r"over 5852925 vertex subsets "
+                                             r"exceeds the limit 2\^22"):
+        count_induced(G, normalize_family([path8]))
+    with pytest.raises(SizeLimitError, match="over 5856985 vertex"):
+        count_induced(G, normalize_family([path8, complete_graph(3, 2)]))
 
 
 def test_members_of_order(k3, c4):

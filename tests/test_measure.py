@@ -1,10 +1,10 @@
 import json
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,7 +22,7 @@ from hlab.measure import (_SLICE_MASKS, HARD_EXACT_CAP_BITS, EdgePredicate,
                           predicate_to_json_obj, weight_powers)
 
 from oracles import (clopper_pearson_bisect, full_scan_histogram,
-                     naive_contains, naive_level_histograms, naive_measure,
+                     log2_oracle, naive_contains, naive_level_histograms, naive_measure,
                      naive_satisfies, oracle_masks, random_graph,
                      sample_masks, triangle_free_measure, vertex_levels)
 
@@ -184,6 +184,20 @@ def test_feasibility_names_only_a_working_fallback():
         mc_measure(12, 2, HALF, FORB_K3, samples=10, seed=0)
 
 
+def test_feasibility_without_a_sampled_route():
+    # A scan that mc_measure cannot stand in for names a larger cap while
+    # one fits the hard cap, and no fallback past it.
+    with pytest.raises(FeasibilityError) as exc:
+        check_exact_feasible(8, 2, sampled=False)
+    assert str(exc.value) == ("mask space 2^28 for (n=8, r=2) exceeds the "
+                              "exact cap 2^24; raise --cap to 28")
+    with pytest.raises(FeasibilityError) as exc:
+        check_exact_feasible(9, 2, 30, sampled=False)
+    assert str(exc.value) == ("mask space 2^36 for (n=9, r=2) exceeds the "
+                              "exact cap 2^30; no fallback exists above the "
+                              "hard cap 2^30")
+
+
 def test_invalid_probability():
     with pytest.raises(ParameterError):
         exact_measure(3, 2, Fraction(3, 2), FORB_K3)
@@ -193,11 +207,12 @@ def test_invalid_probability():
 
 def test_cn_examples():
     assert cn_from_measure(2, 2, Fraction(1)) == 0
+    # log2 of 1/mu, so c_n of mu = 1 prints as 0, not -0
+    assert not cn_from_measure(2, 2, Fraction(1)).is_signed()
     c3 = cn_from_measure(3, 2, Fraction(7, 8))
-    expect = (3 - mpmath.log(7, 2)) / 3
-    assert abs(c3 - expect) < mpmath.mpf(2) ** -50
+    assert abs(c3 - (3 - log2_oracle(7)) / 3) < Decimal(2) ** -50
     c4 = cn_from_measure(4, 2, Fraction(41, 64))
-    assert abs(c4 - (6 - mpmath.log(41, 2)) / 6) < mpmath.mpf(2) ** -50
+    assert abs(c4 - (6 - log2_oracle(41)) / 6) < Decimal(2) ** -50
 
 
 def test_cn_sequence_structure():
@@ -209,7 +224,7 @@ def test_cn_sequence_structure():
 
 
 def test_cn_nondecreasing_families():
-    slack = mpmath.mpf(2) ** -40
+    slack = Decimal(2) ** -40
     for g in (K3, C4, P3):
         pts = cn_sequence(normalize_family([g]), HALF, range(2, 8))
         for a, b in zip(pts, pts[1:]):
@@ -228,10 +243,28 @@ def test_cn_zero_measure_rejected():
 
 def test_log2_fraction_precision():
     x = Fraction(41, 64)
-    got = log2_fraction(x)
-    with mpmath.workprec(96):
-        expect = mpmath.log(41, 2) - 6
-        assert abs(got - expect) < mpmath.mpf(2) ** -60
+    assert abs(log2_fraction(x) - log2_oracle(x)) < Decimal(2) ** -60
+    assert log2_fraction(Fraction(0)) == Decimal("-Infinity")
+
+
+@given(st.integers(1, 60), st.integers(0, 40), st.data())
+def test_log2_fraction_near_one(k, extra, data):
+    # x = a/b within 10^-k of 1: the value rests on the exact a - b, so
+    # all of its 30 digits hold however many leading digits a and b share.
+    b = data.draw(st.integers(10 ** k, 10 ** (k + extra + 1)))
+    a = b + data.draw(st.integers(-((b - 1) // 10 ** k), (b - 1) // 10 ** k))
+    got, expect = log2_fraction(Fraction(a, b)), log2_oracle(Fraction(a, b))
+    if a == b:
+        assert got == 0 and not got.is_signed()
+    else:
+        assert abs((got - expect) / expect) < Decimal(2) ** -90
+
+
+def test_log2_fraction_of_a_huge_denominator():
+    # 1/10^129000 (p = 10^-4300 over C(n,r) = 30 edges): the quotient comes
+    # from an integer division, not from a 129,000-digit Decimal.
+    x = Fraction(1, 10 ** 129000)
+    assert abs(log2_fraction(x) + 129000 * log2_oracle(10)) < Decimal(2) ** -60
 
 
 def test_mc_determinism():

@@ -1,4 +1,5 @@
-"""Every module-level public function and class of `hlab` has a caller.
+"""Every public module-level function and class of `hlab`, and every
+public method of such a class, has a caller.
 
 A name counts as used when some program file (`src/hlab/`, `scripts/`,
 `perfbench/`) refers to it, as a bare name or an attribute, outside its
@@ -25,25 +26,50 @@ def _referenced(node: ast.AST) -> Counter:
     return out
 
 
+def _public_defs(body: list, prefix: str = ""):
+    """(qualified name, node) of each public def or class in body, and of
+    each public method of such a class."""
+    for node in body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef) and not prefix:
+                yield from _public_defs(node.body, f"{node.name}.")
+
+
 def unused_public_names(root: Path = ROOT) -> list:
     """(module, name) of each public module-level def or class of
-    root/src/hlab that no program file refers to outside its definition."""
+    root/src/hlab, or public method of such a class (as Class.method),
+    that no program file refers to outside its definition."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for top in PROGRAM_DIRS for path in sorted((root / top).glob("*.py"))}
     assert root / "src/hlab/__init__.py" in trees, f"no hlab package in {root}"
     uses = sum(map(_referenced, trees.values()), Counter())
     unused = []
     for path in sorted((root / "src/hlab").glob("*.py")):
-        for node in trees[path].body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and uses[node.name] == _referenced(node)[node.name]):
-                unused.append((path.stem, node.name))
+        for name, node in _public_defs(trees[path].body):
+            if uses[node.name] == _referenced(node)[node.name]:
+                unused.append((path.stem, name))
     return unused
 
 
 def test_every_public_name_has_a_caller():
     assert unused_public_names() == []
+
+
+def test_unused_method_is_found(tmp_path):
+    # A public method that only its own body names is reported; a private
+    # one, and one another program file calls, are not.
+    for top in PROGRAM_DIRS:
+        (tmp_path / top).mkdir(parents=True)
+    (tmp_path / "src/hlab/__init__.py").write_text("")
+    (tmp_path / "src/hlab/mod.py").write_text(
+        "class C:\n"
+        "    def used(self):\n        return self._hidden()\n"
+        "    def unused(self):\n        return self.unused()\n"
+        "    def _hidden(self):\n        return 0\n")
+    (tmp_path / "scripts/run.py").write_text("C().used()\n")
+    assert unused_public_names(tmp_path) == [("mod", "C.unused")]
 
 
 def _calls(tree: ast.AST, name: str, skip: ast.AST | None = None) -> list:

@@ -11,7 +11,8 @@ from hlab.rng import (Rng, _swap, bernoulli_columns, bernoulli_threshold,
                       raw_u64, raw_u64_rows, seed_keys, shuffle_targets,
                       stream_key, stream_keys)
 
-from oracles import bernoulli_masks, shuffle_scalar, substream_blocks
+from oracles import (bernoulli_masks, random_below, shuffle_scalar,
+                     substream_blocks)
 
 
 def row(seed: int, stream: int, first: int, count: int) -> list:
@@ -124,7 +125,7 @@ def test_distinct_streams_disagree(seed, s1, s2):
 
 @given(st.integers(1, 10**6), st.integers(0, 2**64 - 1))
 def test_random_below_in_range(bound, seed):
-    v = Rng(seed).random_below(bound)
+    v = random_below(Rng(seed), bound)
     assert 0 <= v < bound
 
 

@@ -270,7 +270,7 @@ def test_one_enumeration_pass_per_command(walks):
     # mu_m(B) of the hereditary Forb(F) walks the m + 1 vertex levels.
     assert walks == [full, vertex_levels(3, 2)]
     hist = full_scan_histogram(EdgePredicate.forb(FAM_K3), 3, 2)
-    assert rep.mu_mB == value_from_histogram(hist, HALF, comb(3, 2))
+    assert rep.mu_mB == value_from_histogram(hist, HALF)
 
 
 @given(small_systems(), predicates6(), st.sampled_from([HALF, THIRD]))
