@@ -13,8 +13,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import (DegenerateGraphError, FeasibilityError, InputError,
-                     ParameterError, SizeLimitError)
+from .errors import (ConstructionError, DegenerateGraphError,
+                     FeasibilityError, InputError, ParameterError,
+                     SizeLimitError)
 from .family import batch_contains, normalize_family
 from .hypergraph import RUniformGraph, rank_subset, subsets_colex
 
@@ -167,31 +168,62 @@ def _free_table(n: int, F: RUniformGraph) -> np.ndarray:
     return ~batch_contains(masks, n, 2, fam)
 
 
+# The low _WORD_BITS edge bits of a mask index the bits of one uint64 word.
+_WORD_BITS = 6
+
+
 def _feasible_table(free: np.ndarray, nbits: int) -> np.ndarray:
     """feasible[E]: some E0 inside ~E has free[E0 | X] for every X inside E.
 
-    A first pass, bit by bit, turns each binary digit of the mask into a
-    ternary one: 0 or 1 means the bit is outside E and set that way in
-    E0; 2 means the bit is in E, the AND of its two values, so that X
-    ranges over it.  A second pass ORs digits 0 and 1 into a binary
-    "outside E" digit and keeps digit 2 as "in E"; as it runs after all
-    of the first, E0 is chosen once for every X.  The first pass runs
-    from the low bit and the second from the high bit, so the large
-    steps work on long contiguous runs.  Peak memory is about 3^nbits
-    bytes.
+    The table is packed in uint64 words: word h holds the 2^L entries of
+    the masks h << L | y, y < 2^L, L = min(6, nbits).  Every AND (the X
+    inside E) runs before every OR (the E0 outside it), and steps of one
+    kind on different bits commute, so the pass takes three steps.
+    First, each high bit k becomes a ternary digit, bit by bit from the
+    lowest: 0 or 1 is the bit outside E and set that way in E0, 2 is the
+    bit in E, the AND of its two words.  Second, inside each of the 3^H
+    words (H = nbits - L), a depth-first walk over the low part E_low of
+    E keeps B_E[y] = AND of word[y | X] over X inside E_low, for every y
+    disjoint from E_low: B_{E+b} = B_E & (B_E >> 2^b).  Bit E_low of the
+    result word is the OR of B_E over those y.  Third, from the highest
+    high bit down, digits 0 and 1 are ORed into "outside E" and digit 2
+    is kept as "in E".  Peak memory is a few arrays of 3^H words, 154 KB
+    each at nbits = 15.
     """
-    table = free
-    for k in range(nbits):
-        low = table.reshape(-1, 2, 3 ** k)
-        table = np.empty((low.shape[0], 3, 3 ** k), dtype=bool)
-        table[:, :2] = low
-        np.logical_and(low[:, 0], low[:, 1], out=table[:, 2])
-    for k in range(nbits):
+    low = min(_WORD_BITS, nbits)
+    width = 1 << low
+    shifts = np.arange(width, dtype=np.uint64)
+    table = np.bitwise_or.reduce(
+        free.reshape(-1, width).astype(np.uint64) << shifts, axis=1)
+    for k in range(nbits - low):
+        pair = table.reshape(-1, 2, 3 ** k)
+        table = np.empty((pair.shape[0], 3, 3 ** k), dtype=np.uint64)
+        table[:, :2] = pair
+        np.bitwise_and(pair[:, 0], pair[:, 1], out=table[:, 2])
+    table = table.reshape(-1)
+    out = np.zeros_like(table)
+    tmp = np.empty_like(table)
+
+    def walk(e: int, ands: np.ndarray, first: int) -> None:
+        disjoint = sum(1 << y for y in range(width) if not y & e)
+        np.bitwise_and(ands, np.uint64(disjoint), out=tmp)
+        np.minimum(tmp, np.uint64(1), out=tmp)
+        np.left_shift(tmp, np.uint64(e), out=tmp)
+        np.bitwise_or(out, tmp, out=out)
+        for b in range(first, low):
+            grown = np.right_shift(ands, np.uint64(1 << b))
+            np.bitwise_and(grown, ands, out=grown)
+            walk(e | 1 << b, grown, b + 1)
+
+    walk(0, table, 0)
+    table = out
+    for k in range(nbits - low):
         tern = table.reshape(2 ** k, 3, -1)
-        table = np.empty((2 ** k, 2, tern.shape[2]), dtype=bool)
-        np.logical_or(tern[:, 0], tern[:, 1], out=table[:, 0])
+        table = np.empty((2 ** k, 2, tern.shape[2]), dtype=np.uint64)
+        np.bitwise_or(tern[:, 0], tern[:, 1], out=table[:, 0])
         table[:, 1] = tern[:, 2]
-    return table.reshape(-1)
+    return (table.reshape(-1, 1) >> shifts & np.uint64(1)).astype(
+        bool).reshape(-1)
 
 
 def _submask_array(mask: int) -> np.ndarray:
@@ -209,7 +241,9 @@ def exstar(n: int, F: RUniformGraph) -> ExStarResult:
 
     The value is the largest |E| with a feasible E.  Ties return the
     colex-least E of that size, then the colex-least E0 inside ~E that
-    keeps every X inside E free.
+    keeps every X inside E free, found by a direct search over every
+    (E0, X) pair; when that search finds none, the pass was wrong and
+    ConstructionError is raised.
     """
     if F.r != 2:
         raise ParameterError(f"exstar is for r=2 graphs, got r={F.r}")
@@ -228,17 +262,20 @@ def exstar(n: int, F: RUniformGraph) -> ExStarResult:
         sizes = np.concatenate([sizes, sizes + 1])
     value = int(sizes[feasible].max())
     e_mask = int(np.flatnonzero(feasible & (sizes == value))[0])
-    bases = _submask_array(((1 << nbits) - 1) ^ e_mask)
-    xs = _submask_array(e_mask)
-    safe = free[bases[:, None] | xs[None, :]].all(axis=1)
-    e0_mask = int(bases[np.argmax(safe)])
     pairs = subsets_colex(n, 2)
 
     def edges_of(mask: int) -> tuple:
         return tuple(pairs[i] for i in range(nbits) if mask >> i & 1)
 
+    bases = _submask_array(((1 << nbits) - 1) ^ e_mask)
+    xs = _submask_array(e_mask)
+    safe = free[bases[:, None] | xs[None, :]].all(axis=1)
+    if not safe.any():
+        raise ConstructionError(
+            f"E = {list(edges_of(e_mask))} was marked feasible, but no base "
+            "E0 outside it keeps every X inside it free of F")
     return ExStarResult(value=value, edges=edges_of(e_mask),
-                        base_edges=edges_of(e0_mask))
+                        base_edges=edges_of(int(bases[np.argmax(safe)])))
 
 
 def exstar_to_json_obj(res: ExStarResult) -> dict:

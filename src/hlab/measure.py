@@ -59,12 +59,14 @@ from itertools import count
 from math import comb, log10
 from operator import index, mul
 from typing import NamedTuple
+import threading
 
 import numpy as np
 from concurrent.futures import ThreadPoolExecutor
 
 from .codec import _json_int, graph_from_json_obj, graph_to_json_obj
-from .errors import FeasibilityError, ParameterError, ParseError
+from .errors import (ConstructionError, FeasibilityError, ParameterError,
+                     ParseError)
 from .family import (_BLOCK_MASKS, ForbiddenFamily, _contains_rows,
                      _no_choices, _pack_choices, normalize_family)
 from .rng import bernoulli_columns, bernoulli_threshold, stream_keys
@@ -87,6 +89,11 @@ _LOG_CONTEXT = Context(prec=30, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _LN2 = Decimal(2).ln(_LOG_CONTEXT)
 # Levels a predicate file may nest (a leaf is one): each is a recursion.
 _PREDICATE_DEPTH = 64
+# Largest integer an exact check or result is computed to, in bits:
+# supersat's tail_mass and counting_floor refuse larger results (a tail
+# mass at the limit, d = 2^16 and mu = nu = 1, takes about 1.4 s on one
+# Xeon core), and the ceiling check skips larger powers.
+MAX_RESULT_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -376,12 +383,40 @@ def weight_powers(p: Fraction, nbits: int) -> tuple:
     return tuple(map(mul, pe, reversed(qe))), b ** nbits
 
 
+def _weighted_sum(hist, p: Fraction) -> tuple:
+    """(S, b^N): value_from_histogram(hist, p) = S / b^N, unreduced."""
+    w, den = weight_powers(p, len(hist) - 1)
+    return sum(map(mul, hist, w)), den
+
+
 def value_from_histogram(hist, p: Fraction) -> Fraction:
     """sum_e hist[e] p^e (1-p)^(N-e), N = len(hist) - 1, for a list of
     Python ints: one integer dot product over weight_powers' denominator,
     one Fraction."""
-    w, den = weight_powers(p, len(hist) - 1)
-    return Fraction(sum(map(mul, hist, w)), den)
+    return Fraction(*_weighted_sum(hist, p))
+
+
+def _check_ceiling(hists: list, p: Fraction, r: int) -> None:
+    """Raise ConstructionError unless mu_k^(k-r) <= mu_{k-1}^k, that is
+    c_{k-1} <= c_k, for every pair of vertex levels k-1, k with k > r.
+
+    hists[k] is the class's edge histogram on k vertices.  Deleting a
+    vertex of a member of a hereditary class leaves a member, and each
+    r-set survives k - r of the k deletions, so Finner's inequality gives
+    the bound.  With mu_k = S_k / b^C(k,r) and C(k,r) (k-r) = k C(k-1,r)
+    the denominators cancel, and the check is S_k^(k-r) <= S_{k-1}^k in
+    integers.  A pair whose powers pass MAX_RESULT_BITS is skipped.
+    """
+    sums = [_weighted_sum(h, p)[0] for h in hists]
+    for k in range(r + 1, len(sums)):
+        above, below = sums[k], sums[k - 1]
+        if max(above.bit_length() * (k - r),
+               below.bit_length() * k) > MAX_RESULT_BITS:
+            continue
+        if above ** (k - r) > below ** k:
+            raise ConstructionError(
+                f"mu_{k} exceeds its ceiling mu_{k - 1}^({k}/{k - r}): "
+                f"the walk overcounted a level")
 
 
 def _quotient(a: int, b: int) -> Decimal:
@@ -452,11 +487,14 @@ def exact_measure(n: int, r: int, p, pred, cap_bits: int | None = None,
                   workers: int = 1) -> MeasureResult:
     """Exact mu_n(pred); deterministic.  The histogram of the last of
     pred's levels, from one walk: vertex by vertex for a hereditary pred
-    with a `forb` test, one level over all 2^C(n,r) masks for any other."""
+    with a `forb` test, one level over all 2^C(n,r) masks for any other.
+    The vertex levels are checked against the ceiling c_{k-1} <= c_k
+    (see _check_ceiling)."""
     p = _validate_p(p)
     check_exact_feasible(n, r, cap_bits)
-    hist = _histograms(_levels(pred, n, r), workers)[-1]
-    value = value_from_histogram(hist, p)
+    hists = _histograms(_levels(pred, n, r), workers)
+    _check_ceiling(hists, p, r)
+    value = value_from_histogram(hists[-1], p)
     return MeasureResult(value=value, method="exact",
                          log2_value=log2_fraction(value))
 
@@ -489,6 +527,24 @@ def clopper_pearson(hits: int, samples: int, level: float) -> tuple:
     return lo, hi
 
 
+class _Workspace:
+    """One `mc_measure` worker's arrays, of one chunk's length, allocated
+    on its first chunk and reused by every chunk after it: the chunk's
+    stream offsets, the keys and masks of the samples still in the class
+    (two rows each, which compaction fills in turn), and the scratch
+    columns of `bernoulli_columns`.  They are rows of one block, so the
+    heap that holds it, freed at the end of a call, is kept for the next
+    call rather than trimmed and faulted in again; a chunk allocates
+    nothing chunk-sized but its rules' outputs."""
+
+    def __init__(self, size: int):
+        block = np.empty((8, size), dtype=np.uint64)
+        self.streams, self.z, self.tmp = block[:3]
+        self.keys, self.masks = block[3:5], block[5:7]
+        self.below = block[7].view(bool)[:size]
+        self.streams[:] = np.arange(size, dtype=np.uint64)
+
+
 def mc_measure(n: int, r: int, p, pred, samples: int, seed: int,
                ci_level: float = 0.95, workers: int = 1) -> MeasureResult:
     """Monte-Carlo mu_n(pred) with a Clopper-Pearson interval.
@@ -500,8 +556,9 @@ def mc_measure(n: int, r: int, p, pred, samples: int, seed: int,
     only for the samples still in the class and keeps those whose level-k
     rule holds.  hits counts the samples that pass every level; a
     survivor's mask equals its full draw bit for bit.  Chunks of 2^16
-    samples are fixed, so the result does not depend on `workers`; at
-    most _MAX_SAMPLES samples are taken.
+    samples are fixed, so the result does not depend on `workers`; each
+    worker thread keeps one _Workspace for the whole call.  At most
+    _MAX_SAMPLES samples are taken.
     """
     p = _validate_p(p)
     if samples < 1:
@@ -514,18 +571,29 @@ def mc_measure(n: int, r: int, p, pred, samples: int, seed: int,
     _sample_bits(n, r)  # refuses masks wider than one uint64
     threshold = bernoulli_threshold(p)
     levels = _levels(pred, n, r)
+    local = threading.local()
 
     def one(lo):
-        hi = min(lo + _BLOCK_MASKS, samples)
-        keys = stream_keys(seed, np.arange(lo, hi))
-        masks = np.zeros(hi - lo, dtype=np.uint64)
+        m = min(lo + _BLOCK_MASKS, samples) - lo
+        ws = getattr(local, "ws", None)
+        if ws is None:
+            ws = local.ws = _Workspace(min(samples, _BLOCK_MASKS))
+        side = 0
+        keys, masks = ws.keys[side, :m], ws.masks[side, :m]
+        np.add(ws.streams[:m], np.uint64(lo), out=keys)
+        stream_keys(seed, keys, out=keys, tmp=ws.tmp[:m])
+        masks.fill(0)
         for first, end, keep in levels:
-            bernoulli_columns(keys, masks, first, end, threshold)
+            bernoulli_columns(keys, masks, first, end, threshold,
+                              (ws.z[:m], ws.tmp[:m], ws.below[:m]))
             ok = keep(masks)
-            if not ok.all():
-                alive = np.flatnonzero(ok)
-                masks, keys = masks[alive], keys[alive]
-        return masks.shape[0]
+            alive = int(np.count_nonzero(ok))
+            if alive < m:
+                side ^= 1
+                keys = np.compress(ok, keys, out=ws.keys[side, :alive])
+                masks = np.compress(ok, masks, out=ws.masks[side, :alive])
+                m = alive
+        return m
 
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         hits = sum((pool.map if workers > 1 else map)(
@@ -557,7 +625,9 @@ def cn_sequence(fam: ForbiddenFamily, p, n_list, cap_bits: int | None = None,
     Errors come in list order, as if each n were measured on its own,
     except that a family order the kernel cannot test is refused before
     any point.  Once an n fails its checks, the walk runs only when a
-    point before it may be undefined (see _surely_positive).
+    point before it may be undefined (see _surely_positive).  Every pair
+    of walk levels is checked against the ceiling c_{k-1} <= c_k (see
+    _check_ceiling).
     """
     r = fam.r
     if n_list:
@@ -578,6 +648,7 @@ def cn_sequence(fam: ForbiddenFamily, p, n_list, cap_bits: int | None = None,
     out = []
     if feasible:
         hists = _histograms(levels, workers)
+        _check_ceiling(hists, p, r)
         for n in feasible:
             mu = value_from_histogram(hists[n], p)
             out.append(EntropyPoint(n=n, mu=mu, c_n=cn_from_measure(n, r, mu)))

@@ -75,10 +75,16 @@ def stream_key(seed: int, stream: int) -> int:
     return mix64((seed & _M64) ^ mix64((stream * GAMMA_STREAM) & _M64))
 
 
-def stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
-    """Vectorised ``stream_key`` for an array of stream indices."""
-    s = streams.astype(np.uint64) * np.uint64(GAMMA_STREAM)
-    return _mix64_np(np.uint64(seed & _M64) ^ _mix64_np(s))
+def stream_keys(seed: int, streams: np.ndarray, out: np.ndarray | None = None,
+                tmp: np.ndarray | None = None) -> np.ndarray:
+    """Vectorised ``stream_key`` for an array of stream indices.  Given
+    out and tmp, uint64 arrays of streams' shape (out may be streams
+    itself), the keys are written into out and no array is allocated."""
+    s = np.multiply(streams.astype(np.uint64, copy=False),
+                    np.uint64(GAMMA_STREAM), out=out)
+    _mix64_np(s, tmp)
+    np.bitwise_xor(s, np.uint64(seed & _M64), out=s)
+    return _mix64_np(s, tmp)
 
 
 def seed_keys(seed: int, count: int) -> np.ndarray:
@@ -138,21 +144,23 @@ def _swap(items: list, targets) -> None:
 
 
 def bernoulli_columns(keys: np.ndarray, masks: np.ndarray, lo: int, hi: int,
-                      threshold: int) -> np.ndarray:
+                      threshold: int, scratch: tuple | None = None
+                      ) -> np.ndarray:
     """OR bits lo .. hi-1 into masks, in place, and return masks: bit j of
     masks[i] is set when output j+1 of the substream keyed keys[i] is
     below `threshold`, for 0 <= lo <= hi <= 64.
 
-    Works column by column on length-len(keys) buffers; a threshold of
-    2**64 or more sets every bit without drawing.
+    Works column by column on length-len(keys) buffers: scratch is
+    (z, tmp, below), two uint64 arrays and a bool array of keys' shape,
+    allocated here when None.  A threshold of 2**64 or more sets every
+    bit without drawing.
     """
     if threshold >= 1 << 64:
         masks |= np.uint64(((1 << hi) - 1) ^ ((1 << lo) - 1))
         return masks
     thr = np.uint64(threshold)
-    z = np.empty_like(keys)
-    tmp = np.empty_like(keys)
-    below = np.empty(keys.shape, dtype=bool)
+    z, tmp, below = scratch or (np.empty_like(keys), np.empty_like(keys),
+                                np.empty(keys.shape, dtype=bool))
     for j in range(lo, hi):
         np.bitwise_xor(keys, np.uint64(mix64((j + 1) * GAMMA_COUNTER)), out=z)
         np.less(_mix64_np(z, tmp), thr, out=below)

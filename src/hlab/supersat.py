@@ -25,8 +25,8 @@ from .errors import (ConstructionError, FeasibilityError, InputError,
                      ParameterError, ParseError, SizeLimitError)
 from .family import ForbiddenFamily, _contains_rows, count_induced
 from .hypergraph import RUniformGraph, subsets_colex
-from .measure import (EdgePredicate, _children, _levels, _validate_p, _walk,
-                      check_exact_feasible, exact_measure,
+from .measure import (MAX_RESULT_BITS, EdgePredicate, _children, _levels,
+                      _validate_p, _walk, check_exact_feasible, exact_measure,
                       family_from_json_obj, family_to_json_obj, fraction_str,
                       predicate_from_json_obj, predicate_to_json_obj,
                       value_from_histogram)
@@ -36,9 +36,6 @@ from .steiner import SteinerSystem, system_from_json_obj, system_to_json_obj
 # the largest that a mask space within HARD_EXACT_CAP_BITS needs, d = 15
 # disjoint pairs at r = 1, n = 30.
 MAX_PARTITION_ENTRIES = 31 << 15
-# Largest result of tail_mass or counting_floor, in bits: a tail mass at
-# the limit (d = 2^16, mu = nu = 1) takes about 1.4 s on one Xeon core.
-MAX_RESULT_BITS = 1 << 16
 
 
 def _check_result_bits(what: str, bits: int) -> None:

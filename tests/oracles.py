@@ -8,7 +8,9 @@ runs a predicate's batch rule over the whole mask space, the route apart
 from the level walk's extension rules, and `bernoulli_masks` and
 `sample_masks` give whole-mask views of `rng.bernoulli_columns`, the
 sampler `mc_measure` draws its levels with, for the tests that check it
-against `oracle_masks`.  `random_graph` draws from the library's scalar
+against `oracle_masks`.  `feasible_table_ternary` is a second, vectorised
+ex* pass over a ternary byte table, the reference for tables too large
+for the definitional `feasible_table_naive`.  `random_graph` draws from the library's scalar
 `Rng`, whose streams define the draws it is compared on.
 """
 
@@ -409,6 +411,53 @@ def submasks(mask: int) -> list:
         subs += [s | low for s in subs]
         b ^= low
     return subs
+
+
+def feasible_table_naive(free, nbits: int) -> list:
+    """feasible[E] by its definition: some E0 inside ~E has free[E0 | X]
+    for every X inside E."""
+    full = (1 << nbits) - 1
+    return [any(all(free[e0 | x] for x in submasks(e))
+                for e0 in submasks(full ^ e))
+            for e in range(1 << nbits)]
+
+
+def feasible_table_ternary(free: np.ndarray, nbits: int) -> np.ndarray:
+    """feasible[E] by a pass over a ternary byte table, about 3^nbits
+    bytes.  A first pass, bit by bit from the low bit, turns each binary
+    digit of the mask into a ternary one: 0 or 1 is the bit outside E and
+    set that way in E0; 2 is the bit in E, the AND of its two values.  A
+    second pass, from the high bit, ORs digits 0 and 1 into "outside E"
+    and keeps digit 2 as "in E"; as it runs after all of the first, E0 is
+    chosen once for every X."""
+    table = np.asarray(free, dtype=bool)
+    for k in range(nbits):
+        low = table.reshape(-1, 2, 3 ** k)
+        table = np.empty((low.shape[0], 3, 3 ** k), dtype=bool)
+        table[:, :2] = low
+        np.logical_and(low[:, 0], low[:, 1], out=table[:, 2])
+    for k in range(nbits):
+        tern = table.reshape(2 ** k, 3, -1)
+        table = np.empty((2 ** k, 2, tern.shape[2]), dtype=bool)
+        np.logical_or(tern[:, 0], tern[:, 1], out=table[:, 0])
+        table[:, 1] = tern[:, 2]
+    return table.reshape(-1)
+
+
+def graph_classes(n: int) -> list:
+    """One 2-graph on n vertices per isomorphism class: the least edge
+    mask of each class, in increasing order."""
+    pairs = [unrank_subset(k, 2) for k in range(comb(n, 2))]
+    seen, out = set(), []
+    for mask in range(1 << len(pairs)):
+        if mask in seen:
+            continue
+        out.append(RUniformGraph(n, 2, mask))
+        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+        for sigma in permutations(range(n)):
+            seen.add(sum(1 << naive_rank(tuple(sorted((sigma[a], sigma[b]))), 2)
+                         for a, b in edges))
+    return out
 
 
 def exstar_witness_exhaustive(n: int, F: RUniformGraph) -> tuple:

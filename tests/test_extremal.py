@@ -1,20 +1,25 @@
+import tracemalloc
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hlab.cli import _render
-from hlab.errors import (DegenerateGraphError, FeasibilityError, InputError,
-                         ParameterError, SizeLimitError)
-from hlab.extremal import (ExStarResult, exstar, exstar_to_json_obj, tau,
-                           witness_check)
+import hlab.extremal as extremal
+from hlab.errors import (ConstructionError, DegenerateGraphError,
+                         FeasibilityError, InputError, ParameterError,
+                         SizeLimitError)
+from hlab.extremal import (ExStarResult, _feasible_table, _free_table, exstar,
+                           exstar_to_json_obj, tau, witness_check)
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph)
 
 from oracles import (check_partition, exstar_exhaustive,
-                     exstar_witness_exhaustive, max_edges_clique_free,
-                     tau_exhaustive, unrank_subset)
+                     exstar_witness_exhaustive, feasible_table_naive,
+                     feasible_table_ternary, free_table_naive, graph_classes,
+                     max_edges_clique_free, tau_exhaustive, unrank_subset)
 
 K3 = complete_graph(3, 2)
 K4 = complete_graph(4, 2)
@@ -175,6 +180,54 @@ def test_exstar_n6_triangle_pinned():
         edges=((0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (0, 5), (1, 5),
                (2, 5)),
         base_edges=())
+
+
+# Every graph on 2-4 vertices, one per isomorphism class.
+SMALL_GRAPHS = [F for h in (2, 3, 4) for F in graph_classes(h)]
+
+
+def test_small_graph_classes():
+    assert [len(graph_classes(h)) for h in (2, 3, 4)] == [2, 4, 11]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_feasible_table_matches_references_on_every_e(n):
+    # Below C(n,2) = 6 the kernel's one word is partly filled; up to 6
+    # bits the definitional oracle decides every E, and past them the
+    # ternary pass, itself checked against the definition below 6 bits.
+    nbits = comb(n, 2)
+    for F in SMALL_GRAPHS:
+        if nbits <= 6:
+            free = free_table_naive(n, F)
+            want = feasible_table_naive(free, nbits)
+            assert feasible_table_ternary(free, nbits).tolist() == want
+            free = np.array(free, dtype=bool)
+        else:
+            free = _free_table(n, F)
+            want = feasible_table_ternary(free, nbits).tolist()
+        got = _feasible_table(free, nbits)
+        assert got.dtype == bool
+        assert got.tolist() == want
+
+
+def test_exstar_refuses_a_feasible_e_with_no_base(monkeypatch):
+    # Marked feasible, E = K3's three edges has no base: X = E is K3.
+    monkeypatch.setattr(extremal, "_feasible_table",
+                        lambda free, nbits: np.ones(1 << nbits, dtype=bool))
+    with pytest.raises(ConstructionError, match="no base E0"):
+        exstar(3, K3)
+
+
+def test_exstar_memory():
+    # The ternary byte table behind the old pass peaked at 31.9 MiB.
+    tracemalloc.start()
+    try:
+        res = exstar(6, K3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value == 9
+    assert peak < 4 << 20
 
 
 def test_exstar_triangle_values():

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hlab.errors import (FeasibilityError, HlabError, ParameterError,
-                         ParseError, SizeLimitError)
+from hlab.errors import (ConstructionError, FeasibilityError, HlabError,
+                         ParameterError, ParseError, SizeLimitError)
 from hlab.family import normalize_family
 from hlab.hypergraph import RUniformGraph, complete_graph, graph_from_edges
 from hlab.measure import (_SLICE_MASKS, HARD_EXACT_CAP_BITS, EdgePredicate,
-                          _children, _histograms, _levels, _rule, check_exact_feasible,
+                          _check_ceiling, _children, _histograms, _levels,
+                          _rule, check_exact_feasible,
                           clopper_pearson, cn_from_measure, cn_sequence,
                           exact_measure, fraction_str, log2_fraction,
                           mc_measure, predicate_from_json_obj,
@@ -231,6 +232,46 @@ def test_cn_nondecreasing_families():
             assert a.c_n <= b.c_n + slack
 
 
+def test_ceiling_check_catches_an_overcount(monkeypatch):
+    # Doubling Forb(K3)'s level-7 histogram gives mu_7 = 133501/2^20,
+    # about 0.127, above its ceiling mu_6^(7/5) = (5789/2^15)^1.4, about
+    # 0.088.  n = 6 stops short of the doubled level.
+    import hlab.measure as measure
+    real = measure._histograms
+
+    def doubled(levels, workers):
+        hists = real(levels, workers)
+        if len(hists) > 7:
+            hists[7] = [2 * c for c in hists[7]]
+        return hists
+
+    monkeypatch.setattr(measure, "_histograms", doubled)
+    assert exact_measure(6, 2, HALF, FORB_K3).value == Fraction(5789, 1 << 15)
+    with pytest.raises(ConstructionError, match="mu_7 exceeds its ceiling"):
+        exact_measure(7, 2, HALF, FORB_K3)
+    with pytest.raises(ConstructionError, match="mu_7 exceeds its ceiling"):
+        cn_sequence(normalize_family([K3]), HALF, [7])
+    assert 2 * 133501 / 2 ** 21 > 0.127
+    assert 0.088 < (5789 / 2 ** 15) ** 1.4 < 0.089
+
+
+def test_ceiling_check_is_tight_and_skips_huge_powers():
+    # Every graph on up to 3 vertices: mu_k = 1 on every level meets the
+    # ceiling with equality.  One graph too many on 3 vertices breaks it;
+    # at p = 10^-7000, S_2^3 and S_3 have about 70,000 bits, past
+    # MAX_RESULT_BITS, so the same pair is skipped.
+    assert exact_measure(4, 2, Fraction(1), _forb(P5)).value == 1
+    hists = [[1], [1], [1, 1], [1, 3, 3, 1]]
+    _check_ceiling(hists, HALF, 2)
+    _check_ceiling(hists, Fraction(1, 10 ** 250), 2)
+    over = hists[:3] + [[1, 3, 3, 2]]
+    with pytest.raises(ConstructionError, match="mu_3 exceeds"):
+        _check_ceiling(over, HALF, 2)
+    with pytest.raises(ConstructionError, match="mu_3 exceeds"):
+        _check_ceiling(over, Fraction(1, 10 ** 250), 2)
+    _check_ceiling(over, Fraction(1, 10 ** 7000), 2)
+
+
 def test_cn_refuses_sampled_range():
     with pytest.raises(FeasibilityError):
         cn_sequence(normalize_family([K3]), HALF, [10], cap_bits=20)
@@ -398,6 +439,44 @@ def test_mc_hits_past_one_chunk(p, pred):
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_mc_partial_last_chunk_same_at_one_and_two_workers(monkeypatch):
+    # Three full chunks and a partial one: each worker keeps one workspace
+    # for the whole call, so the partial chunk runs on slices of buffers
+    # that earlier chunks filled.
+    import hlab.measure as measure
+    built = []
+    real = measure._Workspace
+
+    def counting(size):
+        built.append(size)
+        return real(size)
+
+    monkeypatch.setattr(measure, "_Workspace", counting)
+    samples, p = 3 * (1 << 16) + 4321, Fraction(1, 8)
+    runs = []
+    for workers in (1, 2):
+        built.clear()
+        runs.append(mc_measure(11, 2, p, FORB_K3, samples=samples, seed=9,
+                               workers=workers))
+        assert 1 <= len(built) <= workers
+        assert built == [1 << 16] * len(built)
+    want = int(_rule(FORB_K3, 11, 2)(
+        oracle_masks(11, 2, p, 9, samples, 0)).sum())
+    assert 0 < want < samples
+    assert [res.hits for res in runs] == [want, want]
+    assert runs[0] == runs[1]
+
+
+def test_mc_workspace_fits_a_small_call(monkeypatch):
+    import hlab.measure as measure
+    built = []
+    real = measure._Workspace
+    monkeypatch.setattr(measure, "_Workspace",
+                        lambda size: built.append(size) or real(size))
+    mc_measure(5, 2, HALF, FORB_K3, samples=100, seed=0)
+    assert built == [100]
+
+
 # A 7-vertex 3-graph with an orbit of 2520 labellings: its lookup table
 # would need 2^35 entries, so every level runs the masked compare.
 SPARSE7_3 = graph_from_edges(7, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 4),
@@ -455,9 +534,12 @@ def test_mc_draws_edges_only_for_samples_in_the_class(monkeypatch):
     drawn = []
     real = measure.bernoulli_columns
 
-    def counting(keys, masks, lo, hi, threshold):
+    def counting(keys, masks, lo, hi, threshold, scratch):
+        # the scratch columns are views of the worker's workspace, one
+        # per sample still drawn
+        assert all(a.shape == keys.shape for a in scratch)
         drawn.append(keys.shape[0] * (hi - lo))
-        return real(keys, masks, lo, hi, threshold)
+        return real(keys, masks, lo, hi, threshold, scratch)
 
     monkeypatch.setattr(measure, "bernoulli_columns", counting)
     samples, nbits = 20_000, comb(11, 2)

@@ -114,6 +114,30 @@ def test_bernoulli_columns_by_range_match_one_pass(threshold):
         outside | (whole & np.uint64(((1 << 40) - 1) ^ 0xFF))).tolist()
 
 
+@pytest.mark.parametrize("threshold", [0, 1 << 62, (1 << 64) - 1, 1 << 64])
+def test_bernoulli_columns_with_scratch_match_without(threshold):
+    # Scratch columns are overwritten, whatever they held before.
+    keys = stream_keys(5, np.arange(300))
+    want = bernoulli_columns(keys, np.zeros(300, dtype=np.uint64), 3, 50,
+                             threshold)
+    block = np.full((3, 400), 0xFFFF, dtype=np.uint64)
+    scratch = (block[0, :300], block[1, :300],
+               np.ones(400, dtype=bool)[:300])
+    got = bernoulli_columns(keys, np.zeros(300, dtype=np.uint64), 3, 50,
+                            threshold, scratch)
+    assert got.tolist() == want.tolist()
+
+
+def test_stream_keys_into_their_streams():
+    seed = (1 << 64) - 3
+    buf = np.arange(1000, 1300, dtype=np.uint64)
+    tmp = np.full(300, 7, dtype=np.uint64)
+    got = stream_keys(seed, buf, out=buf, tmp=tmp)
+    assert got is buf
+    assert got.tolist() == [stream_key(seed, s) for s in range(1000, 1300)]
+    assert got.tolist() == stream_keys(seed, np.arange(1000, 1300)).tolist()
+
+
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32), st.integers(0, 2**32))
 def test_distinct_streams_disagree(seed, s1, s2):
     if s1 == s2:
