@@ -30,6 +30,11 @@ caller that wants them by edge count sorts them (supersat._scan).
 Worker count only schedules blocks, and reductions add, so results do
 not depend on it.
 
+Each kind also names the vertex permutations that fix its class: those
+that keep every cell of _vertex_cells' partition.  supersat reduces a
+quantity that depends only on a vertex set's orbit under them once per
+orbit.
+
 At a vertex level keep tests parents, not candidates.  The new vertex
 v = k-1 is the top vertex of every row D = S + {v} through it, so D's
 colex local mask splits as x_S(parent) | y_S(choice) << C(h-1, r): the
@@ -241,19 +246,23 @@ def _edge_order(width: int) -> np.ndarray:
 
 
 def _walk(levels: list, workers: int, per_block: Callable):
-    """Enumerate the levels; yield (k, per_block(k, parents, allowed,
-    width)) for every block of level k: allowed[i] is the set of the
-    choices c < 2^width for which parents[i] | c << lo passes keep, packed
-    by family._pack_choices.
+    """Enumerate the levels; yield (k, part) for every block of level k.
 
-    A single level, a full scan of N = hi bits, has width 0: its parents
-    are its candidates, and keep(parents) their boolean column.  Block h
-    holds the masks h << b | c, b = min(N, 16), for the low values c in
-    the order of _edge_order(b), so every block of a full scan arrives
-    sorted by edge count.  Each block's task builds its own candidates,
-    and one slice of blocks, at most _SLICE_MASKS candidates, runs at a
-    time.
-    In a walk of more than one level, one per vertex, the first level
+    A single level, a full scan of N = hi bits, gives part =
+    per_block(0, masks, kept, hist): kept = keep(masks), the boolean
+    column of the survivors, and hist their edge histogram, N + 1
+    entries.  Block h holds the masks h << b | c, b = min(N, 16), for the
+    low values c in the order of _edge_order(b), so every block of a
+    full scan arrives sorted by edge count, and the survivors with e
+    edges are those kept in the run of c with e - popcount(h) bits: hist
+    is one np.add.reduceat of kept over the fixed runs.  Each worker
+    writes its blocks into one buffer for the whole scan, so masks is
+    only valid until per_block returns; one slice of blocks, at most
+    _SLICE_MASKS candidates, runs at a time.
+    In a walk of more than one level, one per vertex, part =
+    per_block(k, parents, allowed, width): allowed[i] is the set of the
+    choices c < 2^width for which parents[i] | c << lo passes keep,
+    packed by family._pack_choices.  The first level
     extends the empty mask and keep(parents, width) tests whole parents:
     the low width = min(hi - lo, 16) bits of the level are open, and each
     survivor of the level before is a parent once per value of the
@@ -279,11 +288,21 @@ def _walk(levels: list, workers: int, per_block: Callable):
             _, hi, keep = levels[0]
             low = min(hi, _OPEN_BITS)
             order = _edge_order(low)
+            # order's runs of c with 0, 1, ..., low set bits start here
+            starts = np.cumsum([0] + [comb(low, j) for j in range(low)])
+            local = threading.local()
 
             def scan(h):
-                masks = order | np.uint64(h << low)
-                return per_block(0, masks, keep(masks).view(np.uint8)[:, None],
-                                 0)
+                masks = getattr(local, "masks", None)
+                if masks is None:
+                    masks = local.masks = np.empty_like(order)
+                np.bitwise_or(order, np.uint64(h << low), out=masks)
+                kept = keep(masks)
+                hist = np.zeros(hi + 1, dtype=np.int64)
+                base = h.bit_count()
+                hist[base:base + low + 1] = np.add.reduceat(kept, starts,
+                                                            dtype=np.int64)
+                return per_block(0, masks, kept, hist)
 
             blocks = range(1 << (hi - low))
             step = max(1, budget >> low)
@@ -347,9 +366,10 @@ def _at_most(width: int) -> np.ndarray:
 
 
 def _edge_histogram(parents, allowed, width: int, length: int) -> np.ndarray:
-    """Edge histogram of a block's survivors, from the parents: a parent
-    with e edges adds popcount(allowed row & classes[j]) at e + j, and
-    with one choice (width 0) its survivors are the parents themselves."""
+    """Edge histogram of a vertex level block's survivors, from the
+    parents: a parent with e edges adds popcount(allowed row & classes[j])
+    at e + j, and with one choice (width 0) its survivors are the parents
+    themselves."""
     if not width:
         return np.bincount(np.bitwise_count(_children(parents, allowed, 0, 0)),
                            minlength=length)
@@ -364,8 +384,13 @@ def _edge_histogram(parents, allowed, width: int, length: int) -> np.ndarray:
 def _histograms(levels: list, workers: int) -> list:
     """Edge histogram of the survivors of every level."""
     hists = [np.zeros(hi + 1, dtype=np.int64) for _, hi, _ in levels]
-    for k, part in _walk(levels, workers, lambda k, parents, allowed, width: (
-            _edge_histogram(parents, allowed, width, hists[k].shape[0]))):
+    if len(levels) == 1:  # a full scan's blocks come with theirs
+        def one(k, masks, kept, hist):
+            return hist
+    else:
+        def one(k, parents, allowed, width):
+            return _edge_histogram(parents, allowed, width, hists[k].shape[0])
+    for k, part in _walk(levels, workers, one):
         hists[k] += part
     return [h.tolist() for h in hists]
 
@@ -749,9 +774,10 @@ def _intersection_rule(pred, n, r, through=None):
 
 
 class _Kind(NamedTuple):
-    """One predicate kind: its rule, JSON operands and their parser, and
-    whether it is closed under induced subgraphs (an intersection when its
-    parts are too)."""
+    """One predicate kind: its rule, JSON operands and their parser, the
+    vertex partition whose permutations fix its class, and whether it is
+    closed under induced subgraphs (an intersection when its parts are
+    too)."""
 
     # (pred, n, r, through=None) -> keep, a boolean column over masks of the
     # (n, r) space; with `through`, only the copies through that vertex.
@@ -761,6 +787,7 @@ class _Kind(NamedTuple):
     rule: Callable
     operands: Callable  # pred -> JSON fields after "kind"
     parse: Callable     # (JSON object, levels left for parts) -> predicate
+    cells: Callable     # (pred, n) -> a cell label per vertex
     hereditary: bool = False
 
 
@@ -768,26 +795,64 @@ def _rule(pred, n: int, r: int, through: int | None = None):
     return _KINDS[pred.kind].rule(pred, n, r, through)
 
 
+def _vertex_cells(pred, n: int) -> tuple:
+    """A cell label per vertex of range(n).  Every permutation of the
+    vertices that maps each cell onto itself maps the class of pred onto
+    itself, so a quantity that every vertex permutation carries along,
+    such as the measure of the class and some family member induced in a
+    vertex set D, depends only on how many vertices D has in each cell.
+
+    An unscoped kind is one cell: edge counts, and the family's orbits,
+    are closed under relabelling.  `contains` within S is {S, V - S},
+    `explicit` puts each vertex in a cell of its own, and `intersection`
+    and `complement` take the common refinement of their parts' cells.
+    """
+    return _KINDS[pred.kind].cells(pred, n)
+
+
+def _one_cell(pred, n: int) -> tuple:
+    return (0,) * n
+
+
+def _scope_cells(pred, n: int) -> tuple:
+    if pred.within is None:
+        return _one_cell(pred, n)
+    return tuple(int(v in pred.within) for v in range(n))
+
+
+def _refined_cells(preds, n: int) -> tuple:
+    """The common refinement of the cells of preds, numbered in order of
+    their first vertex."""
+    cols = [_vertex_cells(q, n) for q in preds]
+    first: dict = {}
+    return tuple(first.setdefault(key, len(first))
+                 for key in (zip(*cols) if cols else [()] * n))
+
+
 _KINDS = {
     "min_edges": _Kind(
         lambda p, n, r, through=None: lambda masks: (
             np.bitwise_count(masks) >= p.k),
         lambda p: {"k": p.k},
-        lambda o, _: EdgePredicate.min_edges(_json_int(o["k"]))),
+        lambda o, _: EdgePredicate.min_edges(_json_int(o["k"])),
+        _one_cell),
     "max_edges": _Kind(
         _max_edges_rule,
         lambda p: {"k": p.k},
         lambda o, _: EdgePredicate.max_edges(_json_int(o["k"])),
+        _one_cell,
         hereditary=True),
     "explicit": _Kind(
         _explicit_rule,
         lambda p: {"masks": sorted(p.masks)},
-        lambda o, _: EdgePredicate.explicit(map(_json_int, o["masks"]))),
+        lambda o, _: EdgePredicate.explicit(map(_json_int, o["masks"])),
+        lambda p, n: tuple(range(n))),
     "forb": _Kind(
         lambda p, n, r, through=None: _negated(
             _contains_rule(p, n, r, through)),
         lambda p: {"family": family_to_json_obj(p.family)},
         lambda o, _: EdgePredicate.forb(family_from_json_obj(o["family"])),
+        _one_cell,
         hereditary=True),
     "contains": _Kind(
         _contains_rule,
@@ -796,15 +861,18 @@ _KINDS = {
         lambda o, _: EdgePredicate.contains(
             family_from_json_obj(o["family"]),
             within=None if o.get("within") is None
-            else map(_json_int, o["within"]))),
+            else map(_json_int, o["within"])),
+        _scope_cells),
     "intersection": _Kind(
         _intersection_rule,
         lambda p: {"parts": [predicate_to_json_obj(q) for q in p.parts]},
         lambda o, depth: EdgePredicate.intersection(
             _predicate_from(q, depth) for q in o["parts"]),
+        lambda p, n: _refined_cells(p.parts, n),
         hereditary=True),
     "complement": _Kind(
         lambda p, n, r, through=None: _negated(_rule(p.inner, n, r)),
         lambda p: {"inner": predicate_to_json_obj(p.inner)},
-        lambda o, d: EdgePredicate.complement(_predicate_from(o["inner"], d))),
+        lambda o, d: EdgePredicate.complement(_predicate_from(o["inner"], d)),
+        lambda p, n: _vertex_cells(p.inner, n)),
 }

@@ -150,8 +150,8 @@ def _packings(r: int, m: int, n: int, seeds: range, bite: Fraction,
     _check_table("packing table", n, m, comb(m, r))
     subs = subsets_colex(n, m)
     # row i: global colex ranks of the r-subsets of the i-th m-subset, as
-    # tuples for the scan; built per call, as they grow with C(n,m) C(m,r)
-    rows = tuple(map(tuple, induced_rank_table(n, m, r).tolist()))
+    # lists for the scan; built per call, as they grow with C(n,m) C(m,r)
+    rows = induced_rank_table(n, m, r).tolist()
     size = len(subs)
     # Only a round compares draws with the threshold.
     threshold = np.uint64(bernoulli_threshold(bite)) if rounds else None

@@ -9,6 +9,13 @@ exact rationals from one enumeration of the masks of A (the measure
 module's level walk, vertex by vertex for a hereditary A); every
 identity the arguments rely on is recomputed through two separate code
 paths and compared for exact equality.
+
+theta_D depends only on the orbit of D under the vertex permutations
+that fix A (measure._vertex_cells), so each scan reduces one theta
+histogram per orbit and copies its value to the rest of the orbit; the
+averaging and partition identities, which read every column, check
+that grouping too.  For an A that every vertex permutation fixes, all
+theta are equal.
 """
 
 from __future__ import annotations
@@ -26,10 +33,10 @@ from .errors import (ConstructionError, FeasibilityError, InputError,
 from .family import ForbiddenFamily, _contains_rows, count_induced
 from .hypergraph import RUniformGraph, subsets_colex
 from .measure import (MAX_RESULT_BITS, EdgePredicate, _children, _levels,
-                      _validate_p, _walk, check_exact_feasible, exact_measure,
-                      family_from_json_obj, family_to_json_obj, fraction_str,
-                      predicate_from_json_obj, predicate_to_json_obj,
-                      value_from_histogram)
+                      _validate_p, _vertex_cells, _walk, check_exact_feasible,
+                      exact_measure, family_from_json_obj, family_to_json_obj,
+                      fraction_str, predicate_from_json_obj,
+                      predicate_to_json_obj, value_from_histogram)
 from .steiner import SteinerSystem, system_from_json_obj, system_to_json_obj
 
 # Entries of partition_table's (pattern, edges) count table, 2^d (C(n,r) + 1):
@@ -101,17 +108,18 @@ class Instance:
 
 
 def _scan(inst: Instance, nbits: int, vsets, workers: int, per_block):
-    """Yield per_block(masks, pops, cols, by_edges) for every block of the
+    """Yield per_block(masks, hist, cols, by_edges) for every block of the
     masks of the instance's class A.
 
     The blocks come from one walk of A's levels and are reduced on the
     workers.  Each block's masks are sorted by edge count, so the masks
-    with e edges form one run: a full scan's blocks arrive sorted
-    (measure._walk), and the blocks of a vertex walk's last level are
-    sorted here, once.  pops holds each mask's edge count, and cols[i],
-    in the same order, whether some member of the family is induced
-    inside vsets[i].  by_edges(x) sums x, one entry per mask, over each
-    run: the edge histogram of x, nbits + 1 int64 entries, from one
+    with e edges form one run: a full scan's survivors arrive sorted, with
+    their edge histogram, and are compressed once from the walk's column
+    (measure._walk), and the survivors of a vertex walk's last level are
+    sorted here, once.  hist is the block's edge histogram, nbits + 1
+    int64 entries, and cols[i], in the order of masks, whether some
+    member of the family is induced inside vsets[i].  by_edges(x) sums x,
+    one entry per mask, over each run: the edge histogram of x, from one
     np.add.reduceat.
     """
     n, r = inst.n, inst.r
@@ -119,59 +127,113 @@ def _scan(inst: Instance, nbits: int, vsets, workers: int, per_block):
     levels = _levels(inst.predicate, n, r)  # after rows: family errors first
     last = len(levels) - 1
 
-    def one(k, parents, allowed, width):
-        if k == last:
-            masks = _children(parents, allowed, levels[k].lo, width)
-            pops = np.bitwise_count(masks)
-            if last:  # a vertex walk's block comes parent by parent
-                order = np.argsort(pops, kind="stable")
-                masks, pops = masks[order], pops[order]
-            counts = np.bincount(pops, minlength=nbits + 1)
-            runs = np.flatnonzero(counts)
-            starts = (np.cumsum(counts) - counts)[runs]
+    def block(masks, hist):
+        runs = np.flatnonzero(hist)
+        starts = (np.cumsum(hist) - hist)[runs]
 
-            def by_edges(x):
-                hist = np.zeros(nbits + 1, dtype=np.int64)
-                if runs.size:
-                    hist[runs] = np.add.reduceat(x, starts, dtype=np.int64)
-                return hist
-            return per_block(masks, pops, rows(masks), by_edges)
+        def by_edges(x):
+            out = np.zeros(nbits + 1, dtype=np.int64)
+            if runs.size:
+                out[runs] = np.add.reduceat(x, starts, dtype=np.int64)
+            return out
+        return per_block(masks, hist, rows(masks), by_edges)
+
+    if not last:
+        def one(k, masks, kept, hist):
+            return block(masks[kept], hist)
+    else:
+        def one(k, parents, allowed, width):
+            if k == last:  # the block comes parent by parent
+                masks = _children(parents, allowed, levels[k].lo, width)
+                pops = np.bitwise_count(masks)
+                return block(masks[np.argsort(pops, kind="stable")],
+                             np.bincount(pops, minlength=nbits + 1))
 
     return (part for k, part in _walk(levels, workers, one) if k == last)
 
 
+def _orbits(inst: Instance, vsets) -> tuple:
+    """(orbit, reps): vsets grouped into orbits of the vertex permutations
+    that fix A, by their count of vertices in each cell of
+    measure._vertex_cells.  orbit[i] numbers the orbit of vsets[i], in
+    order of first appearance, and reps[j] is the index of the first
+    vertex set of orbit j, its representative.  theta is the same on a
+    whole orbit, so the scans reduce it once per orbit."""
+    cell = _vertex_cells(inst.predicate, inst.n)
+    first: dict = {}
+    orbit = np.array([first.setdefault(tuple(sorted(cell[v] for v in vset)),
+                                       len(first)) for vset in vsets],
+                     dtype=np.intp)
+    return orbit, np.unique(orbit, return_index=True)[1].tolist()
+
+
+def _spread(hists, orbit, p: Fraction) -> tuple:
+    """(theta, total) from one theta histogram per orbit: theta[i] is the
+    value of hists[orbit[i]], and total the value of the sum of the
+    histograms over every vertex set, sum_i theta_i, taken as one dot
+    product of the orbit sizes with hists."""
+    values = [value_from_histogram(h.tolist(), p) for h in hists]
+    sizes = np.bincount(orbit, minlength=len(values))
+    return (tuple(values[j] for j in orbit.tolist()),
+            value_from_histogram((sizes @ hists).tolist(), p))
+
+
 def _theta_scan(inst: Instance, nbits: int, vsets, workers: int) -> tuple:
-    """One pass over the masks of A, shared by lemma_report and x_set.
-
-    Returns mu(A); theta_S = mu(A and some member induced inside S) for
-    each vertex set S; the measure of A weighted by the number of sets
-    S that contain a member, a second route to sum_S theta_S; and
-    (count, mask) for the satisfying mask with the most such sets
-    (smallest mask on ties), None when A is empty.  On each edge-sorted
-    block, theta_S's histogram is one by_edges reduction of S's column,
-    and the weighted one counts the sets per mask first, then reduces
-    those counts.
-    """
+    """mu(A) and theta_S = mu(A and some member induced inside S) for
+    each vertex set S, from one pass over the masks of A that runs the
+    kernel rows of the orbits' representatives alone (see _orbits).  On
+    each edge-sorted block, a representative's theta histogram is one
+    by_edges reduction of its column."""
+    orbit, reps = _orbits(inst, vsets)
     width = nbits + 1
-    per_mask = np.min_scalar_type(len(vsets))
 
-    def one(masks, pops, cols, by_edges):
-        hists = np.zeros((len(vsets), width), dtype=np.int64)
-        for i, col in enumerate(cols):
-            hists[i] = by_edges(col)
+    def one(masks, hist, cols, by_edges):
+        hists = np.zeros((len(reps), width), dtype=np.int64)
+        for j, col in enumerate(cols):
+            hists[j] = by_edges(col)
+        return hist, hists
+
+    a_hist = np.zeros(width, dtype=np.int64)
+    hists = np.zeros((len(reps), width), dtype=np.int64)
+    for part_a, part_h in _scan(inst, nbits, [vsets[i] for i in reps],
+                                workers, one):
+        a_hist += part_a
+        hists += part_h
+    return (value_from_histogram(a_hist.tolist(), inst.p),
+            _spread(hists, orbit, inst.p)[0])
+
+
+def _x_scan(inst: Instance, nbits: int, dsets, workers: int) -> tuple:
+    """One pass over the masks of A for x_set, which runs every column.
+
+    Returns mu(A); theta_D for each vertex set D, with one column reduced
+    per orbit (see _orbits); sum_D theta_D, from those orbit histograms;
+    the measure of A weighted by the number of sets D that contain a
+    member, from every column, a second route to that sum; and (count,
+    mask) for the satisfying mask with the most such sets (smallest mask
+    on ties), None when A is empty.  The weighted histogram counts the
+    sets per mask first, then reduces those counts.
+    """
+    orbit, reps = _orbits(inst, dsets)
+    width = nbits + 1
+    per_mask = np.min_scalar_type(len(dsets))
+
+    def one(masks, hist, cols, by_edges):
+        hists = np.zeros((len(reps), width), dtype=np.int64)
+        for j, i in enumerate(reps):
+            hists[j] = by_edges(cols[i])
         mcount = cols.sum(axis=0, dtype=per_mask)
         best = None
         if mcount.size:
             top = mcount.max()
             best = (int(top), int(masks[mcount == top].min()))
-        return (np.bincount(pops, minlength=width), hists, by_edges(mcount),
-                best)
+        return hist, hists, by_edges(mcount), best
 
     a_hist = np.zeros(width, dtype=np.int64)
-    hists = np.zeros((len(vsets), width), dtype=np.int64)
+    hists = np.zeros((len(reps), width), dtype=np.int64)
     whist = np.zeros(width, dtype=np.int64)
     best = None
-    for part_a, part_h, part_w, part_best in _scan(inst, nbits, vsets,
+    for part_a, part_h, part_w, part_best in _scan(inst, nbits, dsets,
                                                    workers, one):
         a_hist += part_a
         hists += part_h
@@ -184,7 +246,8 @@ def _theta_scan(inst: Instance, nbits: int, vsets, workers: int) -> tuple:
     def value(hist):
         return value_from_histogram(hist.tolist(), inst.p)
 
-    return value(a_hist), tuple(value(h) for h in hists), value(whist), best
+    theta, theta_sum = _spread(hists, orbit, inst.p)
+    return value(a_hist), theta, theta_sum, value(whist), best
 
 
 @dataclass(frozen=True)
@@ -214,10 +277,11 @@ def partition_table(inst: Instance, cap_bits: int | None = None,
     """Exact mu(A_S) for every containment pattern S over the blocks of
     the instance's system.
 
-    The same pass histograms, per block, the masks of A that satisfy
-    EdgePredicate.contains(fam, within=block): theta_i by the block
-    route, computed apart from the pattern columns so that the identity
-    sum_S |S| mu(A_S) = sum_i theta_i compares two computations.  The
+    The same pass histograms, per orbit of blocks (see _orbits), the
+    masks of A that satisfy EdgePredicate.contains(fam, within=block) for
+    its representative: theta_i by the block route, computed apart from
+    the pattern columns, so that the identity sum_S |S| mu(A_S) =
+    sum_i theta_i compares two computations and checks the grouping.  The
     masks are counted by (pattern, edges) in one dense table of
     2^d (nbits + 1) entries, at most MAX_PARTITION_ENTRIES: each block
     adds one np.bincount of its keys.  Each nonempty cell, the total and
@@ -234,21 +298,24 @@ def partition_table(inst: Instance, cap_bits: int | None = None,
     nbits = check_exact_feasible(n, r, cap_bits, sampled=False)
     blocks = sys.blocks
     patterns = np.min_scalar_type((1 << d) - 1)
-    # each block's own kernel, as EdgePredicate.contains(fam, within=b)
-    # runs it, built once for the scan
-    in_block = [_contains_rows(n, r, inst.family, [b]) for b in blocks]
+    orbit, reps = _orbits(inst, blocks)
+    # each representative's own kernel, as EdgePredicate.contains(fam,
+    # within=b) runs it, built once for the scan
+    in_block = [_contains_rows(n, r, inst.family, [blocks[i]]) for i in reps]
+    edges = np.arange(width, dtype=np.min_scalar_type(nbits))
 
-    def one(masks, pops, cols, by_edges):
+    def one(masks, hist, cols, by_edges):
         pattern = np.zeros(masks.shape, dtype=patterns)
         for i in range(d):
             pattern |= cols[i].astype(patterns) << patterns.type(i)
-        hists = np.zeros((d, width), dtype=np.int64)
-        for i, run in enumerate(in_block):
-            hists[i] = by_edges(run(masks)[0])
+        hists = np.zeros((len(reps), width), dtype=np.int64)
+        for j, run in enumerate(in_block):
+            hists[j] = by_edges(run(masks)[0])
+        pops = np.repeat(edges, hist)
         return np.bincount(pattern * np.intp(width) + pops), hists
 
     counts = np.zeros(width << d, dtype=np.int64)
-    theta_hists = np.zeros((d, width), dtype=np.int64)
+    theta_hists = np.zeros((len(reps), width), dtype=np.int64)
     for part, hists in _scan(inst, nbits, blocks, workers, one):
         counts[:part.shape[0]] += part
         theta_hists += hists
@@ -264,8 +331,7 @@ def partition_table(inst: Instance, cap_bits: int | None = None,
     cells = dict(zip(filled.tolist(), map(value, table)))
     total = value(table.sum(axis=0))
     weighted = value(sizes @ table)
-    theta = tuple(map(value, theta_hists))
-    theta_sum = value(theta_hists.sum(axis=0))
+    theta, theta_sum = _spread(theta_hists, orbit, inst.p)
     if weighted != theta_sum:
         raise ConstructionError(
             f"containment-pattern identity failed: cell route {weighted} "
@@ -365,7 +431,7 @@ def lemma_report(inst: Instance, cap_bits: int | None = None,
     over the instance's system and params."""
     sys, params = inst.require("system"), inst.require("params")
     nbits = check_exact_feasible(inst.n, inst.r, cap_bits, sampled=False)
-    mu_A, theta, _, _ = _theta_scan(inst, nbits, sys.blocks, workers)
+    mu_A, theta = _theta_scan(inst, nbits, sys.blocks, workers)
     gamma = params.gamma
     threshold = gamma * mu_A
     index_set = tuple(i for i, th in enumerate(theta) if th >= threshold)
@@ -411,6 +477,9 @@ def x_set(inst: Instance, m: int, gamma, cap_bits: int | None = None,
     Also locates the satisfying graph with the most containment
     m-subsets and checks the averaging inequality
     sum_D theta_D >= gamma mu(A) |X| that drives the count floor.
+    theta_D is one value per orbit of D under the vertex permutations
+    that fix A (see _orbits): when every permutation fixes A, X holds
+    every m-subset or none.
     """
     gamma = Fraction(gamma)
     if not 0 < gamma <= 1:
@@ -421,12 +490,11 @@ def x_set(inst: Instance, m: int, gamma, cap_bits: int | None = None,
     nbits = check_exact_feasible(n, r, cap_bits, sampled=False)
     dsets = subsets_colex(n, m)
     nd = len(dsets)
-    mu_A, theta, lhs_mask_route, best = _theta_scan(inst, nbits, dsets,
-                                                    workers)
+    mu_A, theta, lhs, lhs_mask_route, best = _x_scan(inst, nbits, dsets,
+                                                     workers)
     threshold = gamma * mu_A
     x_members = tuple(dsets[di] for di in range(nd) if theta[di] >= threshold)
     x_size = len(x_members)
-    lhs = sum(theta, Fraction(0))
     if lhs != lhs_mask_route:
         raise ConstructionError(
             f"averaging accumulators disagree: {lhs} != {lhs_mask_route}")

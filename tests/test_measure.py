@@ -2,7 +2,7 @@ import json
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from hlab.errors import (ConstructionError, FeasibilityError, HlabError,
                          ParameterError, ParseError, SizeLimitError)
 from hlab.family import normalize_family
-from hlab.hypergraph import RUniformGraph, complete_graph, graph_from_edges
+from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
+                             permute_graph)
 from hlab.measure import (_SLICE_MASKS, HARD_EXACT_CAP_BITS, EdgePredicate,
                           _check_ceiling, _children, _histograms, _levels,
-                          _rule, check_exact_feasible,
+                          _rule, _vertex_cells, check_exact_feasible,
                           clopper_pearson, cn_from_measure, cn_sequence,
                           exact_measure, fraction_str, log2_fraction,
                           mc_measure, predicate_from_json_obj,
@@ -889,6 +890,43 @@ def test_full_scan_in_edge_order_matches_natural_order(name, n, workers):
     assert _histograms(levels, workers) == [want]
 
 
+def test_vertex_cells_of_every_kind():
+    fam = normalize_family([K3])
+    scoped = EdgePredicate.contains(fam, within=(1, 3))
+    one = (0,) * 5
+    for pred, cells in (
+            (EdgePredicate.min_edges(2), one),
+            (EdgePredicate.max_edges(2), one),
+            (FORB_K3, one),
+            (EdgePredicate.contains(fam), one),
+            (scoped, (0, 1, 0, 1, 0)),
+            (EdgePredicate.contains(fam, within=()), one),
+            (EdgePredicate.contains(fam, within=range(5)), (1,) * 5),
+            (EdgePredicate.explicit([3]), (0, 1, 2, 3, 4)),
+            (EdgePredicate.complement(scoped), (0, 1, 0, 1, 0)),
+            (EdgePredicate.intersection([]), one),
+            (EdgePredicate.intersection([FORB_K3, scoped]), (0, 1, 0, 1, 0)),
+            (EdgePredicate.intersection(
+                [scoped, EdgePredicate.contains(fam, within=(3, 4))]),
+             (0, 1, 0, 2, 3))):
+        assert _vertex_cells(pred, 5) == cells, pred
+
+
+@given(SPACES)
+def test_vertex_cells_fix_the_class(space):
+    # Every permutation that maps each cell onto itself maps the class
+    # onto itself, by the definition of each kind.
+    n, pred = space
+    cell = _vertex_cells(pred, n)
+    obj = predicate_to_json_obj(pred)
+    graphs = [RUniformGraph(n, 2, mask) for mask in range(1 << comb(n, 2))]
+    inside = [naive_satisfies(obj, G) for G in graphs]
+    for sigma in permutations(range(n)):
+        if all(cell[sigma[v]] == cell[v] for v in range(n)):
+            assert [naive_satisfies(obj, permute_graph(G, sigma))
+                    for G in graphs] == inside
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_reduces_blocks_in_edge_order(monkeypatch, workers):
     # A full scan's blocks leave the walk sorted by edge count; a vertex
@@ -901,18 +939,22 @@ def test_scan_reduces_blocks_in_edge_order(monkeypatch, workers):
 
     def spy(levels, workers, per_block):
         def seen(k, parents, allowed, width):
-            if k == len(levels) - 1:
+            if len(levels) == 1:  # a full scan: masks, kept, hist
+                raw.append(parents[allowed])
+                assert width.tolist() == np.bincount(np.bitwise_count(
+                    raw[-1]), minlength=22).tolist()
+            elif k == len(levels) - 1:
                 raw.append(_children(parents, allowed, levels[k].lo, width))
             return per_block(k, parents, allowed, width)
         return walk(levels, workers, seen)
 
-    def reducer(masks, pops, cols, by_edges):
+    def reducer(masks, hist, cols, by_edges):
         reduced.append(masks)
-        assert (pops == np.bitwise_count(masks)).all()
+        assert hist.tolist() == np.bincount(np.bitwise_count(masks),
+                                            minlength=22).tolist()
         ones = np.ones(masks.shape, dtype=np.int64)
-        assert by_edges(ones).tolist() == np.bincount(
-            pops, minlength=22).tolist()
-        return pops
+        assert by_edges(ones).tolist() == hist.tolist()
+        return hist
 
     def in_edge_order(masks):
         return bool((np.diff(np.bitwise_count(masks).astype(int)) >= 0).all())

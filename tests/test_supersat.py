@@ -15,7 +15,7 @@ from hlab.measure import (HARD_EXACT_CAP_BITS, EdgePredicate, exact_measure,
                           predicate_to_json_obj, value_from_histogram)
 from hlab.steiner import SteinerSystem
 from hlab.supersat import (MAX_RESULT_BITS, Instance, LemmaParameters,
-                           _theta_scan, counting_floor,
+                           _orbits, _theta_scan, _x_scan, counting_floor,
                            instance_from_json_obj, instance_to_json_obj,
                            lemma_report, load_instance,
                            params_from_json_obj, params_to_json_obj,
@@ -31,6 +31,8 @@ K3 = complete_graph(3, 2)
 FAM_K3 = normalize_family([K3])
 FORB_K3 = EdgePredicate.forb(FAM_K3)
 ALWAYS = EdgePredicate.min_edges(0)
+# an induced path on three vertices
+FAM_P3 = normalize_family([graph_from_edges(3, 2, [(0, 1), (1, 2)])])
 
 SYS6 = SteinerSystem(r=2, m=3, n=6,
                      blocks=((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)))
@@ -54,15 +56,29 @@ def small_systems():
     ])
 
 
+# Classes fixed by every vertex permutation, then classes fixed only by
+# those that keep a scope, or by the identity: {S, V - S} and singleton
+# vertex partitions, on n = 5 and 6.
+SYMMETRIC6 = [
+    ALWAYS,
+    FORB_K3,
+    EdgePredicate.min_edges(8),
+    EdgePredicate.max_edges(6),
+    EdgePredicate.intersection(
+        [EdgePredicate.min_edges(3), EdgePredicate.max_edges(9)]),
+]
+ASYMMETRIC6 = [
+    EdgePredicate.contains(FAM_K3, within=(0, 1, 2, 3)),
+    EdgePredicate.explicit(range(0, 1 << 10, 3)),
+    EdgePredicate.complement(
+        EdgePredicate.contains(FAM_K3, within=(1, 2, 3, 4))),
+    EdgePredicate.intersection(
+        [FORB_K3, EdgePredicate.contains(FAM_P3, within=(0, 2, 4))]),
+]
+
+
 def predicates6():
-    return st.sampled_from([
-        ALWAYS,
-        FORB_K3,
-        EdgePredicate.min_edges(8),
-        EdgePredicate.max_edges(6),
-        EdgePredicate.intersection(
-            [EdgePredicate.min_edges(3), EdgePredicate.max_edges(9)]),
-    ])
+    return st.sampled_from(SYMMETRIC6 + ASYMMETRIC6)
 
 
 def block_theta(A, block, fam, n, p):
@@ -118,12 +134,17 @@ def test_single_pass_matches_block_theta(sys, A):
 
 
 def test_x_set_builds_mask_weights_once():
+    # The values are mu(A), theta once per orbit of the 20 3-subsets,
+    # their sum and the mask route's sum: one orbit for a class every
+    # vertex permutation fixes, 20 when only the identity does.
     from hlab.measure import weight_powers
 
-    weight_powers.cache_clear()
-    x_set(_inst(EdgePredicate.min_edges(8), n=6), 3, Fraction(1, 4))
-    info = weight_powers.cache_info()
-    assert info.misses == 1 and info.hits > 20
+    explicit = EdgePredicate.explicit(range(0, 1 << 15, 5))
+    for A, values in ((EdgePredicate.min_edges(8), 4), (explicit, 23)):
+        weight_powers.cache_clear()
+        x_set(_inst(A, n=6), 3, Fraction(1, 4))
+        info = weight_powers.cache_info()
+        assert (info.misses, info.hits) == (1, values - 1)
     # one more (p, N), one more miss
     x_set(_inst(EdgePredicate.min_edges(8), n=6, p=THIRD), 3, Fraction(1, 4))
     assert weight_powers.cache_info().misses == 2
@@ -140,8 +161,9 @@ def test_x_set_matches_per_mask_scan(A, p, m):
     mu, theta, weighted, best = naive_theta_scan(
         n, 2, p, lambda G: naive_satisfies(obj, G), dsets, FAM_K3.members)
     inst = _inst(A, n=n, p=p)
-    assert _theta_scan(inst, comb(n, 2), dsets, 1) == (
-        mu, theta, weighted, best)
+    assert _x_scan(inst, comb(n, 2), dsets, 1) == (
+        mu, theta, weighted, weighted, best)
+    assert _theta_scan(inst, comb(n, 2), dsets, 1) == (mu, theta)
     rep = x_set(inst, m, gamma)
     assert rep.mu_A == mu
     assert rep.averaging_lhs == weighted == sum(theta, Fraction(0))
@@ -152,6 +174,90 @@ def test_x_set_matches_per_mask_scan(A, p, m):
     else:
         assert rep.best_mset_count == best[0]
         assert rep.best_graph == RUniformGraph(n, 2, best[1])
+
+
+def test_orbits_group_by_cell_counts():
+    # Scope {0, 1, 2} on five vertices: a 3-subset has 3, 2 or 1 of its
+    # vertices in the scope, so the ten fall into three orbits.
+    dsets = subsets_colex(5, 3)
+    scoped = EdgePredicate.contains(FAM_K3, within=(0, 1, 2))
+    orbit, reps = _orbits(_inst(scoped, n=5), dsets)
+    inside = [sum(v < 3 for v in D) for D in dsets]
+    assert [dsets[i] for i in reps] == [(0, 1, 2), (0, 1, 3), (0, 3, 4)]
+    assert orbit.tolist() == [(3, 2, 1).index(k) for k in inside]
+    for A, count in ((EdgePredicate.min_edges(3), 1),
+                     (EdgePredicate.explicit([7]), 10)):
+        orbit, reps = _orbits(_inst(A, n=5), dsets)
+        assert len(reps) == count and orbit.max() == count - 1
+
+
+FANO = SteinerSystem(r=2, m=3, n=7, blocks=(
+    (0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
+    (2, 4, 5)))
+
+
+def test_lemma_scan_asks_for_one_row_per_orbit(monkeypatch):
+    # The Fano plane's 7 blocks are one orbit of a class that every vertex
+    # permutation fixes, and 7 of an explicit class: the lemma's scan asks
+    # the kernel for those vertex sets alone.
+    import hlab.supersat
+
+    asked = []
+    real = hlab.supersat._contains_rows
+
+    def spy(n, r, fam, vsets, *args, **kwargs):
+        asked.append(list(vsets))
+        return real(n, r, fam, vsets, *args, **kwargs)
+
+    monkeypatch.setattr(hlab.supersat, "_contains_rows", spy)
+    params = LemmaParameters(nu=HALF, m=3)
+    explicit = EdgePredicate.explicit(range(0, 1 << 21, 4099))
+    for A, sets in ((EdgePredicate.min_edges(12), [FANO.blocks[0]]),
+                    (explicit, list(FANO.blocks))):
+        asked.clear()
+        report = lemma_report(_inst(A, FANO, params=params))
+        assert asked == [sets]
+        assert report.theta == tuple(block_theta(A, b, FAM_K3, 7, HALF)
+                                     for b in FANO.blocks)
+
+
+def _perturb_first_orbit(monkeypatch):
+    # one more mask of no edges in the first orbit's theta histogram
+    import hlab.supersat
+
+    real = hlab.supersat._spread
+
+    def spread(hists, orbit, p):
+        hists = hists.copy()
+        hists[0, 0] += 1
+        return real(hists, orbit, p)
+
+    monkeypatch.setattr(hlab.supersat, "_spread", spread)
+
+
+def _one_cell_for_all(monkeypatch):
+    # a grouping that ignores a scope: every vertex set in one orbit
+    import hlab.supersat
+
+    monkeypatch.setattr(hlab.supersat, "_vertex_cells",
+                        lambda pred, n: (0,) * n)
+
+
+@pytest.mark.parametrize("fault", [_perturb_first_orbit, _one_cell_for_all])
+def test_second_routes_check_the_grouping(monkeypatch, fault):
+    # x_set's averaging identity and partition_table's cell route compare
+    # every column with the orbits' representatives, so one wrong orbit
+    # histogram, or orbits that join vertex sets of unequal theta, raise.
+    from hlab.errors import ConstructionError
+
+    scoped = EdgePredicate.contains(FAM_K3, within=(0, 1, 2, 3))
+    x_set(_inst(scoped, n=5), 3, Fraction(1, 4))
+    partition_table(_inst(scoped, SYS6))
+    fault(monkeypatch)
+    with pytest.raises(ConstructionError, match="averaging accumulators"):
+        x_set(_inst(scoped, n=5), 3, Fraction(1, 4))
+    with pytest.raises(ConstructionError, match="containment-pattern"):
+        partition_table(_inst(scoped, SYS6))
 
 
 def test_best_graph_is_smallest_mask_on_ties():
