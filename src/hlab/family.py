@@ -154,9 +154,11 @@ def _slice_count(n: int, r: int) -> int:
 
 
 def _mask_slices(masks: np.ndarray, n: int, r: int) -> list:
-    """The masks cut into uint16 slices of _SLICE_BITS bits, low slice first."""
+    """The masks cut into uint16 slices of _SLICE_BITS bits, low slice
+    first; shifted in the masks' own dtype."""
     low = np.uint16((1 << _SLICE_BITS) - 1)
-    return [(masks >> np.uint64(q * _SLICE_BITS)).astype(np.uint16) & low
+    shift = masks.dtype.type
+    return [(masks >> shift(q * _SLICE_BITS)).astype(np.uint16) & low
             for q in range(_slice_count(n, r))]
 
 
@@ -169,7 +171,8 @@ def _compare_kernel(n: int, h: int, r: int, orbit: frozenset, wanted: list):
     Yields one hit column per h-subset rank in `wanted`.  A row's mask R is
     the OR of its global bit positions and every member g is spread onto
     those positions; G[D] is a member iff masks & R equals one of the
-    spread patterns, so no induced mask is built.
+    spread patterns, so no induced mask is built.  The row masks and
+    patterns are taken in the dtype of the masks given, which holds them.
     """
     rows = induced_rank_table(n, h, r)[wanted]
     pw = np.left_shift(np.uint64(1), rows.astype(np.uint64))
@@ -180,7 +183,8 @@ def _compare_kernel(n: int, h: int, r: int, orbit: frozenset, wanted: list):
         np.where(bits[None, :, :], pw[:, None, :], np.uint64(0)), axis=2)
 
     def run(masks: np.ndarray):
-        for mask, patterns in zip(row_mask, spread):
+        for mask, patterns in zip(row_mask.astype(masks.dtype, copy=False),
+                                  spread.astype(masks.dtype, copy=False)):
             sel = masks & mask
             hit = sel == patterns[0]
             for g in patterns[1:]:

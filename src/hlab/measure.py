@@ -22,8 +22,10 @@ k adds the edges through vertex k-1 and tests only the copies through
 it.  Every other predicate is one level: all C(n,r) bits, then its
 rule.  The exact path runs keep and the caller's reduction on blocks
 of at most 2^16 candidates.  A full scan's block is one value of the
-high bits over every value of the low 16 (or all N) bits in edge-count
-order, so its survivors arrive sorted by edge count; a vertex walk
+high bits over the low 16 (or all N) bits in edge-count order, held in
+uint32, and only over the runs of low values that put a mask in the
+kind's edge-count window: a block whose window is empty is never
+built.  So its survivors arrive sorted by edge count; a vertex walk
 enumerates the choices depth first, in slices that together hold at
 most 2^20 candidates, and its blocks come parent by parent, so a
 caller that wants them by edge count sorts them (supersat._scan).
@@ -33,7 +35,8 @@ not depend on it.
 Each kind also names the vertex permutations that fix its class: those
 that keep every cell of _vertex_cells' partition.  supersat reduces a
 quantity that depends only on a vertex set's orbit under them once per
-orbit.
+orbit.  And each kind names the window of edge counts its members can
+have (_edge_window), which is all a full scan builds.
 
 At a vertex level keep tests parents, not candidates.  The new vertex
 v = k-1 is the top vertex of every row D = S + {v} through it, so D's
@@ -215,11 +218,14 @@ def _validate_p(p) -> Fraction:
 
 
 class _Level(NamedTuple):
-    """Level bits lo .. hi-1 and the rule that picks its survivors."""
+    """Level bits lo .. hi-1, the rule that picks its survivors and, for
+    a full scan, the window (least, most) of the edge counts a survivor
+    can have; None, at a vertex level, admits every count."""
 
     lo: int
     hi: int
     keep: Callable
+    window: tuple | None = None
 
 
 def _children(parents: np.ndarray, allowed: np.ndarray, lo: int,
@@ -238,8 +244,8 @@ def _children(parents: np.ndarray, allowed: np.ndarray, lo: int,
 @lru_cache(maxsize=None)
 def _edge_order(width: int) -> np.ndarray:
     """The values 0 .. 2^width - 1 by number of set bits, each run of one
-    count in increasing order."""
-    values = np.arange(1 << width, dtype=np.uint64)
+    count in increasing order, as uint32: a full scan's lane."""
+    values = np.arange(1 << width, dtype=np.uint32)
     order = values[np.argsort(np.bitwise_count(values), kind="stable")]
     order.setflags(write=False)
     return order
@@ -252,13 +258,17 @@ def _walk(levels: list, workers: int, per_block: Callable):
     per_block(0, masks, kept, hist): kept = keep(masks), the boolean
     column of the survivors, and hist their edge histogram, N + 1
     entries.  Block h holds the masks h << b | c, b = min(N, 16), for the
-    low values c in the order of _edge_order(b), so every block of a
-    full scan arrives sorted by edge count, and the survivors with e
-    edges are those kept in the run of c with e - popcount(h) bits: hist
-    is one np.add.reduceat of kept over the fixed runs.  Each worker
-    writes its blocks into one buffer for the whole scan, so masks is
-    only valid until per_block returns; one slice of blocks, at most
-    _SLICE_MASKS candidates, runs at a time.
+    low values c in the order of _edge_order(b) whose edge count lies in
+    the level's window (_edge_window, one more entry of each kind): the
+    runs of c with window - popcount(h) set bits, one contiguous slice of
+    the order.  So every block of a full scan arrives sorted by edge
+    count, a block whose window is empty is skipped, and the survivors
+    with e edges are those kept in the run of c with e - popcount(h)
+    bits: hist is one np.add.reduceat of kept over the block's runs.
+    Its masks are uint32, which holds every mask up to
+    HARD_EXACT_CAP_BITS.  Each worker writes its blocks into one buffer
+    for the whole scan, so masks is only valid until per_block returns;
+    one slice of blocks, at most _SLICE_MASKS candidates, runs at a time.
     In a walk of more than one level, one per vertex, part =
     per_block(k, parents, allowed, width): allowed[i] is the set of the
     choices c < 2^width for which parents[i] | c << lo passes keep,
@@ -285,35 +295,48 @@ def _walk(levels: list, workers: int, per_block: Callable):
             return list((apply if len(blocks) > 1 else map)(one, blocks))
 
         if not last:
-            _, hi, keep = levels[0]
+            _, hi, keep, window = levels[0]
+            # one vertex level (n = 0) has no window: every count
+            least, most = window or (0, hi)
             low = min(hi, _OPEN_BITS)
             order = _edge_order(low)
             # order's runs of c with 0, 1, ..., low set bits start here
-            starts = np.cumsum([0] + [comb(low, j) for j in range(low)])
+            starts = np.cumsum([0] + [comb(low, j) for j in range(low + 1)])
             local = threading.local()
 
+            def runs(h):
+                # first .. end: the set-bit counts of c that put
+                # h << low | c in the window
+                base = h.bit_count()
+                return max(least - base, 0), min(most - base, low)
+
             def scan(h):
+                first, end = runs(h)
+                start, stop = starts[first], starts[end + 1]
                 masks = getattr(local, "masks", None)
                 if masks is None:
                     masks = local.masks = np.empty_like(order)
-                np.bitwise_or(order, np.uint64(h << low), out=masks)
+                masks = np.bitwise_or(order[start:stop], np.uint32(h << low),
+                                      out=masks[:stop - start])
                 kept = keep(masks)
                 hist = np.zeros(hi + 1, dtype=np.int64)
                 base = h.bit_count()
-                hist[base:base + low + 1] = np.add.reduceat(kept, starts,
-                                                            dtype=np.int64)
+                hist[base + first:base + end + 1] = np.add.reduceat(
+                    kept, starts[first:end + 1] - start, dtype=np.int64)
                 return per_block(0, masks, kept, hist)
 
-            blocks = range(1 << (hi - low))
+            blocks = [h for h, (first, end)
+                      in enumerate(map(runs, range(1 << (hi - low))))
+                      if first <= end]
             step = max(1, budget >> low)
-            for first in blocks[::step]:
+            for first in range(0, len(blocks), step):
                 for part in run(scan, blocks[first:first + step]):
                     yield 0, part
             return
         stack = [(0, np.zeros(1, dtype=np.uint64), 0)]
         while stack:
             k, front, pos = stack.pop()
-            lo, hi, keep = levels[k]
+            lo, hi, keep, *_ = levels[k]
             width = min(hi - lo, _OPEN_BITS)
             fold = hi - lo - width
             total = front.shape[0] << fold
@@ -383,7 +406,7 @@ def _edge_histogram(parents, allowed, width: int, length: int) -> np.ndarray:
 
 def _histograms(levels: list, workers: int) -> list:
     """Edge histogram of the survivors of every level."""
-    hists = [np.zeros(hi + 1, dtype=np.int64) for _, hi, _ in levels]
+    hists = [np.zeros(hi + 1, dtype=np.int64) for _, hi, *_ in levels]
     if len(levels) == 1:  # a full scan's blocks come with theirs
         def one(k, masks, kept, hist):
             return hist
@@ -502,7 +525,9 @@ def _levels(pred, n: int, r: int) -> list:
     full space holds, so it raises the full-space rule's error, in part order.
     """
     if not (_hereditary(pred) and _tests_family(pred)):
-        return [_Level(0, comb(n, r), _rule(pred, n, r))]
+        nbits = comb(n, r)
+        return [_Level(0, nbits, _rule(pred, n, r),
+                       _edge_window(pred, nbits))]
     keeps = [_rule(pred, k, r, through=k - 1) for k in range(n, -1, -1)]
     bounds = [0] + [comb(k, r) for k in range(n + 1)]
     return list(map(_Level, bounds, bounds[1:], reversed(keeps)))
@@ -608,7 +633,7 @@ def mc_measure(n: int, r: int, p, pred, samples: int, seed: int,
         np.add(ws.streams[:m], np.uint64(lo), out=keys)
         stream_keys(seed, keys, out=keys, tmp=ws.tmp[:m])
         masks.fill(0)
-        for first, end, keep in levels:
+        for first, end, keep, _ in levels:
             bernoulli_columns(keys, masks, first, end, threshold,
                               (ws.z[:m], ws.tmp[:m], ws.below[:m]))
             ok = keep(masks)
@@ -687,7 +712,7 @@ def _surely_positive(levels: list, n: int, p: Fraction) -> bool:
     graph, whichever has positive probability, passes levels 0..n."""
     full = (1 << levels[n].hi) - 1
     masks = np.array([0] * (p < 1) + [full] * (p > 0), dtype=np.uint64)
-    for _, hi, keep in levels[:n + 1]:
+    for _, hi, keep, _ in levels[:n + 1]:
         masks = masks[keep(masks & np.uint64((1 << hi) - 1))]
     return full > 0 and masks.size > 0
 
@@ -738,7 +763,8 @@ def _explicit_rule(pred, n, r, through=None):
             f"explicit mask {min(outside)} lies outside the "
             f"C({n},{r}) = {nbits}-bit layout")
     wanted = np.fromiter(sorted(pred.masks), count=len(pred.masks), dtype=np.uint64)
-    return lambda masks: np.isin(masks, wanted)
+    # in the masks' own dtype: each mask fits it, and no block is promoted
+    return lambda masks: np.isin(masks, wanted.astype(masks.dtype, copy=False))
 
 
 def _contains_rule(pred, n, r, through=None):
@@ -775,9 +801,9 @@ def _intersection_rule(pred, n, r, through=None):
 
 class _Kind(NamedTuple):
     """One predicate kind: its rule, JSON operands and their parser, the
-    vertex partition whose permutations fix its class, and whether it is
-    closed under induced subgraphs (an intersection when its parts are
-    too)."""
+    vertex partition whose permutations fix its class, the window of edge
+    counts its members can have, and whether it is closed under induced
+    subgraphs (an intersection when its parts are too)."""
 
     # (pred, n, r, through=None) -> keep, a boolean column over masks of the
     # (n, r) space; with `through`, only the copies through that vertex.
@@ -788,6 +814,7 @@ class _Kind(NamedTuple):
     operands: Callable  # pred -> JSON fields after "kind"
     parse: Callable     # (JSON object, levels left for parts) -> predicate
     cells: Callable     # (pred, n) -> a cell label per vertex
+    window: Callable    # (pred, N) -> (least, most) edge counts on N bits
     hereditary: bool = False
 
 
@@ -829,30 +856,58 @@ def _refined_cells(preds, n: int) -> tuple:
                  for key in (zip(*cols) if cols else [()] * n))
 
 
+def _edge_window(pred, nbits: int) -> tuple:
+    """(least, most): every member of pred's class on nbits bits has
+    between least and most edges, and the window is empty (least > most)
+    when the class is.  `min_edges` k is [k, N], `max_edges` k [0, k],
+    `explicit` the popcounts of its masks, `intersection` the common part
+    of its parts' windows, and every other kind [0, N]."""
+    least, most = _KINDS[pred.kind].window(pred, nbits)
+    return max(least, 0), min(most, nbits)
+
+
+def _every_count(pred, nbits: int) -> tuple:
+    return 0, nbits
+
+
+def _explicit_window(pred, nbits: int) -> tuple:
+    pops = [m.bit_count() for m in pred.masks]
+    return (min(pops), max(pops)) if pops else (1, 0)
+
+
+def _common_window(pred, nbits: int) -> tuple:
+    windows = [(0, nbits)] + [_edge_window(q, nbits) for q in pred.parts]
+    return max(w[0] for w in windows), min(w[1] for w in windows)
+
+
 _KINDS = {
     "min_edges": _Kind(
         lambda p, n, r, through=None: lambda masks: (
             np.bitwise_count(masks) >= p.k),
         lambda p: {"k": p.k},
         lambda o, _: EdgePredicate.min_edges(_json_int(o["k"])),
-        _one_cell),
+        _one_cell,
+        lambda p, nbits: (p.k, nbits)),
     "max_edges": _Kind(
         _max_edges_rule,
         lambda p: {"k": p.k},
         lambda o, _: EdgePredicate.max_edges(_json_int(o["k"])),
         _one_cell,
+        lambda p, nbits: (0, p.k),
         hereditary=True),
     "explicit": _Kind(
         _explicit_rule,
         lambda p: {"masks": sorted(p.masks)},
         lambda o, _: EdgePredicate.explicit(map(_json_int, o["masks"])),
-        lambda p, n: tuple(range(n))),
+        lambda p, n: tuple(range(n)),
+        _explicit_window),
     "forb": _Kind(
         lambda p, n, r, through=None: _negated(
             _contains_rule(p, n, r, through)),
         lambda p: {"family": family_to_json_obj(p.family)},
         lambda o, _: EdgePredicate.forb(family_from_json_obj(o["family"])),
         _one_cell,
+        _every_count,
         hereditary=True),
     "contains": _Kind(
         _contains_rule,
@@ -862,17 +917,20 @@ _KINDS = {
             family_from_json_obj(o["family"]),
             within=None if o.get("within") is None
             else map(_json_int, o["within"])),
-        _scope_cells),
+        _scope_cells,
+        _every_count),
     "intersection": _Kind(
         _intersection_rule,
         lambda p: {"parts": [predicate_to_json_obj(q) for q in p.parts]},
         lambda o, depth: EdgePredicate.intersection(
             _predicate_from(q, depth) for q in o["parts"]),
         lambda p, n: _refined_cells(p.parts, n),
+        _common_window,
         hereditary=True),
     "complement": _Kind(
         lambda p, n, r, through=None: _negated(_rule(p.inner, n, r)),
         lambda p: {"inner": predicate_to_json_obj(p.inner)},
         lambda o, d: EdgePredicate.complement(_predicate_from(o["inner"], d)),
-        lambda p, n: _vertex_cells(p.inner, n)),
+        lambda p, n: _vertex_cells(p.inner, n),
+        _every_count),
 }

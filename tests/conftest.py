@@ -43,7 +43,7 @@ def walks(monkeypatch):
     original = hlab.measure._walk
 
     def recorded(levels, workers, per_block):
-        seen.append([(lo, hi) for lo, hi, _ in levels])
+        seen.append([(lo, hi) for lo, hi, *_ in levels])
         return original(levels, workers, per_block)
 
     for mod in (hlab.measure, hlab.supersat):

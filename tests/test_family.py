@@ -285,6 +285,31 @@ def test_contains_columns_across_blocks(members):
         assert np.array_equal(whole[:, lo:lo + step], piece)
 
 
+@pytest.mark.parametrize("members, kernel", [
+    ([K3], "_compare_kernel"), ([C4], "_compare_kernel"),
+    ([path(5)], "_gather_kernel")], ids=["K3", "C4", "P5"])
+def test_contains_columns_equal_in_both_lanes(monkeypatch, members, kernel):
+    # A full scan hands the kernel uint32 masks and mc uint64 ones: the
+    # same masks give the same columns in either dtype, on each kernel.
+    import hlab.family as family_module
+
+    built = []
+    for name in ("_compare_kernel", "_gather_kernel"):
+        def spy(*args, _real=getattr(family_module, name), _name=name):
+            built.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(family_module, name, spy)
+    fam = normalize_family(members)
+    masks = np.random.default_rng(3).integers(
+        0, 1 << comb(7, 2), (1 << 16) + 999, dtype=np.uint64)
+    vsets = [range(7), (0, 2, 3, 5, 6), (1, 2, 3, 4, 6)]
+    rows = _contains_rows(7, 2, fam, vsets)
+    wide = rows(masks)
+    assert np.array_equal(rows(masks.astype(np.uint32)), wide)
+    assert built == [kernel]
+    assert wide.any() and not wide.all()
+
+
 # A sparse 7-vertex 3-graph with an orbit of 2,520: its lookup is too wide,
 # so its rows always run the masked compare.
 SPARSE7_3 = graph_from_edges(7, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 4),

@@ -16,8 +16,9 @@ from hlab.family import normalize_family
 from hlab.hypergraph import (RUniformGraph, complete_graph, graph_from_edges,
                              permute_graph)
 from hlab.measure import (_SLICE_MASKS, HARD_EXACT_CAP_BITS, EdgePredicate,
-                          _check_ceiling, _children, _histograms, _levels,
-                          _rule, _vertex_cells, check_exact_feasible,
+                          _check_ceiling, _children, _edge_order,
+                          _edge_window, _histograms, _levels, _rule,
+                          _vertex_cells, check_exact_feasible,
                           clopper_pearson, cn_from_measure, cn_sequence,
                           exact_measure, fraction_str, log2_fraction,
                           mc_measure, predicate_from_json_obj,
@@ -864,8 +865,13 @@ def test_weight_powers_are_mask_probabilities():
 
 
 # Full scans of N = 10 (one block of 2^10), 15 and 21 bits (32 blocks).
+# max_edges(3) leaves most blocks of n = 7 outside its window, explicit([])
+# every block, and min_edges(N - 1) all but the top runs of each block.
 SCAN_ORDER_PREDICATES = {
     "min_edges": lambda n, N: EdgePredicate.min_edges(N // 2),
+    "min_edges_near_N": lambda n, N: EdgePredicate.min_edges(N - 1),
+    "max_edges": lambda n, N: EdgePredicate.max_edges(3),
+    "explicit_empty": lambda n, N: EdgePredicate.explicit([]),
     "contains": lambda n, N: EdgePredicate.contains(
         normalize_family([C4]), within=range(1, n)),
     "explicit": lambda n, N: EdgePredicate.explicit(
@@ -883,11 +889,59 @@ def test_full_scan_in_edge_order_matches_natural_order(name, n, workers):
     N = comb(n, 2)
     pred = SCAN_ORDER_PREDICATES[name](n, N)
     levels = _levels(pred, n, 2)
-    assert [(lo, hi) for lo, hi, _ in levels] == [(0, N)]
+    assert [(lo, hi) for lo, hi, *_ in levels] == [(0, N)]
+    rule = _rule(pred, n, 2)
     masks = np.arange(1 << N, dtype=np.uint64)
-    kept = np.bitwise_count(masks[_rule(pred, n, 2)(masks)])
+    column = rule(masks)
+    # the full scan's uint32 lane gives the uint64 column
+    assert np.array_equal(rule(masks.astype(np.uint32)), column)
+    kept = np.bitwise_count(masks[column])
     want = np.bincount(kept, minlength=N + 1).tolist()
     assert _histograms(levels, workers) == [want]
+
+
+def test_edge_window_of_every_kind():
+    fam = normalize_family([K3])
+    for pred, window in (
+            (EdgePredicate.min_edges(4), (4, 10)),
+            (EdgePredicate.min_edges(-2), (0, 10)),
+            (EdgePredicate.min_edges(11), (11, 10)),
+            (EdgePredicate.max_edges(3), (0, 3)),
+            (EdgePredicate.max_edges(-1), (0, -1)),
+            (EdgePredicate.explicit([0b110, 0b10111, 0b1]), (1, 4)),
+            (EdgePredicate.explicit([]), (1, 0)),
+            (FORB_K3, (0, 10)),
+            (EdgePredicate.contains(fam, within=(0, 1, 2)), (0, 10)),
+            (EdgePredicate.complement(EdgePredicate.max_edges(3)), (0, 10)),
+            (EdgePredicate.intersection([]), (0, 10)),
+            (EdgePredicate.intersection([EdgePredicate.min_edges(2),
+                                         EdgePredicate.max_edges(7),
+                                         FORB_K3]), (2, 7)),
+            (EdgePredicate.intersection([EdgePredicate.min_edges(5),
+                                         EdgePredicate.max_edges(4)]),
+             (5, 4))):
+        assert _edge_window(pred, 10) == window, pred
+
+
+@given(SPACES)
+def test_edge_window_never_drops_a_member(space):
+    # A full scan builds only the masks whose edge count lies in the
+    # window, so every mask outside it must fail the predicate.
+    n, pred = space
+    N = comb(n, 2)
+    least, most = _edge_window(pred, N)
+    assert least >= 0 and most <= N
+    obj = predicate_to_json_obj(pred)
+    for mask in range(1 << N):
+        if not least <= mask.bit_count() <= most:
+            assert not naive_satisfies(obj, RUniformGraph(n, 2, mask)), mask
+
+
+def test_hard_cap_fits_the_uint32_full_scan_lane():
+    assert _edge_order(4).dtype == np.uint32
+    assert HARD_EXACT_CAP_BITS <= 32, (
+        "a full scan carries its masks in uint32 (measure._walk and "
+        "_edge_order); a hard cap above 32 bits would wrap them")
 
 
 def test_vertex_cells_of_every_kind():
@@ -972,6 +1026,9 @@ def test_scan_reduces_blocks_in_edge_order(monkeypatch, workers):
         assert len(raw) > 1 and contents(raw) == contents(reduced)
         assert all(map(in_edge_order, reduced))
         assert all(map(in_edge_order, raw)) == full
+        # a full scan's blocks in uint32 lanes, a vertex walk's in uint64
+        lane = np.uint32 if full else np.uint64
+        assert {m.dtype for m in raw + reduced} == {np.dtype(lane)}
 
 
 def test_extension_memory_within_one_scan_chunk():
