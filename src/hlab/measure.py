@@ -77,7 +77,8 @@ from .errors import (ConstructionError, FeasibilityError, ParameterError,
                      ParseError)
 from .family import (_BLOCK_MASKS, ForbiddenFamily, _contains_rows,
                      _no_choices, _pack_choices, normalize_family)
-from .rng import bernoulli_columns, bernoulli_threshold, stream_keys
+from .rng import (bernoulli_columns, bernoulli_threshold, column_keys,
+                  stream_keys)
 
 DEFAULT_EXACT_CAP_BITS = 24
 HARD_EXACT_CAP_BITS = 30
@@ -580,9 +581,10 @@ def clopper_pearson(hits: int, samples: int, level: float) -> tuple:
 class _Workspace:
     """One `mc_measure` worker's arrays, of one chunk's length, allocated
     on its first chunk and reused by every chunk after it: the chunk's
-    stream offsets, the keys and masks of the samples still in the class
-    (two rows each, which compaction fills in turn), and the scratch
-    columns of `bernoulli_columns`.  They are rows of one block, so the
+    stream offsets, the `column_keys` and masks of the samples still in
+    the class (two rows each, which compaction fills in turn), and the
+    scratch columns of `bernoulli_columns`.  They are rows of one block
+    (the bool and uint16 columns share its last row), so the
     heap that holds it, freed at the end of a call, is kept for the next
     call rather than trimmed and faulted in again; a chunk allocates
     nothing chunk-sized but its rules' outputs."""
@@ -592,6 +594,7 @@ class _Workspace:
         self.streams, self.z, self.tmp = block[:3]
         self.keys, self.masks = block[3:5], block[5:7]
         self.below = block[7].view(bool)[:size]
+        self.group = block[7].view(np.uint16)[size:2 * size]
         self.streams[:] = np.arange(size, dtype=np.uint64)
 
 
@@ -607,8 +610,10 @@ def mc_measure(n: int, r: int, p, pred, samples: int, seed: int,
     rule holds.  hits counts the samples that pass every level; a
     survivor's mask equals its full draw bit for bit.  Chunks of 2^16
     samples are fixed, so the result does not depend on `workers`; each
-    worker thread keeps one _Workspace for the whole call.  At most
-    _MAX_SAMPLES samples are taken.
+    worker thread keeps one _Workspace for the whole call.  A chunk's
+    keys are turned into their `column_keys` form once, and every level
+    draws its columns from that form.  At most _MAX_SAMPLES samples are
+    taken.
     """
     p = _validate_p(p)
     if samples < 1:
@@ -632,10 +637,12 @@ def mc_measure(n: int, r: int, p, pred, samples: int, seed: int,
         keys, masks = ws.keys[side, :m], ws.masks[side, :m]
         np.add(ws.streams[:m], np.uint64(lo), out=keys)
         stream_keys(seed, keys, out=keys, tmp=ws.tmp[:m])
+        column_keys(keys, tmp=ws.tmp[:m])
         masks.fill(0)
         for first, end, keep, _ in levels:
             bernoulli_columns(keys, masks, first, end, threshold,
-                              (ws.z[:m], ws.tmp[:m], ws.below[:m]))
+                              (ws.z[:m], ws.tmp[:m], ws.below[:m],
+                               ws.group[:m]))
             ok = keep(masks)
             alive = int(np.count_nonzero(ok))
             if alive < m:

@@ -22,12 +22,15 @@ streams at one run of counters, ``shuffle_targets`` draws the
 Fisher-Yates swap targets of many streams at once, and
 ``bernoulli_columns`` evaluates counters lo+1 .. hi
 across many streams at once, one bit column of the sampled masks at a
-time, without materialising the (streams x draws) output matrix.  A
-caller may draw a mask's columns in several ranges, on fewer streams
-each time, and get the same bits as in one pass.  A Steiner search
-(``steiner.search_system``) draws a chunk of restarts in one pass, on
-stream 0 of each seed (``seed_keys``); each seed's targets equal those
-of ``Rng.shuffle``, which draws one stream, bit for bit.
+time, without materialising the (streams x draws) output matrix.  It
+takes each key as ``column_keys`` leaves it, with the key's share of
+mix64's first step taken once.  A caller may draw a mask's columns in
+several ranges, on fewer streams each time, and get the same bits as in
+one pass.  A Steiner search (``steiner.search_system``) draws the swap
+targets of a chunk of restarts in one pass, on stream 0 of each seed
+(``seed_keys``), and applies them to all the chunk's seeds at once when
+it runs them in lockstep; each seed's targets equal those of
+``Rng.shuffle``, which draws one stream, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,9 +56,8 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-_MIX_STEPS = tuple((np.uint64(shift), np.uint64(mult))
-                   for shift, mult in ((30, _MIX_A), (27, _MIX_B)))
-_LAST_SHIFT = np.uint64(31)
+_SHIFT_A, _SHIFT_B, _SHIFT_C = np.uint64(30), np.uint64(27), np.uint64(31)
+_MUL_A, _MUL_B = np.uint64(_MIX_A), np.uint64(_MIX_B)
 
 
 def _mix64_np(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
@@ -63,11 +65,19 @@ def _mix64_np(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     scratch space of z's shape."""
     if tmp is None:
         tmp = np.empty_like(z)
-    for shift, mult in _MIX_STEPS:
-        np.right_shift(z, shift, out=tmp)
-        np.bitwise_xor(z, tmp, out=z)
-        np.multiply(z, mult, out=z)
-    np.right_shift(z, _LAST_SHIFT, out=tmp)
+    np.right_shift(z, _SHIFT_A, out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+    return _mix64_tail(z, tmp)
+
+
+def _mix64_tail(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``mix64`` of each element after its first step z ^= z>>30, in
+    place: z *= A; z ^= z>>27; z *= B; z ^= z>>31."""
+    np.multiply(z, _MUL_A, out=z)
+    np.right_shift(z, _SHIFT_B, out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+    np.multiply(z, _MUL_B, out=z)
+    np.right_shift(z, _SHIFT_C, out=tmp)
     return np.bitwise_xor(z, tmp, out=z)
 
 
@@ -143,29 +153,62 @@ def _swap(items: list, targets) -> None:
         items[pos], items[j] = items[j], items[pos]
 
 
+def column_keys(keys: np.ndarray, tmp: np.ndarray | None = None
+                ) -> np.ndarray:
+    """keys ^ (keys >> 30), in place: the stream keys in the form that
+    ``bernoulli_columns`` takes.  The first step of mix64(k ^ c), z ^=
+    z>>30, splits over the XOR into k ^ k>>30 and c ^ c>>30, so a key's
+    part is taken once and not once per column.  tmp is scratch space
+    of keys' shape."""
+    if tmp is None:
+        tmp = np.empty_like(keys)
+    np.right_shift(keys, _SHIFT_A, out=tmp)
+    return np.bitwise_xor(keys, tmp, out=keys)
+
+
+# Columns whose comparison bits are gathered in one uint16 before they
+# are widened, shifted and ORed into the masks.
+_GROUP = 16
+
+
 def bernoulli_columns(keys: np.ndarray, masks: np.ndarray, lo: int, hi: int,
                       threshold: int, scratch: tuple | None = None
                       ) -> np.ndarray:
     """OR bits lo .. hi-1 into masks, in place, and return masks: bit j of
-    masks[i] is set when output j+1 of the substream keyed keys[i] is
-    below `threshold`, for 0 <= lo <= hi <= 64.
+    masks[i] is set when output j+1 of the substream keyed k_i is below
+    `threshold`, for 0 <= lo <= hi <= 64, where keys[i] is the
+    ``column_keys`` form of k_i.
 
     Works column by column on length-len(keys) buffers: scratch is
-    (z, tmp, below), two uint64 arrays and a bool array of keys' shape,
-    allocated here when None.  A threshold of 2**64 or more sets every
-    bit without drawing.
+    (z, tmp, below, group), two uint64 arrays, a bool and a uint16 array
+    of keys' shape, allocated here when None.  Each column is one XOR
+    with that column's constant, the rest of mix64 and one comparison;
+    the comparisons of up to _GROUP columns are packed into group, a bit
+    per column, and ORed into masks once.  A threshold of 2**64 or more
+    sets every bit without drawing.
     """
     if threshold >= 1 << 64:
         masks |= np.uint64(((1 << hi) - 1) ^ ((1 << lo) - 1))
         return masks
     thr = np.uint64(threshold)
-    z, tmp, below = scratch or (np.empty_like(keys), np.empty_like(keys),
-                                np.empty(keys.shape, dtype=bool))
-    for j in range(lo, hi):
-        np.bitwise_xor(keys, np.uint64(mix64((j + 1) * GAMMA_COUNTER)), out=z)
-        np.less(_mix64_np(z, tmp), thr, out=below)
-        tmp[:] = below
-        np.left_shift(tmp, np.uint64(j), out=tmp)
+    z, tmp, below, group = scratch or (
+        np.empty_like(keys), np.empty_like(keys),
+        np.empty(keys.shape, dtype=bool), np.empty(keys.shape, np.uint16))
+    for first in range(lo, hi, _GROUP):
+        # The last column of the group first: each shift moves the bits
+        # gathered so far one place up.
+        last = min(first + _GROUP, hi) - 1
+        for j in range(last, first - 1, -1):
+            c = mix64((j + 1) * GAMMA_COUNTER)
+            np.bitwise_xor(keys, np.uint64(c ^ (c >> 30)), out=z)
+            _mix64_tail(z, tmp)
+            if j == last:
+                np.less(z, thr, out=group)
+            else:
+                np.less(z, thr, out=below)
+                np.left_shift(group, np.uint16(1), out=group)
+                np.bitwise_or(group, below, out=group)
+        np.left_shift(group, np.uint64(first), out=tmp)
         np.bitwise_or(masks, tmp, out=masks)
     return masks
 

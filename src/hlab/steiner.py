@@ -32,7 +32,15 @@ DEFAULT_ROUNDS = 10
 # 14 s and 617 MB; (2,3,300) took 55 s and 2.0 GB.
 _TABLE_MAX_BITS = 22
 # Random outputs a search draws per chunk of seeds (at least one seed).
-_CHUNK_DRAWS = 1 << 16
+_CHUNK_DRAWS = 1 << 18
+# Fewest seeds of a greedy chunk that are packed in lockstep.  A lockstep
+# step costs about 10-15 us of numpy calls for all its seeds, a seed's
+# own scan 0.2-0.3 us per candidate: on 2 vCPUs the two broke even at
+# 48-64 seeds a chunk over eleven (r, m, n) from (1,2,20) and (2,3,7) to
+# (2,6,10) and (4,6,9), and lockstep won in each at 96 seeds.
+_LOCKSTEP_SEEDS = 96
+# Most seeds one search tries: it keeps one d per seed.
+MAX_RESTARTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -133,11 +141,64 @@ def _check_params(r: int, m: int, n: int) -> None:
     _check_table("block layout", m, r, r)
 
 
+def _scan(rows: list, subs: tuple, ncov: int, candidates) -> list:
+    """Blocks of one greedy scan: each candidate m-subset, by colex rank,
+    whose r-subsets (rows[ci]) are all still uncovered, in scan order."""
+    covered = bytearray(ncov)
+    blocks = []
+    for ci in candidates:
+        row = rows[ci]
+        for k in row:
+            if covered[k]:
+                break
+        else:
+            for k in row:
+                covered[k] = 1
+            blocks.append(subs[ci])
+    return blocks
+
+
+def _lockstep(table: np.ndarray, ncov: int, targets: np.ndarray) -> tuple:
+    """Greedy packings of a chunk of seeds in lockstep, one numpy step per
+    swap and per scan position for all seeds at once: (sizes, order), the
+    d of each seed and order[p, i], the candidate at position p of seed
+    i's shuffled scan.  targets, one `shuffle_targets` row per seed, is
+    overwritten."""
+    seeds, size = len(targets), len(table)
+    lane = np.arange(seeds)
+    order = np.empty((size, seeds), dtype=np.intp)
+    order[:] = np.arange(size)[:, None]
+    flat = order.reshape(-1)
+    # Swap t of seed i exchanges positions size-1-t and targets[i, t]; the
+    # second, as an index into flat, is targets[i, t] * seeds + i.
+    where = targets.view(np.intp)
+    where *= seeds
+    where += lane[:, None]
+    for row, at in zip(order[:0:-1], where.T):
+        taken = flat[at]
+        flat[at] = row
+        row[:] = taken
+    # Rank k of seed i is covered[k * seeds + i]; one row of idx per
+    # r-subset of the candidates, as numpy reduces such rows fastest.
+    ranks = np.ascontiguousarray(table.T) * seeds
+    covered = np.zeros(ncov * seeds, dtype=bool)
+    idx = np.empty((len(ranks), seeds), dtype=np.intp)
+    for ci in order:
+        np.take(ranks, ci, axis=1, out=idx)
+        idx += lane
+        free = ~covered[idx].any(axis=0)
+        covered[idx[:, free]] = True
+    hits = np.count_nonzero(covered.reshape(ncov, seeds), axis=0)
+    return (hits // len(ranks)).tolist(), order
+
+
 def _packings(r: int, m: int, n: int, seeds: range, bite: Fraction,
               rounds: int):
-    """Sorted blocks of each seed's packing, unverified, in seed order:
-    `rounds` random bites, then greedy completion (with rounds=0, greedy
-    alone), on stream 0 of the seed.
+    """Each chunk's packings, unverified, in seed order: (sizes, blocks),
+    the d of each seed of the chunk and the sorted blocks of its first
+    seed with the largest d.  A packing is `rounds` random bites, then
+    greedy completion (with rounds=0, greedy alone), on stream 0 of the
+    seed.
 
     Each round draws one Bernoulli(bite) per m-subset.  One greedy scan
     adds every candidate whose r-subsets are all still uncovered: each
@@ -145,38 +206,47 @@ def _packings(r: int, m: int, n: int, seeds: range, bite: Fraction,
     seeded-shuffle order, so the result is maximal.
     The seeds are drawn in chunks of about _CHUNK_DRAWS outputs: each
     chunk draws one block of bites per round and one of swap targets,
-    bit for bit the draws of each seed's own stream.
+    bit for bit the draws of each seed's own stream.  A greedy chunk of
+    at least _LOCKSTEP_SEEDS seeds is shuffled and scanned in lockstep,
+    and only its winner is scanned again, alone, for its blocks; any
+    other chunk is scanned seed by seed.
     """
     _check_table("packing table", n, m, comb(m, r))
     subs = subsets_colex(n, m)
+    table = induced_rank_table(n, m, r)
     # row i: global colex ranks of the r-subsets of the i-th m-subset, as
     # lists for the scan; built per call, as they grow with C(n,m) C(m,r)
-    rows = induced_rank_table(n, m, r).tolist()
-    size = len(subs)
+    rows = table.tolist()
+    size, ncov = len(subs), comb(n, r)
     # Only a round compares draws with the threshold.
     threshold = np.uint64(bernoulli_threshold(bite)) if rounds else None
-    chunk = max(1, _CHUNK_DRAWS // max(1, (rounds + 1) * size - 1))
+    # A seed draws (rounds + 1) * size - 1 outputs; a lockstep chunk holds
+    # seeds x size candidates and seeds x C(n,r) covered flags.
+    chunk = max(1, _CHUNK_DRAWS // max((rounds + 1) * size, ncov))
     for lo in range(seeds.start, seeds.stop, chunk):
         keys = seed_keys(lo, min(chunk, seeds.stop - lo))
         bites = [raw_u64_rows(keys, 1 + t * size, size) < threshold
                  for t in range(rounds)]
         targets, _ = shuffle_targets(keys, rounds * size, size)
-        for i in range(len(keys)):
-            covered = bytearray(comb(n, r))
-            blocks: list = []
-            order = list(range(size))
-            _swap(order, targets[i])
-            for ci in chain(*(np.flatnonzero(b[i]).tolist() for b in bites),
-                            order):
-                row = rows[ci]
-                for k in row:
-                    if covered[k]:
-                        break
-                else:
-                    for k in row:
-                        covered[k] = 1
-                    blocks.append(subs[ci])
-            yield tuple(sorted(blocks))
+        if rounds or len(keys) < _LOCKSTEP_SEEDS:
+            sizes, best = [], None
+            for i in range(len(keys)):
+                order = list(range(size))
+                _swap(order, targets[i])
+                blocks = _scan(rows, subs, ncov, chain(
+                    *(np.flatnonzero(b[i]).tolist() for b in bites), order))
+                sizes.append(len(blocks))
+                if best is None or len(blocks) > len(best):
+                    best = blocks
+        else:
+            sizes, order = _lockstep(table, ncov, targets)
+            i = sizes.index(max(sizes))
+            best = _scan(rows, subs, ncov, order[:, i].tolist())
+            if len(best) != sizes[i]:
+                raise ConstructionError(
+                    f"seed {lo + i}: lockstep scan found d={sizes[i]}, "
+                    f"its own scan d={len(best)}")
+        yield sizes, tuple(sorted(best))
 
 
 @dataclass(frozen=True)
@@ -192,15 +262,20 @@ def search_system(r: int, m: int, n: int, seed: int, restarts: int,
     """Pack seeds seed..seed+restarts-1 with the random-order greedy scan
     (algo "greedy") or `rounds` random bites then greedy completion
     (algo "nibble"), and keep the first seed with the most blocks; only
-    that one is verified.  Every packing is maximal.
+    that one is verified.  Every packing is maximal.  At most
+    MAX_RESTARTS seeds are tried, as sizes keeps one d per seed.
 
-    The seeds are drawn a chunk at a time, _CHUNK_DRAWS (2^16) random
+    The seeds are drawn a chunk at a time, _CHUNK_DRAWS (2^18) random
     outputs per chunk, and each seed's packing equals the one drawn on
     its own stream alone, bit for bit; with rounds=0 the nibble is the
-    greedy packing."""
+    greedy packing.  A greedy chunk of _LOCKSTEP_SEEDS or more seeds runs
+    in lockstep, one numpy step per swap and scan position; the nibble,
+    and a chunk of fewer seeds, such as a single packing, run seed by
+    seed."""
     _check_params(r, m, n)
-    if restarts < 1:
-        raise ParameterError(f"restarts must be >= 1, got {restarts}")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ParameterError(
+            f"restarts must lie in 1..{MAX_RESTARTS}, got {restarts}")
     if algo == "nibble":
         bite = Fraction(bite)
         if not 0 < bite < 1:
@@ -212,11 +287,12 @@ def search_system(r: int, m: int, n: int, seed: int, restarts: int,
     else:
         raise ParameterError(f"algo must be greedy or nibble, got {algo!r}")
     best_seed, best, sizes = seed, None, []
-    for s, blocks in enumerate(_packings(r, m, n, range(seed, seed + restarts),
-                                         bite=bite, rounds=rounds), seed):
-        sizes.append(len(blocks))
+    for chunk, blocks in _packings(r, m, n, range(seed, seed + restarts),
+                                   bite=bite, rounds=rounds):
         if best is None or len(blocks) > len(best):
-            best_seed, best = s, blocks
+            best_seed = seed + len(sizes) + chunk.index(len(blocks))
+            best = blocks
+        sizes += chunk
     return SearchResult(best_seed, SteinerSystem(r=r, m=m, n=n, blocks=best),
                         tuple(sizes))
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from hlab.hypergraph import RUniformGraph
 from hlab.measure import _rule
-from hlab.rng import Rng, bernoulli_columns, bernoulli_threshold, stream_keys
+from hlab.rng import (Rng, bernoulli_columns, bernoulli_threshold, column_keys,
+                      stream_keys)
 
 
 def colex_less(a: tuple, b: tuple) -> bool:
@@ -206,7 +207,8 @@ def bernoulli_masks(seed: int, first_stream: int, count: int, draws: int,
                     threshold: int) -> np.ndarray:
     """rng.bernoulli_columns over columns [0, draws) of count new masks,
     mask i on substream first_stream + i."""
-    keys = stream_keys(seed, np.arange(first_stream, first_stream + count))
+    keys = column_keys(stream_keys(seed, np.arange(first_stream,
+                                                   first_stream + count)))
     return bernoulli_columns(keys, np.zeros(count, dtype=np.uint64), 0, draws,
                              threshold)
 

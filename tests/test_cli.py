@@ -717,6 +717,8 @@ def _instance(p="1/2", n=4, r=2, system_n=4, **params):
      '{"r":-1,"m":3,"n":4,"blocks":[[0,1,2]]}', 1),
     (["steiner", "--r", "2", "--m", "3", "--n", "600", "--seed", "0"],
      None, 1),
+    (["steiner", "--r", "2", "--m", "3", "--n", "7", "--seed", "0",
+      "--restarts", "1000000000"], None, 1),
     (["verify-steiner", "--system", "{pred}"], json.dumps(
         {"r": 20, "m": 40, "n": 40, "blocks": [list(range(40))]}), 1),
     (_LEMMA, _instance(p=0.1), 1),
@@ -748,7 +750,8 @@ def _instance(p="1/2", n=4, r=2, system_n=4, **params):
         "cn-n-negative", "measure-cap-negative",
         "within-without-contains", "min-edges-float", "within-float",
         "codec-float", "steiner-block-float", "steiner-r-negative",
-        "steiner-table-huge", "verify-steiner-block-huge",
+        "steiner-table-huge", "steiner-restarts-huge",
+        "verify-steiner-block-huge",
         "instance-p-float", "instance-p-bool", "instance-gamma-bool",
         "instance-p-zero-denominator", "instance-nu-zero-denominator",
         "instance-n-lemma", "instance-n-partition", "instance-n-xset",
@@ -803,8 +806,8 @@ def test_steiner_verifies_only_the_winner(files, capsys, monkeypatch):
 
 def test_steiner_rejects_invalid_winner(files, capsys, monkeypatch):
     import hlab.steiner as steiner
-    monkeypatch.setattr(steiner, "_packings", lambda r, m, n, seeds, **k: (
-        ((0, 1, 2), (0, 1, 3)) for _ in seeds))
+    monkeypatch.setattr(steiner, "_packings", lambda r, m, n, seeds, **k: [
+        ([2] * len(seeds), ((0, 1, 2), (0, 1, 3)))])
     code, out, err = run(capsys, ["steiner", "--r", "2", "--m", "3",
                                   "--n", "7", "--seed", "0",
                                   "--restarts", "5"])

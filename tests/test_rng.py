@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import hlab.rng as rng_module
 from hlab.errors import ParameterError
 from hlab.rng import (Rng, _swap, bernoulli_columns, bernoulli_threshold,
-                      raw_u64, raw_u64_rows, seed_keys, shuffle_targets,
-                      stream_key, stream_keys)
+                      column_keys, raw_u64, raw_u64_rows, seed_keys,
+                      shuffle_targets, stream_key, stream_keys)
 
 from oracles import (bernoulli_masks, random_below, shuffle_scalar,
                      substream_blocks)
@@ -96,7 +96,7 @@ def test_bernoulli_columns_by_range_match_one_pass(threshold):
     # Columns drawn range by range, on fewer streams each time, give the
     # one-pass bits, and bits outside a range stay as they were.
     whole = bernoulli_masks(99, 10, 300, 64, threshold)
-    keys = stream_keys(99, np.arange(10, 310))
+    keys = column_keys(stream_keys(99, np.arange(10, 310)))
     masks = np.zeros(300, dtype=np.uint64)
     alive = np.arange(300)
     for lo, hi in [(0, 0), (0, 1), (1, 5), (5, 5), (5, 28), (28, 64)]:
@@ -117,12 +117,13 @@ def test_bernoulli_columns_by_range_match_one_pass(threshold):
 @pytest.mark.parametrize("threshold", [0, 1 << 62, (1 << 64) - 1, 1 << 64])
 def test_bernoulli_columns_with_scratch_match_without(threshold):
     # Scratch columns are overwritten, whatever they held before.
-    keys = stream_keys(5, np.arange(300))
+    keys = column_keys(stream_keys(5, np.arange(300)))
     want = bernoulli_columns(keys, np.zeros(300, dtype=np.uint64), 3, 50,
                              threshold)
     block = np.full((3, 400), 0xFFFF, dtype=np.uint64)
     scratch = (block[0, :300], block[1, :300],
-               np.ones(400, dtype=bool)[:300])
+               np.ones(400, dtype=bool)[:300],
+               np.full(400, 0xFFFF, dtype=np.uint16)[:300])
     got = bernoulli_columns(keys, np.zeros(300, dtype=np.uint64), 3, 50,
                             threshold, scratch)
     assert got.tolist() == want.tolist()

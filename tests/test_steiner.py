@@ -300,8 +300,10 @@ def test_search_keeps_first_seed_with_largest_d(algo):
 ])
 def test_search_matches_per_seed_oracle(n, seed, algo, bite, rounds):
     # Enough restarts for two whole chunks and part of a third; the seeds
-    # cross 0 or 2^64, where they are masked as Rng masks them.
-    per_seed = (rounds + 1) * comb(n, 3) - 1
+    # cross 0 or 2^64, where they are masked as Rng masks them.  The
+    # greedy search runs its whole chunks in lockstep and its last five
+    # seeds, below _LOCKSTEP_SEEDS, one by one.
+    per_seed = (rounds + 1) * comb(n, 3)
     restarts = 2 * (steiner._CHUNK_DRAWS // per_seed) + 5
     found = search_system(2, 3, n, seed=seed, restarts=restarts, algo=algo,
                           bite=bite, rounds=rounds)
@@ -311,6 +313,79 @@ def test_search_matches_per_seed_oracle(n, seed, algo, bite, rounds):
     assert found.sizes == sizes
     assert found.seed == seed + sizes.index(max(sizes))
     assert found.system.blocks == want[found.seed - seed]
+
+
+def test_search_winner_past_a_chunk_boundary(monkeypatch):
+    # Chunks of 100 seeds, run in lockstep but the last 50; from seed 148
+    # the first (2,3,9) system with d = 12 is the 111th.
+    monkeypatch.setattr(steiner, "_CHUNK_DRAWS", 100 * comb(9, 3))
+    found = search_system(2, 3, 9, seed=148, restarts=250)
+    want = [packing_scalar(2, 3, 9, s) for s in range(148, 398)]
+    sizes = tuple(map(len, want))
+    assert found.sizes == sizes
+    assert found.seed == 148 + 110 == 148 + sizes.index(12)
+    assert found.system.blocks == want[110]
+
+
+@given(parameters(), st.integers(0, 2**64), st.integers(1, 5))
+def test_lockstep_matches_per_seed_oracle(params, seed, restarts):
+    # Every chunk in lockstep, m = n (one candidate, no swap) and r = 1
+    # included.
+    r, m, n = params
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(steiner, "_LOCKSTEP_SEEDS", 1)
+        found = search_system(r, m, n, seed=seed, restarts=restarts)
+    want = [packing_scalar(r, m, n, s) for s in range(seed, seed + restarts)]
+    sizes = tuple(map(len, want))
+    assert found.sizes == sizes
+    assert found.system.blocks == want[found.seed - seed]
+    assert found.seed == seed + sizes.index(max(sizes))
+
+
+def test_lockstep_only_for_large_greedy_chunks(monkeypatch):
+    # A greedy chunk of _LOCKSTEP_SEEDS or more seeds runs in lockstep and
+    # scans its winner alone; a smaller one, a single packing and the
+    # nibble scan every seed alone.
+    calls = []
+    for name in ("_lockstep", "_scan"):
+        real = getattr(steiner, name)
+        monkeypatch.setattr(steiner, name, lambda *a, _name=name, _real=real:
+                            calls.append(_name) or _real(*a))
+    lots = steiner._LOCKSTEP_SEEDS
+    search_system(2, 3, 7, seed=0, restarts=lots)
+    assert calls == ["_lockstep", "_scan"]
+    calls.clear()
+    search_system(2, 3, 7, seed=0, restarts=lots - 1)
+    assert calls == ["_scan"] * (lots - 1)
+    calls.clear()
+    greedy_system(2, 3, 7, seed=0)
+    assert calls == ["_scan"]
+    calls.clear()
+    search_system(2, 3, 7, seed=0, restarts=lots, algo="nibble")
+    assert calls == ["_scan"] * lots
+
+
+def test_lockstep_size_is_checked_against_the_winners_scan(monkeypatch):
+    real = steiner._lockstep
+
+    def inflated(*args):
+        sizes, order = real(*args)
+        return [d + 1 for d in sizes], order
+
+    monkeypatch.setattr(steiner, "_lockstep", inflated)
+    with pytest.raises(ConstructionError, match="lockstep scan found d="):
+        search_system(2, 3, 7, seed=0, restarts=steiner._LOCKSTEP_SEEDS)
+
+
+def test_search_refuses_too_many_restarts(monkeypatch):
+    # Refused before any table is built or any seed drawn.
+    def unbuilt(*args):
+        raise AssertionError(f"table built for {args}")
+
+    monkeypatch.setattr(steiner, "subsets_colex", unbuilt)
+    monkeypatch.setattr(steiner, "seed_keys", unbuilt)
+    with pytest.raises(ParameterError, match="restarts must lie in"):
+        search_system(2, 3, 7, seed=0, restarts=steiner.MAX_RESTARTS + 1)
 
 
 def test_single_systems_match_per_seed_oracle():
