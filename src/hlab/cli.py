@@ -185,8 +185,6 @@ def _cmd_mc(a: argparse.Namespace) -> list:
 
 
 def _cmd_steiner(a: argparse.Namespace) -> list:
-    if a.restarts < 1:
-        raise _UsageError(f"--restarts must be >= 1, got {a.restarts}")
     found = search_system(a.r, a.m, a.n, a.seed, a.restarts, algo=a.algo,
                           bite=a.bite, rounds=a.rounds)
     system = found.system  # SteinerSystem validated it on construction

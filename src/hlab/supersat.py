@@ -115,12 +115,13 @@ def _scan(inst: Instance, nbits: int, vsets, workers: int, per_block):
     workers.  Each block's masks are sorted by edge count, so the masks
     with e edges form one run: a full scan's survivors arrive sorted, with
     their edge histogram, and are compressed once from the walk's column
-    (measure._walk), and the survivors of a vertex walk's last level are
-    sorted here, once.  hist is the block's edge histogram, nbits + 1
-    int64 entries, and cols[i], in the order of masks, whether some
-    member of the family is induced inside vsets[i].  by_edges(x) sums x,
-    one entry per mask, over each run: the edge histogram of x, from one
-    np.add.reduceat.
+    (measure._walk), or passed on as they are when the block keeps them
+    all, so masks is only valid until per_block returns; the survivors of
+    a vertex walk's last level are sorted here, once.  hist is the
+    block's edge histogram, nbits + 1 int64 entries, and cols[i], in the
+    order of masks, whether some member of the family is induced inside
+    vsets[i].  by_edges(x) sums x, one entry per mask, over each run: the
+    edge histogram of x, from one np.add.reduceat.
     """
     n, r = inst.n, inst.r
     rows = _contains_rows(n, r, inst.family, vsets)
@@ -140,7 +141,9 @@ def _scan(inst: Instance, nbits: int, vsets, workers: int, per_block):
 
     if not last:
         def one(k, masks, kept, hist):
-            return block(masks[kept], hist)
+            # a block that keeps every mask is passed on without a copy
+            whole = hist.sum() == masks.shape[0]
+            return block(masks if whole else masks[kept], hist)
     else:
         def one(k, parents, allowed, width):
             if k == last:  # the block comes parent by parent

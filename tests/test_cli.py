@@ -12,7 +12,7 @@ from hlab.codec import save_graph
 from hlab.hypergraph import complete_graph, graph_from_edges
 from hlab.family import normalize_family
 from hlab.measure import EdgePredicate, exact_measure
-from hlab.steiner import SteinerSystem, save_system
+from hlab.steiner import MAX_RESTARTS, SteinerSystem, save_system
 from hlab.supersat import Instance, LemmaParameters, save_instance
 
 from oracles import log2_oracle
@@ -539,11 +539,14 @@ def test_domain_error_malformed_system_file(files, capsys, tmp_path, text):
 
 
 def test_usage_error_zero_restarts(files, capsys):
+    # search_system owns the range of --restarts: both ends of it are
+    # domain errors, as --samples 0 is for mc.
     code, out, err = run(capsys, ["steiner", "--r", "2", "--m", "3", "--n", "7",
                                   "--seed", "0", "--restarts", "0"])
-    assert code == 2
+    assert code == 1
     assert out == ""
-    assert err.startswith("usage error: ") and "--restarts" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"restarts must lie in 1..{MAX_RESTARTS}, got 0" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -479,6 +479,98 @@ def test_mc_workspace_fits_a_small_call(monkeypatch):
     assert built == [100]
 
 
+# Pooling at a small scale: chunks of 8 samples and a pool of 4 (a pool
+# is at most half a chunk, so the pending rows fit), so that a few dozen
+# samples fill the pending rows, fill them to the pool exactly, or one
+# past it.  Forb(K3) at p = 1/2 has its first hit at sample 13,954 of
+# seed 3.  (n, p, pred, {kind: samples})
+POOLED_CASES = {
+    "K3-half": (11, HALF, FORB_K3,
+                {"end": 17, "exact": 13_955, "past": 13_955}),
+    "K3-eighth": (11, Fraction(1, 8), FORB_K3,
+                  {"end": 17, "exact": 186, "past": 187}),
+    "P5-gather": (9, THIRD, _forb(P5), {"end": 5, "exact": 9, "past": 19}),
+    "max-edges-and-C4": (10, Fraction(1, 4), EdgePredicate.intersection(
+        [EdgePredicate.max_edges(12), _forb(C4)]),
+        {"end": 17, "exact": 25, "past": 26}),
+}
+
+
+@pytest.mark.parametrize("n,p,pred,counts", POOLED_CASES.values(),
+                         ids=list(POOLED_CASES))
+def test_mc_pooled_levels_match_row_oracle(monkeypatch, n, p, pred, counts):
+    # "end": parks that never reach the pool, so every pooled batch runs
+    # in the drain after the last chunk; "exact" and "past": some level's
+    # pending rows reach the pool exactly, or one sample past it, and run
+    # as one batch.  Hits equal the oracle's at every worker count.
+    import hlab.measure as measure
+    monkeypatch.setattr(measure, "_BLOCK_MASKS", 8)
+    monkeypatch.setattr(measure, "_POOL", 4)
+    park, fills = measure._Workspace.park, []
+
+    def spy(self, k, keys, masks, index=None):
+        start = self.pending[k][1] if k in self.pending else 0
+        fills.append(start + len(keys if index is None else index))
+        return park(self, k, keys, masks, index)
+
+    monkeypatch.setattr(measure._Workspace, "park", spy)
+    keep = _rule(pred, n, 2)(oracle_masks(n, 2, p, 3, max(counts.values()), 0))
+    for samples in sorted(set(counts.values())):
+        fills.clear()
+        runs = [mc_measure(n, 2, p, pred, samples=samples, seed=3)]
+        for kind in (kind for kind, c in counts.items() if c == samples):
+            if kind == "end":
+                assert fills and max(fills) < 4
+            else:
+                assert {"exact": 4, "past": 5}[kind] in fills
+        runs += [mc_measure(n, 2, p, pred, samples=samples, seed=3,
+                            workers=w) for w in (0, 2)]
+        assert [res.hits for res in runs] == [int(keep[:samples].sum())] * 3
+        assert runs[0] == runs[1] == runs[2]
+
+
+def test_mc_pooled_levels_under_many_threads(monkeypatch):
+    # More worker threads than cores, switching often: each worker parks
+    # samples in its own workspace, and every workspace must reach the
+    # drain, or the samples it holds are lost.
+    import sys
+    import hlab.measure as measure
+    monkeypatch.setattr(measure, "_BLOCK_MASKS", 8)
+    monkeypatch.setattr(measure, "_POOL", 4)
+    samples, p = 2000, Fraction(1, 8)
+    want = int(_rule(FORB_K3, 11, 2)(
+        oracle_masks(11, 2, p, 5, samples, 0)).sum())
+    assert 0 < want < samples
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert mc_measure(11, 2, p, FORB_K3, samples=samples, seed=5,
+                              workers=8).hits == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_mc_late_levels_run_in_few_batches(monkeypatch):
+    # Levels 9, 10 and 11 of Forb(K3) at n = 11 see about 2%, 0.4% and
+    # 0.06% of the samples: pooled, they run in a few full batches instead
+    # of once per 2^16-sample chunk (16 times here), and no batch is
+    # longer than the workspace.
+    import hlab.measure as measure
+    sizes = {}
+    real = measure.bernoulli_columns
+
+    def spy(keys, masks, lo, hi, threshold, scratch):
+        sizes.setdefault(lo, []).append(keys.shape[0])
+        return real(keys, masks, lo, hi, threshold, scratch)
+
+    monkeypatch.setattr(measure, "bernoulli_columns", spy)
+    mc_measure(11, 2, HALF, FORB_K3, samples=1 << 20, seed=1)
+    batches = [len(sizes[comb(k - 1, 2)]) for k in (9, 10, 11)]
+    assert all(b <= most for b, most in zip(batches, (4, 1, 1)))
+    assert max(map(max, sizes.values())) <= 1 << 16
+
+
 # A 7-vertex 3-graph with an orbit of 2520 labellings: its lookup table
 # would need 2^35 entries, so every level runs the masked compare.
 SPARSE7_3 = graph_from_edges(7, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 4),
@@ -1003,7 +1095,9 @@ def test_scan_reduces_blocks_in_edge_order(monkeypatch, workers):
         return walk(levels, workers, seen)
 
     def reducer(masks, hist, cols, by_edges):
-        reduced.append(masks)
+        # a block that keeps every mask is the walk's buffer, reused by
+        # the worker's next block: keep a copy
+        reduced.append(masks.copy())
         assert hist.tolist() == np.bincount(np.bitwise_count(masks),
                                             minlength=22).tolist()
         ones = np.ones(masks.shape, dtype=np.int64)

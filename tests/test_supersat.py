@@ -196,6 +196,45 @@ FANO = SteinerSystem(r=2, m=3, n=7, blocks=(
     (2, 4, 5)))
 
 
+def test_full_block_reaches_the_reducer_without_a_copy(monkeypatch):
+    # min_edges' window is exact, so each of its full-scan blocks keeps
+    # every mask built and is handed to the kernel rows as the walk built
+    # it; a block of a class that drops masks is handed on as a copy of
+    # its survivors.  The lemma outputs match the per-block route.
+    import hlab.supersat
+
+    walk, rows = hlab.supersat._walk, hlab.supersat._contains_rows
+    built, passed = [], []
+
+    def walk_spy(levels, workers, per_block):
+        def seen(k, masks, kept, hist):
+            built.append((masks, bool(kept.all())))
+            return per_block(k, masks, kept, hist)
+        return walk(levels, workers, seen)
+
+    def rows_spy(*args):
+        run = rows(*args)
+
+        def spied(masks):
+            walked, whole = built[-1]
+            passed.append((whole, masks is walked))
+            return run(masks)
+        return spied
+
+    monkeypatch.setattr(hlab.supersat, "_walk", walk_spy)
+    monkeypatch.setattr(hlab.supersat, "_contains_rows", rows_spy)
+    scoped = EdgePredicate.contains(FAM_P3, within=(0, 1, 2, 3))
+    params = LemmaParameters(nu=Fraction(1, 4), m=3)
+    for A, whole in ((EdgePredicate.min_edges(12), True), (scoped, False)):
+        passed.clear()
+        report = lemma_report(_inst(A, FANO, params=params))
+        assert len(passed) > 1 and all(kept == same for kept, same in passed)
+        assert all(kept for kept, _ in passed) == whole
+        assert report.mu_A == exact_measure(7, 2, HALF, A).value
+        assert report.theta == tuple(block_theta(A, b, FAM_K3, 7, HALF)
+                                     for b in FANO.blocks)
+
+
 def test_lemma_scan_asks_for_one_row_per_orbit(monkeypatch):
     # The Fano plane's 7 blocks are one orbit of a class that every vertex
     # permutation fixes, and 7 of an explicit class: the lemma's scan asks
